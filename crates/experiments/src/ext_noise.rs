@@ -39,13 +39,70 @@ pub fn broadband_profile(params: &PaperParams, seed: u64, horizon: f64) -> Compo
 }
 
 /// Relative adaptive period per scheme, averaged over `seeds` independent
-/// broadband profiles. The result cache is consulted per `(scheme, seed)`
-/// grid point.
+/// broadband profiles.
+///
+/// One plan covers every seed: a seed builds its profile once, runs the
+/// fixed-clock baseline once, and measures the three adaptive schemes
+/// against it. The result cache is still consulted per `(scheme, seed)`
+/// grid point; a seed short-circuits only when all three of its points
+/// hit.
 pub fn run(ctx: &RunCtx, seeds: &[u64]) -> ExperimentResult {
     let params = &ctx.params;
     let c = params.setpoint;
     let samples = 20_000usize;
     let horizon = (samples as f64 + 10.0) * 1.5 * c as f64;
+    let schemes = adaptive_schemes();
+    let point_key = |scheme: &Scheme, seed: u64| {
+        crate::cache::key("ext-noise")
+            .params(params)
+            .scheme(scheme)
+            .u64("seed", seed)
+            .u64("budget.samples", samples as u64)
+            .finish()
+    };
+
+    // One row of per-scheme ratios per seed.
+    let rows = parallel_map_planned(
+        seeds,
+        |&seed| {
+            // Probe every key (no short-circuit), so the cache's hit and
+            // miss counts stay per grid point.
+            let hits: Vec<Option<f64>> = schemes
+                .iter()
+                .map(|s| ctx.cache.get_f64s(point_key(s, seed), 1).map(|v| v[0]))
+                .collect();
+            match hits.into_iter().collect::<Option<Vec<f64>>>() {
+                Some(row) => Plan::Ready(row),
+                // The fixed baseline plus one run per adaptive scheme.
+                None => Plan::Compute((1 + schemes.len() as u64) * samples as u64),
+            }
+        },
+        |&seed| {
+            let profile = broadband_profile(params, seed, horizon);
+            let fixed = SystemBuilder::new(c)
+                .scheme(Scheme::Fixed)
+                .build()
+                .expect("valid configuration")
+                .run(&profile, samples)
+                .skip(params.warmup);
+            schemes
+                .iter()
+                .map(|scheme| {
+                    let adaptive = SystemBuilder::new(c)
+                        .cdn_delay(c as f64)
+                        .scheme(scheme.clone())
+                        .build()
+                        .expect("valid configuration")
+                        .run(&profile, samples)
+                        .skip(params.warmup);
+                    let ratio = margin::relative_adaptive_period(&adaptive, &fixed);
+                    ctx.cache.put_f64s(point_key(scheme, seed), &[ratio]);
+                    ratio
+                })
+                .collect::<Vec<f64>>()
+        },
+        &ctx.telemetry,
+    );
 
     let mut result = ExperimentResult::new(
         "ext-noise",
@@ -56,46 +113,10 @@ pub fn run(ctx: &RunCtx, seeds: &[u64]) -> ExperimentResult {
             seeds.len()
         ),
     );
-    for scheme in adaptive_schemes() {
-        let seed_key = |seed: u64| {
-            crate::cache::key("ext-noise")
-                .params(params)
-                .scheme(&scheme)
-                .u64("seed", seed)
-                .u64("budget.samples", samples as u64)
-                .finish()
-        };
-        let ratios = parallel_map_planned(
-            seeds,
-            |&seed| match ctx.cache.get_f64s(seed_key(seed), 1) {
-                Some(v) => Plan::Ready(v[0]),
-                // The point runs the adaptive system *and* its fixed
-                // baseline, so it costs two full simulations.
-                None => Plan::Compute(2 * samples as u64),
-            },
-            |&seed| {
-                let profile = broadband_profile(params, seed, horizon);
-                let adaptive = SystemBuilder::new(c)
-                    .cdn_delay(c as f64)
-                    .scheme(scheme.clone())
-                    .build()
-                    .expect("valid configuration")
-                    .run(&profile, samples)
-                    .skip(params.warmup);
-                let fixed = SystemBuilder::new(c)
-                    .scheme(Scheme::Fixed)
-                    .build()
-                    .expect("valid configuration")
-                    .run(&profile, samples)
-                    .skip(params.warmup);
-                let ratio = margin::relative_adaptive_period(&adaptive, &fixed);
-                ctx.cache.put_f64s(seed_key(seed), &[ratio]);
-                ratio
-            },
-            &ctx.telemetry,
-        );
-        let xs: Vec<f64> = seeds.iter().map(|&s| s as f64).collect();
-        result = result.with_series(Series::new(scheme.label(), xs, ratios));
+    let xs: Vec<f64> = seeds.iter().map(|&s| s as f64).collect();
+    for (i, scheme) in schemes.iter().enumerate() {
+        let ratios = rows.iter().map(|row| row[i]).collect();
+        result = result.with_series(Series::new(scheme.label(), xs.clone(), ratios));
     }
     result
 }
@@ -129,7 +150,80 @@ pub fn render(result: &ExperimentResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::SweepCache;
+    use clock_telemetry::Telemetry;
     use variation::Waveform;
+
+    /// The per-`(scheme, seed)` key recipe caches written by earlier
+    /// releases hold; spelled out here so a change to it fails a test.
+    fn pinned_key(params: &PaperParams, scheme: &Scheme, seed: u64) -> clock_rescache::Key {
+        crate::cache::key("ext-noise")
+            .params(params)
+            .scheme(scheme)
+            .u64("seed", seed)
+            .u64("budget.samples", 20_000)
+            .finish()
+    }
+
+    fn series_bits(r: &ExperimentResult) -> Vec<(String, Vec<u64>)> {
+        r.series
+            .iter()
+            .map(|s| (s.label.clone(), s.y.iter().map(|y| y.to_bits()).collect()))
+            .collect()
+    }
+
+    #[test]
+    fn reads_existing_caches_under_the_pinned_keys() {
+        let params = PaperParams::default();
+        let cache = SweepCache::in_memory(&Telemetry::disabled());
+        let seeds = [5, 6];
+        for (i, scheme) in adaptive_schemes().iter().enumerate() {
+            for &seed in &seeds {
+                let sentinel = 0.25 + i as f64 + seed as f64 / 100.0;
+                cache.put_f64s(pinned_key(&params, scheme, seed), &[sentinel]);
+            }
+        }
+        let r = run(&RunCtx::new(params).with_cache(cache.clone()), &seeds);
+        for (i, s) in r.series.iter().enumerate() {
+            let want: Vec<f64> = seeds
+                .iter()
+                .map(|&seed| 0.25 + i as f64 + seed as f64 / 100.0)
+                .collect();
+            assert_eq!(s.y, want, "{}", s.label);
+        }
+        assert_eq!(cache.stats().expect("enabled").misses, 0);
+    }
+
+    #[test]
+    fn warm_rerun_computes_nothing_and_partial_caches_recompute_identically() {
+        let params = PaperParams::default();
+        let seeds = [11, 22];
+        let uncached = run(&RunCtx::new(params), &seeds);
+
+        let telemetry = Telemetry::enabled();
+        let cache = SweepCache::in_memory(&telemetry);
+        let ctx = RunCtx::new(params).with_cache(cache.clone());
+        let cold = run(&ctx, &seeds);
+        let written = telemetry.snapshot().counter("cache.bytes_written");
+        let cold_stats = cache.stats().expect("enabled");
+        let warm = run(&ctx, &seeds);
+        let warm_stats = cache.stats().expect("enabled");
+        assert_eq!(warm_stats.misses, cold_stats.misses, "warm rerun missed");
+        assert_eq!(warm_stats.hits - cold_stats.hits, 3 * seeds.len() as u64);
+        assert_eq!(telemetry.snapshot().counter("cache.bytes_written"), written);
+        assert_eq!(series_bits(&cold), series_bits(&uncached));
+        assert_eq!(series_bits(&warm), series_bits(&uncached));
+
+        // Only the IIR RO point of each seed cached: the seed recomputes
+        // and the other schemes' ratios come out the same.
+        let partial = SweepCache::in_memory(&Telemetry::disabled());
+        let iir = uncached.series_named("IIR RO").expect("series present");
+        for (&seed, &y) in seeds.iter().zip(&iir.y) {
+            partial.put_f64s(pinned_key(&params, &Scheme::iir_paper(), seed), &[y]);
+        }
+        let mixed = run(&RunCtx::new(params).with_cache(partial), &seeds);
+        assert_eq!(series_bits(&mixed), series_bits(&uncached));
+    }
 
     #[test]
     fn adaptive_schemes_beat_fixed_under_broadband_variation() {

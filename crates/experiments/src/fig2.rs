@@ -22,14 +22,8 @@ pub fn run(x_max: f64, points: usize) -> ExperimentResult {
     // unit variation period/duration).
     let h_wave = Harmonic::new(1.0, 1.0, 0.0);
     let s_wave = SingleEvent::new(1.0, 1.0, 10.0);
-    let emp_h: Vec<f64> = x
-        .iter()
-        .map(|&t_clk| analysis::empirical_worst_case(&h_wave, t_clk, 0.0, 10.0, 0.002))
-        .collect();
-    let emp_s: Vec<f64> = x
-        .iter()
-        .map(|&t_clk| analysis::empirical_worst_case(&s_wave, t_clk, 0.0, 30.0, 0.002))
-        .collect();
+    let emp_h = analysis::empirical_worst_case_curve(&h_wave, &x, 0.0, 10.0, 0.002);
+    let emp_s = analysis::empirical_worst_case_curve(&s_wave, &x, 0.0, 30.0, 0.002);
 
     ExperimentResult::new(
         "fig2",

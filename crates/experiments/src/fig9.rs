@@ -29,7 +29,18 @@ pub const T_CLK_GRID: [f64; 3] = [0.75, 1.0, 1.25];
 /// The grid of HoDV periods, in multiples of `c`.
 pub const TE_GRID: [f64; 3] = [25.0, 37.5, 50.0];
 
-/// Run one panel `(t_clk/c, T_e/c)` over a μ sweep of `points` values.
+/// The four schemes every panel runs at each μ, in dispatch order.
+fn panel_schemes() -> [Scheme; 4] {
+    [
+        Scheme::FreeRo { extra_length: 0 },
+        Scheme::TeaTime,
+        Scheme::iir_paper(),
+        Scheme::Fixed,
+    ]
+}
+
+/// Run one panel `(t_clk/c, T_e/c)` over a μ sweep of `points` values —
+/// the one-panel case of the flat plan [`run`] dispatches.
 ///
 /// The result cache is consulted per `(scheme, μ)` grid point: hits
 /// short-circuit before a worker is occupied, misses run cold and backfill
@@ -43,39 +54,53 @@ pub fn run_panel(
     te_over_c: f64,
     points: usize,
 ) -> ExperimentResult {
+    run_panels(ctx, &[(t_clk_over_c, te_over_c)], points)
+        .pop()
+        .expect("one panel in, one panel out")
+}
+
+/// Run `panels` (each `(t_clk/c, T_e/c)`) as one flat plan: every
+/// `(panel, scheme, μ)` point goes through a single
+/// [`parallel_map_planned`] call, so the workers never wait at a panel
+/// boundary. Each panel is then assembled from its own block of results.
+fn run_panels(ctx: &RunCtx, panels: &[(f64, f64)], points: usize) -> Vec<ExperimentResult> {
     let mus = linear_grid(-0.2, 0.2, points);
-    // All (scheme, μ) runs of the panel, parallel.
+    let schemes = panel_schemes();
     struct Task {
         scheme: Scheme,
-        mu: f64,
+        point: OperatingPoint,
     }
-    let mut tasks = Vec::new();
-    for scheme in [
-        Scheme::FreeRo { extra_length: 0 },
-        Scheme::TeaTime,
-        Scheme::iir_paper(),
-        Scheme::Fixed,
-    ] {
-        for &mu in &mus {
-            tasks.push(Task {
-                scheme: scheme.clone(),
-                mu,
-            });
+    let mut tasks = Vec::with_capacity(panels.len() * schemes.len() * mus.len());
+    for &(t_clk_over_c, te_over_c) in panels {
+        for scheme in &schemes {
+            for &mu in &mus {
+                tasks.push(Task {
+                    scheme: scheme.clone(),
+                    point: OperatingPoint::new(t_clk_over_c, te_over_c).with_mu(mu),
+                });
+            }
         }
     }
-    let point_of = |t: &Task| OperatingPoint::new(t_clk_over_c, te_over_c).with_mu(t.mu);
     let summaries = parallel_map_planned(
         &tasks,
-        |t| summary_probe(ctx, &t.scheme, point_of(t)),
-        |t| summary_compute(ctx, &t.scheme, point_of(t)),
+        |t| summary_probe(ctx, &t.scheme, t.point),
+        |t| summary_compute(ctx, &t.scheme, t.point),
         &ctx.telemetry,
     );
-    let labelled: Vec<(&'static str, f64, RunSummary)> = tasks
+    let per_panel = schemes.len() * mus.len();
+    panels
         .iter()
-        .zip(summaries)
-        .map(|(t, s)| (t.scheme.label(), t.mu, s))
-        .collect();
-    assemble_panel(ctx, t_clk_over_c, te_over_c, &mus, &labelled)
+        .enumerate()
+        .map(|(p, &(t_clk_over_c, te_over_c))| {
+            let block = p * per_panel..(p + 1) * per_panel;
+            let labelled: Vec<(&'static str, f64, RunSummary)> = tasks[block.clone()]
+                .iter()
+                .zip(&summaries[block])
+                .map(|(t, s)| (t.scheme.label(), t.point.mu_over_c, *s))
+                .collect();
+            assemble_panel(ctx, t_clk_over_c, te_over_c, &mus, &labelled)
+        })
+        .collect()
 }
 
 /// Every `COARSE_STRIDE`-th μ point of a fast panel is run cold; the
@@ -102,12 +127,7 @@ pub fn run_panel_fast(
     let params = &ctx.params;
     let mus = linear_grid(-0.2, 0.2, points);
     let warmup_fast = (params.warmup / 4).max(64).min(params.warmup);
-    let schemes = [
-        Scheme::FreeRo { extra_length: 0 },
-        Scheme::TeaTime,
-        Scheme::iir_paper(),
-        Scheme::Fixed,
-    ];
+    let schemes = panel_schemes();
     let coarse: Vec<usize> = (0..mus.len())
         .filter(|&i| i % COARSE_STRIDE == 0 || i + 1 == mus.len())
         .collect();
@@ -260,15 +280,13 @@ fn assemble_panel(
     result
 }
 
-/// Run the full 3×3 grid.
+/// Run the full 3×3 grid as one flat plan, panels in `T_e`-major order.
 pub fn run(ctx: &RunCtx, points: usize) -> Vec<ExperimentResult> {
-    let mut out = Vec::with_capacity(9);
-    for &te in &TE_GRID {
-        for &t_clk in &T_CLK_GRID {
-            out.push(run_panel(ctx, t_clk, te, points));
-        }
-    }
-    out
+    let panels: Vec<(f64, f64)> = TE_GRID
+        .iter()
+        .flat_map(|&te| T_CLK_GRID.iter().map(move |&t_clk| (t_clk, te)))
+        .collect();
+    run_panels(ctx, &panels, points)
 }
 
 /// Render a panel as a table over μ/c.
@@ -300,6 +318,27 @@ mod tests {
     fn mean_of(result: &ExperimentResult, label: &str) -> f64 {
         let s = result.series_named(label).unwrap();
         s.y.iter().sum::<f64>() / s.y.len() as f64
+    }
+
+    #[test]
+    fn flat_run_equals_per_panel_runs_bit_for_bit() {
+        let flat = run(&ctx(), 5);
+        assert_eq!(flat.len(), TE_GRID.len() * T_CLK_GRID.len());
+        let mut panels = flat.iter();
+        for &te in &TE_GRID {
+            for &t_clk in &T_CLK_GRID {
+                let alone = run_panel(&ctx(), t_clk, te, 5);
+                let from_flat = panels.next().expect("one result per panel");
+                assert_eq!(from_flat.id, alone.id);
+                assert_eq!(from_flat.series.len(), alone.series.len());
+                for (a, b) in from_flat.series.iter().zip(&alone.series) {
+                    assert_eq!(a.label, b.label);
+                    assert_eq!(a.x, b.x);
+                    let bits = |s: &Series| s.y.iter().map(|y| y.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(a), bits(b), "{} {}", alone.id, a.label);
+                }
+            }
+        }
     }
 
     #[test]

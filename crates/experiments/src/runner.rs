@@ -356,13 +356,15 @@ pub struct SweepSpec<'a, F: Fn(f64) -> OperatingPoint + Sync> {
     pub point_at: F,
 }
 
-/// Run a declarative sweep: the fixed-clock baselines first (one per grid
-/// point, shared by every scheme — the baseline depends only on the
-/// operating point, not on the scheme under test; they run unobserved so
-/// adaptive-run telemetry is not doubled), then each scheme in line-up
-/// order, reporting every grid point as a margin-search iteration on
-/// `ctx.telemetry` (cache hits report too — the iteration happened, it
-/// just cost nothing).
+/// Run a declarative sweep as one flat plan: the fixed-clock baselines
+/// (one per grid point, shared by every scheme — the baseline depends only
+/// on the operating point, not on the scheme under test) and every
+/// scheme's points go through a single longest-job-first dispatch, so no
+/// worker waits at a stage boundary. Baselines run on the unobserved
+/// context so adaptive-run telemetry is not doubled. Every grid point of
+/// every scheme is then reported, in line-up order, as a margin-search
+/// iteration on `ctx.telemetry` (cache hits report too — the iteration
+/// happened, it just cost nothing).
 pub fn run_sweep<F>(ctx: &RunCtx, spec: &SweepSpec<'_, F>) -> ExperimentResult
 where
     F: Fn(f64) -> OperatingPoint + Sync,
@@ -371,48 +373,42 @@ where
     sweep_scope.attr("experiment", spec.id);
     sweep_scope.attr("points", spec.grid.len());
     let xs = &spec.grid;
-    // The baseline stage runs on the unobserved context, so its stage
-    // span (like its per-point instrumentation) goes to the *observed*
-    // handle explicitly — the stage's wall time is real even though its
-    // engine events are intentionally dropped.
-    let fixed: Vec<RunSummary> = {
+    let n = xs.len();
+    // Line-up row 0 is the baseline; row k + 1 is `spec.schemes[k]`.
+    let baseline_ctx = ctx.unobserved();
+    let fixed_scheme = Scheme::Fixed;
+    let lineup: Vec<(&RunCtx, &Scheme)> = std::iter::once((&baseline_ctx, &fixed_scheme))
+        .chain(spec.schemes.iter().map(|scheme| (ctx, scheme)))
+        .collect();
+    let tasks: Vec<(usize, f64)> = (0..lineup.len())
+        .flat_map(|row| xs.iter().map(move |&x| (row, x)))
+        .collect();
+    let summaries = {
+        // The stage span goes to the *observed* handle: its wall time is
+        // real even though the baselines' engine events are dropped.
         let mut stage_scope = ctx.telemetry.scope("sweep.stage");
-        stage_scope.attr("scheme", "Fixed");
-        let baseline_ctx = ctx.unobserved();
+        stage_scope.attr("schemes", lineup.len());
         parallel_map_planned(
-            xs,
-            |&x| {
+            &tasks,
+            |&(row, x)| {
                 ctx.cancel.check();
-                summary_probe(&baseline_ctx, &Scheme::Fixed, (spec.point_at)(x))
+                let (run_ctx, scheme) = lineup[row];
+                summary_probe(run_ctx, scheme, (spec.point_at)(x))
             },
-            |&x| {
+            |&(row, x)| {
                 ctx.cancel.check();
-                summary_compute(&baseline_ctx, &Scheme::Fixed, (spec.point_at)(x))
+                let (run_ctx, scheme) = lineup[row];
+                summary_compute(run_ctx, scheme, (spec.point_at)(x))
             },
             &ctx.telemetry,
         )
     };
+    let fixed = &summaries[..n];
     let mut result = ExperimentResult::new(spec.id, spec.description.clone());
-    for scheme in &spec.schemes {
-        let summaries = {
-            let mut stage_scope = ctx.telemetry.scope("sweep.stage");
-            stage_scope.attr("scheme", scheme.label());
-            parallel_map_planned(
-                xs,
-                |&x| {
-                    ctx.cancel.check();
-                    summary_probe(ctx, scheme, (spec.point_at)(x))
-                },
-                |&x| {
-                    ctx.cancel.check();
-                    summary_compute(ctx, scheme, (spec.point_at)(x))
-                },
-                &ctx.telemetry,
-            )
-        };
-        let ys: Vec<f64> = summaries
+    for (k, scheme) in spec.schemes.iter().enumerate() {
+        let ys: Vec<f64> = summaries[(k + 1) * n..(k + 2) * n]
             .iter()
-            .zip(&fixed)
+            .zip(fixed)
             .map(|(adaptive, baseline)| adaptive.relative_to(baseline))
             .collect();
         if ctx.telemetry.is_enabled() {
@@ -497,6 +493,57 @@ mod tests {
         );
         let dm = (margin::required_margin(&warm) - margin::required_margin(&cold)).abs();
         assert!(dm < 1.5, "margins differ by {dm}");
+    }
+
+    fn small_spec() -> SweepSpec<'static, fn(f64) -> OperatingPoint> {
+        SweepSpec {
+            id: "one-plan",
+            description: String::new(),
+            grid: vec![0.5, 1.0, 3.0],
+            schemes: adaptive_schemes(),
+            point_at: |x| OperatingPoint::new(x, 40.0),
+        }
+    }
+
+    #[test]
+    fn one_plan_sweep_equals_per_stage_summaries_bit_for_bit() {
+        let ctx = RunCtx::new(PaperParams::default());
+        let spec = small_spec();
+        let swept = run_sweep(&ctx, &spec);
+        let fixed: Vec<RunSummary> = spec
+            .grid
+            .iter()
+            .map(|&x| summary_compute(&ctx.unobserved(), &Scheme::Fixed, (spec.point_at)(x)))
+            .collect();
+        assert_eq!(swept.series.len(), spec.schemes.len());
+        for (series, scheme) in swept.series.iter().zip(&spec.schemes) {
+            assert_eq!(series.label, scheme.label());
+            assert_eq!(series.x, spec.grid);
+            for ((&x, &y), baseline) in series.x.iter().zip(&series.y).zip(&fixed) {
+                let direct =
+                    summary_compute(&ctx, scheme, (spec.point_at)(x)).relative_to(baseline);
+                assert_eq!(y.to_bits(), direct.to_bits(), "{} at x = {x}", series.label);
+            }
+        }
+    }
+
+    #[test]
+    fn one_plan_sweep_nests_workers_under_one_stage_span() {
+        let telemetry = Telemetry::enabled();
+        telemetry.enable_tracing();
+        let ctx = RunCtx::new(PaperParams::default()).with_telemetry(telemetry.clone());
+        run_sweep(&ctx, &small_spec());
+        let spans = telemetry.trace_spans();
+        let named = |name: &str| spans.iter().filter(|s| s.name == name).collect::<Vec<_>>();
+        let (sweep, stage) = (named("sweep"), named("sweep.stage"));
+        assert_eq!((sweep.len(), stage.len()), (1, 1), "one stage per plan");
+        assert_eq!(stage[0].parent, sweep[0].id);
+        // Workers exist only on a multi-core host; the probe always runs.
+        let dispatched = [named("sweep.probe"), named("sweep.worker")].concat();
+        assert!(!dispatched.is_empty());
+        for span in dispatched {
+            assert_eq!(span.parent, stage[0].id, "{} outside the stage", span.name);
+        }
     }
 
     #[test]

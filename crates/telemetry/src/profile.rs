@@ -2,8 +2,8 @@
 //! self/total time tree aggregated by name path.
 //!
 //! Every span contributes its duration to the tree node addressed by its
-//! chain of ancestor names (`fig9 → sweep.stage → sweep.worker →
-//! engine.batch`). A node's **total** is the summed duration of its
+//! chain of ancestor names (`fig8 → sweep → sweep.stage → sweep.worker →
+//! engine.core`). A node's **total** is the summed duration of its
 //! spans; its **self** time is total minus the time covered by direct
 //! children (clamped at zero — parallel workers can legitimately overlap
 //! their parent). Per-node duration quantiles come from the

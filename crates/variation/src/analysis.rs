@@ -45,7 +45,8 @@ pub fn single_event_worst_case(nu0: f64, t_clk: f64, t_nu: f64) -> f64 {
 }
 
 /// Empirical worst case of Eq. (1): sweep `t` over `[t_start, t_end]` with
-/// step `dt` and return `max |Δν(t, t_clk)|`.
+/// step `dt` and return `max |Δν(t, t_clk)|` — the one-delay case of
+/// [`empirical_worst_case_curve`].
 ///
 /// # Panics
 ///
@@ -57,12 +58,36 @@ pub fn empirical_worst_case<W: Waveform + ?Sized>(
     t_end: f64,
     dt: f64,
 ) -> f64 {
+    empirical_worst_case_curve(nu, &[t_clk], t_start, t_end, dt)[0]
+}
+
+/// [`empirical_worst_case`] for every delay in `t_clks` over one shared
+/// time grid: `ν(t)` is evaluated once per grid time and reused for every
+/// delay, and each delay folds its maxima in grid order, so entry `j` is
+/// bit-identical to `empirical_worst_case(nu, t_clks[j], …)` computed alone.
+///
+/// # Panics
+///
+/// Panics if `dt <= 0` or the interval is empty.
+pub fn empirical_worst_case_curve<W: Waveform + ?Sized>(
+    nu: &W,
+    t_clks: &[f64],
+    t_start: f64,
+    t_end: f64,
+    dt: f64,
+) -> Vec<f64> {
     assert!(dt > 0.0, "sweep step must be positive");
     assert!(t_end > t_start, "sweep interval must be non-empty");
     let n = ((t_end - t_start) / dt).ceil() as usize;
-    (0..=n)
-        .map(|k| induced_mismatch(nu, t_start + k as f64 * dt, t_clk).abs())
-        .fold(0.0, f64::max)
+    let mut worst = vec![0.0f64; t_clks.len()];
+    for k in 0..=n {
+        let t = t_start + k as f64 * dt;
+        let now = nu.value(t);
+        for (w, &t_clk) in worst.iter_mut().zip(t_clks) {
+            *w = w.max((now - nu.value(t - t_clk)).abs());
+        }
+    }
+    worst
 }
 
 /// Whether a harmonic HoDV mismatch is *reduced* by the adaptive clock,
@@ -200,6 +225,40 @@ mod tests {
                 "t_clk={t_clk}: analytic {analytic}, empirical {empirical}"
             );
         }
+    }
+
+    /// The per-delay scan the shared-grid curve replaces.
+    fn scan_worst_case<W: Waveform + ?Sized>(
+        nu: &W,
+        t_clk: f64,
+        t_start: f64,
+        t_end: f64,
+        dt: f64,
+    ) -> f64 {
+        let n = ((t_end - t_start) / dt).ceil() as usize;
+        (0..=n)
+            .map(|k| induced_mismatch(nu, t_start + k as f64 * dt, t_clk).abs())
+            .fold(0.0, f64::max)
+    }
+
+    #[test]
+    fn curve_equals_per_delay_worst_case_bit_for_bit() {
+        let h = Harmonic::new(1.3, 7.0, 0.4);
+        let e = SingleEvent::new(-2.0, 5.0, 3.0);
+        let t_clks: Vec<f64> = (0..37).map(|j| j as f64 * 0.37).collect();
+        for (t_start, t_end, dt) in [(0.0, 20.0, 0.01), (-3.0, 11.5, 0.07)] {
+            let curve_h = empirical_worst_case_curve(&h, &t_clks, t_start, t_end, dt);
+            let curve_e = empirical_worst_case_curve(&e, &t_clks, t_start, t_end, dt);
+            for (j, &t_clk) in t_clks.iter().enumerate() {
+                for (curve, wave) in [(&curve_h, &h as &dyn Waveform), (&curve_e, &e)] {
+                    let one = empirical_worst_case(wave, t_clk, t_start, t_end, dt);
+                    let scan = scan_worst_case(wave, t_clk, t_start, t_end, dt);
+                    assert_eq!(curve[j].to_bits(), one.to_bits(), "t_clk={t_clk}");
+                    assert_eq!(curve[j].to_bits(), scan.to_bits(), "t_clk={t_clk}");
+                }
+            }
+        }
+        assert!(empirical_worst_case_curve(&h, &[], 0.0, 1.0, 0.1).is_empty());
     }
 
     #[test]

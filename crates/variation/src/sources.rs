@@ -148,6 +148,11 @@ impl SingleEvent {
     pub fn duration(&self) -> f64 {
         self.duration
     }
+
+    /// Event start time.
+    pub fn start(&self) -> f64 {
+        self.start
+    }
 }
 
 impl Waveform for SingleEvent {

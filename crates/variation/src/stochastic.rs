@@ -13,7 +13,10 @@ use crate::sources::{SingleEvent, Waveform};
 /// randomized amplitudes and durations.
 #[derive(Debug, Clone)]
 pub struct SsnBursts {
+    /// The bursts, sorted by start time.
     events: Vec<SingleEvent>,
+    /// The longest burst duration (0 for an empty train).
+    max_duration: f64,
 }
 
 /// Configuration for [`SsnBursts`].
@@ -31,6 +34,10 @@ pub struct SsnConfig {
 
 impl SsnBursts {
     /// Generate a deterministic burst train from a seed.
+    ///
+    /// The bursts come out sorted by start time (arrivals accumulate
+    /// positive gaps); [`Waveform::value`] relies on that order to look up
+    /// only the bursts that can reach `t`.
     ///
     /// # Panics
     ///
@@ -69,7 +76,15 @@ impl SsnBursts {
             };
             events.push(SingleEvent::new(amp, dur, t));
         }
-        SsnBursts { events }
+        debug_assert!(
+            events.windows(2).all(|w| w[0].start() <= w[1].start()),
+            "burst starts must be sorted"
+        );
+        let max_duration = events.iter().map(SingleEvent::duration).fold(0.0, f64::max);
+        SsnBursts {
+            events,
+            max_duration,
+        }
     }
 
     /// Number of bursts generated within the horizon.
@@ -85,8 +100,24 @@ impl SsnBursts {
 
 impl Waveform for SsnBursts {
     fn value(&self, t: f64) -> f64 {
-        // bursts may overlap: sum their contributions
-        self.events.iter().map(|e| e.value(t)).sum()
+        // A burst is non-zero only while `0 ≤ (t − start)/duration ≤ 1`,
+        // so only starts in `[t − max_duration, t]` can reach `t`. The
+        // window is widened to twice the longest duration so rounding in
+        // that quotient cannot drop a burst at its very end.
+        let lo = self
+            .events
+            .partition_point(|e| e.start() < t - 2.0 * self.max_duration);
+        let hi = self.events.partition_point(|e| e.start() <= t);
+        // Bursts may overlap: sum their contributions in start order, the
+        // order of a full scan.
+        let sum: f64 = self.events[lo..hi].iter().map(|e| e.value(t)).sum();
+        // Each skipped burst would add +0.0, which only matters to a
+        // `-0.0` sum (the empty-sum value): add it once to keep the bits.
+        if hi - lo < self.events.len() {
+            sum + 0.0
+        } else {
+            sum
+        }
     }
     fn amplitude_bound(&self) -> f64 {
         // overlapping bursts can stack; bound by the sum of the two largest
@@ -214,6 +245,81 @@ mod tests {
             .filter(|k| sparse.value(*k as f64 * 100.0) == 0.0)
             .count();
         assert!(zeros > 150, "only {zeros} zero samples");
+    }
+
+    /// The full scan the windowed lookup replaces.
+    fn full_scan(bursts: &SsnBursts, t: f64) -> f64 {
+        bursts.events.iter().map(|e| e.value(t)).sum()
+    }
+
+    #[test]
+    fn windowed_value_matches_full_scan_bit_for_bit() {
+        let configs = [
+            // the ext-noise shape: sparse, rarely overlapping
+            cfg(),
+            // dense and heavily overlapping
+            SsnConfig {
+                mean_gap: 20.0,
+                duration: (50.0, 400.0),
+                horizon: 5_000.0,
+                ..cfg()
+            },
+            // negative droops, so edge samples are -0.0
+            SsnConfig {
+                amplitude: (-8.0, -2.0),
+                duration: (100.0, 100.0),
+                horizon: 5_000.0,
+                ..cfg()
+            },
+            // usually empty: the first arrival lands past the horizon
+            SsnConfig {
+                mean_gap: 1e9,
+                horizon: 10.0,
+                ..cfg()
+            },
+        ];
+        let mut empty_trains = 0;
+        for config in configs {
+            for seed in 0..24 {
+                let bursts = SsnBursts::new(seed, config);
+                empty_trains += usize::from(bursts.is_empty());
+                let h = config.horizon;
+                let mut ts = vec![-1e300, -h, -1.0, -0.0, 0.0, h, h + 1.0, 3.0 * h, 1e300];
+                ts.extend((0..=400).map(|k| f64::from(k) * h / 400.0));
+                for e in &bursts.events {
+                    let (start, end) = (e.start(), e.start() + e.duration());
+                    ts.extend([start, start.next_down(), start.next_up()]);
+                    ts.extend([end, end.next_down(), end.next_up()]);
+                    ts.push(start + 0.5 * e.duration());
+                }
+                for t in ts {
+                    assert_eq!(
+                        bursts.value(t).to_bits(),
+                        full_scan(&bursts, t).to_bits(),
+                        "seed {seed}, t = {t}, {config:?}"
+                    );
+                }
+            }
+        }
+        assert!(empty_trains > 0, "no empty train was exercised");
+    }
+
+    #[test]
+    fn windowed_value_keeps_the_sign_of_zero() {
+        let empty = SsnBursts::new(
+            0,
+            SsnConfig {
+                mean_gap: 1e12,
+                horizon: 1.0,
+                ..cfg()
+            },
+        );
+        assert!(empty.is_empty());
+        // an empty f64 sum is -0.0
+        assert_eq!(empty.value(0.5).to_bits(), (-0.0f64).to_bits());
+        let train = SsnBursts::new(7, cfg());
+        // far from every burst, the skipped bursts' +0.0 terms win
+        assert_eq!(train.value(-1.0).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
