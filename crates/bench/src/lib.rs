@@ -9,7 +9,8 @@
 //!   compact headline of the regenerated rows before timing, so a bench
 //!   run doubles as a reproduction run.
 //! * `engine` — microbenchmarks of the substrates (event loop, discrete
-//!   loop, dtsim graph, controllers, root finding, Jury test).
+//!   loop, batched lanes, dtsim graph, controllers, root finding, Jury
+//!   test).
 //! * `ablation` — design-choice sweeps the paper motivates: IIR
 //!   coefficient sets, TDC quantization, sensor-bank size.
 

@@ -13,7 +13,7 @@
 //! * clean lanes are packed into fixed-width **lane blocks** of
 //!   [`BLOCK_WIDTH`] and stepped by straight-line SoA kernels (the
 //!   private `blocked` submodule) that mirror the shared
-//!   [`Controller`](crate::controller::Controller) arithmetic bit for bit;
+//!   [`Controller`] arithmetic bit for bit;
 //!   faulted/hardened lanes and block tails stay on the per-lane scalar
 //!   path, so every lane — blocked or not — is **bit-identical** to the
 //!   `DiscreteLoop` it replaces (asserted by the differential tests below
@@ -21,10 +21,10 @@
 //! * recorded signals land in flat `[n·B + lane]` arrays
 //!   ([`BatchTrace`]), with per-lane [`LoopTrace`] views for drop-in use;
 //! * summary consumers (margin sweeps, Monte Carlo panels) can skip the
-//!   trace entirely: [`BatchLoop::run_summaries`] streams the same block
-//!   loop into per-lane [`LaneSummary`] statistics, bit-identical to
-//!   summarizing a materialized trace but without the trace-store
-//!   bandwidth or allocation.
+//!   trace entirely: [`BatchLoop::run`] with a [`SummarySink`] streams the
+//!   same block loop into per-lane [`LaneSummary`] statistics,
+//!   bit-identical to summarizing a materialized trace but without the
+//!   trace-store bandwidth or allocation.
 //!
 //! [`loopsim::DiscreteLoop`]: crate::loopsim::DiscreteLoop
 
@@ -32,19 +32,59 @@ use clock_faults::FaultSchedule;
 use clock_telemetry::Telemetry;
 
 use crate::bank::DomainBank;
+use crate::controller::Controller;
 use crate::loopsim::{LoopInputs, LoopTrace};
 use crate::resilience::Resilience;
 use crate::tdc::Quantization;
 
 mod blocked;
 
-pub use blocked::BLOCK_WIDTH;
+pub use blocked::{Sink, SummarySink, TraceSink, BLOCK_WIDTH};
 
-/// Per-lane controller state: exactly the shared kernel
-/// [`Controller`](crate::controller::Controller) enum. The alias survives
-/// from when the batched engine carried its own copy of the arithmetic;
-/// batch-facing code and the sweep layers keep reading naturally.
-pub use crate::controller::Controller as LaneController;
+/// The inputs of a batched run: how each lane's `c`, `e` and `μ`
+/// sequences are supplied to [`BatchLoop::run`].
+#[derive(Clone, Copy)]
+pub enum BatchInputs<'a> {
+    /// One [`LoopInputs`] per lane, lane `i` driven by entry `i`.
+    PerLane(&'a [LoopInputs<'a>]),
+    /// The Monte Carlo panel shape: every lane shares one `setpoint` and
+    /// one `homogeneous` closure, and lane `k`'s heterogeneous mismatch is
+    /// the **step-invariant** constant `mu[k]` (a sampled process
+    /// offset), passed as data instead of a closure.
+    ///
+    /// Equivalent per-lane `constant(mu[k])` closures produce the same
+    /// bits — the engine adds the identical f64 in the identical
+    /// association order — but cost one indirect call plus one ring store
+    /// per lane per period, because per-lane closures are all distinct and
+    /// cannot deduplicate. For a thousands-of-lanes sample panel that
+    /// overhead is the difference the `mc-panel-*` benchmark pair tracks.
+    StaticMu {
+        /// Set-point sequence `c[n]`, shared by every lane.
+        setpoint: &'a (dyn Fn(i64) -> f64 + 'a),
+        /// Homogeneous variation `e[n]`, shared by every lane.
+        homogeneous: &'a (dyn Fn(i64) -> f64 + 'a),
+        /// Static heterogeneous offset `μ` per lane.
+        mu: &'a [f64],
+    },
+}
+
+impl<'a> From<&'a [LoopInputs<'a>]> for BatchInputs<'a> {
+    fn from(inputs: &'a [LoopInputs<'a>]) -> Self {
+        BatchInputs::PerLane(inputs)
+    }
+}
+
+impl<'a> From<&'a Vec<LoopInputs<'a>>> for BatchInputs<'a> {
+    fn from(inputs: &'a Vec<LoopInputs<'a>>) -> Self {
+        BatchInputs::PerLane(inputs)
+    }
+}
+
+impl<'a, const N: usize> From<&'a [LoopInputs<'a>; N]> for BatchInputs<'a> {
+    fn from(inputs: &'a [LoopInputs<'a>; N]) -> Self {
+        BatchInputs::PerLane(inputs)
+    }
+}
 
 /// Flat recordings of a batched run, laid out `[n · lanes + lane]`.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -132,7 +172,7 @@ impl BatchTrace {
     }
 
     /// Fold every lane into its [`LaneSummary`] — the trace-then-summarize
-    /// reference implementation for [`BatchLoop::run_summaries`].
+    /// reference implementation for a [`SummarySink`] run.
     ///
     /// `δ[n] = c[n] − τ[n]` is already recorded, so the worst negative
     /// error folds `δ` and the worst positive error folds `−δ` directly;
@@ -146,7 +186,7 @@ impl BatchTrace {
     /// Like [`summarize`](Self::summarize), but fold only the periods
     /// from `warmup` on — the post-lock window a margin study scores
     /// (cold-start transients excluded), mirroring
-    /// [`BatchLoop::run_summaries_after`] on the traceless path.
+    /// [`SummarySink::with_warmup`] on the traceless path.
     /// `last_lro` still reports the final period regardless of the
     /// window.
     ///
@@ -190,7 +230,7 @@ impl BatchTrace {
 
 /// Streaming per-lane margin statistics of a batched run: the handful of
 /// numbers a sweep or Monte Carlo consumer actually reads off a lane's
-/// trace, computed inline by [`BatchLoop::run_summaries`] without ever
+/// trace, computed inline by a [`SummarySink`] run without ever
 /// materializing the trace, or after the fact by
 /// [`BatchTrace::summarize`]. The two paths perform the identical
 /// floating-point operations in the identical order, so their results are
@@ -245,15 +285,15 @@ impl LaneSummary {
 /// Two mismatch amplitudes of the paper loop in one batch:
 ///
 /// ```
-/// use adaptive_clock::batch::{BatchLoop, LaneController};
-/// use adaptive_clock::controller::IirConfig;
+/// use adaptive_clock::batch::{BatchLoop, TraceSink};
+/// use adaptive_clock::controller::{Controller, IirConfig};
 /// use adaptive_clock::loopsim::{constant, step_at, LoopInputs};
 /// use adaptive_clock::tdc::Quantization;
 ///
 /// # fn main() -> Result<(), adaptive_clock::Error> {
 /// let mut batch = BatchLoop::new();
 /// for _ in 0..2 {
-///     let ctrl = LaneController::int_iir(&IirConfig::paper(), 64)?;
+///     let ctrl = Controller::int_iir(&IirConfig::paper(), 64)?;
 ///     batch.push(1, ctrl, Quantization::Floor);
 /// }
 /// let c = constant(64.0);
@@ -264,7 +304,7 @@ impl LaneSummary {
 ///     LoopInputs { setpoint: &c, homogeneous: &zero, heterogeneous: &mu_a },
 ///     LoopInputs { setpoint: &c, homogeneous: &zero, heterogeneous: &mu_b },
 /// ];
-/// let tr = batch.run(&inputs, 400);
+/// let tr = batch.run(&inputs, 400, TraceSink::default());
 /// assert!(tr.lane(0).delta[399].abs() <= 1.0);
 /// assert!(tr.lane(1).delta[399].abs() <= 1.0);
 /// # Ok(())
@@ -319,12 +359,7 @@ impl BatchLoop {
     }
 
     /// Append a lane with CDN delay `m` whole periods; returns its index.
-    pub fn push(
-        &mut self,
-        m: usize,
-        controller: LaneController,
-        quantization: Quantization,
-    ) -> usize {
+    pub fn push(&mut self, m: usize, controller: Controller, quantization: Quantization) -> usize {
         self.bank.push(m, controller, quantization)
     }
 
@@ -335,7 +370,7 @@ impl BatchLoop {
     pub fn push_with(
         &mut self,
         m: usize,
-        controller: LaneController,
+        controller: Controller,
         quantization: Quantization,
         faults: FaultSchedule,
         resilience: Resilience,
@@ -359,291 +394,40 @@ impl BatchLoop {
         self.bank.reset();
     }
 
-    /// Run `steps` periods of every lane, driving lane `i` with
-    /// `inputs[i]`, through the lane-block engine: clean lanes advance in
+    /// Run `steps` periods of every lane through the lane-block engine
+    /// and hand every period to `sink`: a [`TraceSink`] returns the full
+    /// [`BatchTrace`], a [`SummarySink`] the per-lane [`LaneSummary`]
+    /// statistics without materializing a trace. Clean lanes advance in
     /// [`BLOCK_WIDTH`]-wide SoA blocks, faulted/hardened lanes and block
     /// tails on the per-lane scalar path, every lane bit-identical to its
-    /// scalar [`DiscreteLoop`](crate::loopsim::DiscreteLoop) twin.
+    /// scalar [`DiscreteLoop`](crate::loopsim::DiscreteLoop) twin, and the
+    /// controller state advances identically whichever sink is used.
     ///
-    /// The input closures are deduplicated by reference identity and
-    /// sampled once per unique closure per sequence row (into a
-    /// cache-resident ring of the rows the recurrence can still read), so
-    /// they must be pure functions of the row index — how many times and
-    /// in which order a closure is invoked is unspecified. Every closure
-    /// the engines accept already satisfies this; the scalar loop relies
-    /// on it too (it re-samples rows freely).
+    /// `inputs` is a [`BatchInputs`]: a slice of [`LoopInputs`] (one per
+    /// lane) converts directly. The input closures are deduplicated by
+    /// reference identity and sampled once per unique closure per sequence
+    /// row (into a cache-resident ring of the rows the recurrence can
+    /// still read), so they must be pure functions of the row index — how
+    /// many times and in which order a closure is invoked is unspecified.
+    /// Every closure the engines accept already satisfies this; the scalar
+    /// loop relies on it too (it re-samples rows freely).
     ///
-    /// # Panics
-    ///
-    /// Panics when `inputs.len() != self.len()`.
-    pub fn run(&mut self, inputs: &[LoopInputs<'_>], steps: usize) -> BatchTrace {
-        self.run_recycled(inputs, steps, BatchTrace::default())
-    }
-
-    /// [`run`](Self::run), reusing a previous trace's allocations.
-    ///
-    /// A full-length multi-lane trace is tens of megabytes — above the
-    /// allocator's mmap threshold — so repeated `run` calls pay the whole
-    /// page-fault + zeroing + unmap cycle per run even though the engine
-    /// overwrites every element anyway. Feeding the previous trace back
-    /// in (`trace = batch.run_recycled(inputs, steps, trace)`) makes
-    /// repeated runs steady-state.
-    ///
-    /// The reuse contract, precisely: each of `spare`'s three buffers is
-    /// cleared (length 0, **capacity kept**) and written in place
-    /// whenever its capacity already covers the run's `steps · lanes`
-    /// elements — equal-size reruns never touch the allocator, which
-    /// debug builds assert. A buffer only reallocates when a previous run
-    /// was smaller than this one. `spare`'s *contents* and its recorded
-    /// lane/step counts are irrelevant (any trace works, including
-    /// `BatchTrace::default()`, which is exactly what `run` passes); the
-    /// returned trace is bit-identical to a fresh [`run`](Self::run)
-    /// either way.
-    ///
-    /// Callers that only need per-lane statistics should prefer
-    /// [`run_summaries`](Self::run_summaries), which skips the trace —
-    /// and with it this whole recycling dance — entirely.
+    /// Telemetry: the run lands under an `engine.batch` span (traced) or
+    /// `engine.batch.summaries` (traceless); lane-step and block-shape
+    /// counters are shared.
     ///
     /// # Panics
     ///
-    /// Panics when `inputs.len() != self.len()`.
-    pub fn run_recycled(
+    /// Panics when the inputs do not supply exactly one lane's worth per
+    /// lane, or when a [`SummarySink`]'s warmup leaves no measured period
+    /// of a non-empty run.
+    pub fn run<'a, S: Sink>(
         &mut self,
-        inputs: &[LoopInputs<'_>],
+        inputs: impl Into<BatchInputs<'a>>,
         steps: usize,
-        spare: BatchTrace,
-    ) -> BatchTrace {
-        assert_eq!(
-            inputs.len(),
-            self.bank.len(),
-            "one LoopInputs per lane required"
-        );
-        blocked::run(self, inputs, steps, spare)
-    }
-
-    /// Run `steps` periods of every lane like [`run`](Self::run), but
-    /// stream per-lane margin statistics instead of materializing a
-    /// [`BatchTrace`]: no trace allocation, no ~24 B per lane-step of
-    /// store bandwidth — the compulsory cost floor of the traced path for
-    /// consumers that only read a handful of numbers per lane (margin
-    /// sweeps, Monte Carlo sample panels).
-    ///
-    /// The blocked engine runs the *same* gather/kernel/scatter loop as
-    /// [`run`](Self::run) (they share one generic body); only the
-    /// destination of each period's staging rows differs. The returned
-    /// summaries are therefore **bit-identical** to
-    /// `self.run(inputs, steps).summarize()` for every lane — blocked,
-    /// scalar-tail, faulted or hardened — and the controller state
-    /// advances exactly as a traced run would leave it.
-    ///
-    /// Telemetry: the run lands under an `engine.batch.summaries` span;
-    /// lane-step and block-shape counters are shared with the traced path.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `inputs.len() != self.len()`.
-    pub fn run_summaries(&mut self, inputs: &[LoopInputs<'_>], steps: usize) -> Vec<LaneSummary> {
-        self.run_summaries_after(inputs, steps, 0)
-    }
-
-    /// Like [`run_summaries`](Self::run_summaries), but fold only the
-    /// periods from `warmup` on: every lane is still stepped from period
-    /// 0 (the controller must live through its lock-in transient), while
-    /// the margin statistics cover the post-warmup window — the paper's
-    /// measurement methodology, and bit-identical to
-    /// `self.run(inputs, steps).summarize_after(warmup)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `inputs.len() != self.len()`, or when
-    /// `warmup >= steps` on a non-empty batch.
-    pub fn run_summaries_after(
-        &mut self,
-        inputs: &[LoopInputs<'_>],
-        steps: usize,
-        warmup: usize,
-    ) -> Vec<LaneSummary> {
-        assert_eq!(
-            inputs.len(),
-            self.bank.len(),
-            "one LoopInputs per lane required"
-        );
-        assert!(
-            steps == 0 || warmup < steps,
-            "warmup ({warmup}) must leave at least one measured period of {steps}"
-        );
-        blocked::run_summaries(self, inputs, None, steps, warmup)
-    }
-
-    /// [`run_summaries_after`](Self::run_summaries_after) specialized to
-    /// the Monte Carlo panel shape: every lane shares one `setpoint` and
-    /// one `homogeneous` closure, and lane `k`'s heterogeneous mismatch
-    /// is the **step-invariant** constant `mu[k]` (a sampled process
-    /// offset), passed as data instead of a closure.
-    ///
-    /// Equivalent per-lane `constant(mu[k])` closures produce the same
-    /// bits — the engine adds the identical f64 in the identical
-    /// association order — but cost one indirect call plus one ring
-    /// store per lane per period on the general path, because per-lane
-    /// closures are all distinct and cannot deduplicate. For a
-    /// thousands-of-lanes sample panel that overhead is the difference
-    /// the `mc-panel-*` benchmark pair tracks; this entry point deletes
-    /// it. Bit-identity with the closure form (and hence with
-    /// trace-then-summarize) is pinned by the unit tests below and the
-    /// differential suite.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `mu.len() != self.len()`, or when `warmup >= steps`
-    /// on a non-empty batch.
-    pub fn run_summaries_static(
-        &mut self,
-        setpoint: &(dyn Fn(i64) -> f64 + '_),
-        homogeneous: &(dyn Fn(i64) -> f64 + '_),
-        mu: &[f64],
-        steps: usize,
-        warmup: usize,
-    ) -> Vec<LaneSummary> {
-        assert_eq!(mu.len(), self.bank.len(), "one static mu per lane required");
-        assert!(
-            steps == 0 || warmup < steps,
-            "warmup ({warmup}) must leave at least one measured period of {steps}"
-        );
-        // The heterogeneous slot is filled with the shared homogeneous
-        // closure purely to satisfy the struct shape; with a static μ the
-        // engine never samples it.
-        let inputs: Vec<LoopInputs<'_>> = (0..self.bank.len())
-            .map(|_| LoopInputs {
-                setpoint,
-                homogeneous,
-                heterogeneous: homogeneous,
-            })
-            .collect();
-        blocked::run_summaries(self, &inputs, Some(mu), steps, warmup)
-    }
-
-    /// Run `steps` periods of every lane through the pre-block scalar SoA
-    /// loop: one lane at a time per step, each (row, lane) input pair
-    /// sampled exactly once. Kept as the in-tree reference the blocked
-    /// engine is benchmarked and differentially tested against.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `inputs.len() != self.len()`.
-    pub fn run_scalar(&mut self, inputs: &[LoopInputs<'_>], steps: usize) -> BatchTrace {
-        let mut run_scope = self.telemetry.scope("engine.batch.scalar");
-        run_scope.attr("steps", steps);
-        run_scope.attr("lanes", self.bank.len());
-        assert_eq!(
-            inputs.len(),
-            self.bank.len(),
-            "one LoopInputs per lane required"
-        );
-        let b = self.bank.len();
-        if b == 0 || steps == 0 {
-            return BatchTrace {
-                lanes: b,
-                steps,
-                ..BatchTrace::default()
-            };
-        }
-        // The recurrence only ever reads e/μ at sequence rows n−mm
-        // (mm ≤ max_off) and n−1, so the input closures are sampled into a
-        // *ring* of the last `max_off` lane-interleaved rows — a few KB
-        // that stays cache-resident — instead of full-horizon tables whose
-        // allocation and write-back traffic would rival the trace itself.
-        // Each (row, lane) pair is still sampled exactly once.
-        let mm: Vec<i64> = self.bank.domains.iter().map(|l| (l.m + 2) as i64).collect();
-        let max_off = mm.iter().copied().max().expect("at least one lane");
-        let mut e_ring = vec![0.0f64; max_off as usize * b];
-        let mut mu_ring = vec![0.0f64; max_off as usize * b];
-        let slot = |r: i64| r.rem_euclid(max_off) as usize * b;
-        for (lane_idx, li) in inputs.iter().enumerate() {
-            // Pre-start history; row −1 is sampled by the first iteration.
-            for r in -max_off..=-2 {
-                e_ring[slot(r) + lane_idx] = (li.homogeneous)(r);
-                mu_ring[slot(r) + lane_idx] = (li.heterogeneous)(r);
-            }
-        }
-        let mut trace = BatchTrace {
-            lanes: b,
-            steps,
-            tau: Vec::with_capacity(steps * b),
-            delta: Vec::with_capacity(steps * b),
-            lro: Vec::with_capacity(steps * b),
-        };
-        // cur[lane] = l_RO[n] for the period being generated.
-        let mut cur: Vec<f64> = self
-            .bank
-            .domains
-            .iter()
-            .map(|l| l.controller.length())
-            .collect();
-        // Per-lane fault paths, rebuilt per run (they hold run state).
-        // `None` keeps a lane on the original arithmetic below — and bit-
-        // identical to the faulted scalar loop when `Some`, because both
-        // engines drive the same `FaultPath` methods in the same order.
-        let mut paths: Vec<Option<crate::resilience::FaultPath>> = self
-            .bank
-            .domains
-            .iter()
-            .map(crate::bank::fault_path)
-            .collect();
-        for n in 0..steps as i64 {
-            // Bring row n−1 into the ring. It overwrites row n−1−max_off,
-            // which no lane can read any more (the deepest read is n−max_off),
-            // and never collides with row n−mm (mm ≥ 2 keeps them apart).
-            let base_n1 = slot(n - 1);
-            for (lane_idx, li) in inputs.iter().enumerate() {
-                e_ring[base_n1 + lane_idx] = (li.homogeneous)(n - 1);
-                mu_ring[base_n1 + lane_idx] = (li.heterogeneous)(n - 1);
-            }
-            for (lane_idx, lane) in self.bank.domains.iter_mut().enumerate() {
-                let off = mm[lane_idx];
-                let i = n - off;
-                // l_RO[n−mm]: pre-start history below 0, else the value
-                // already recorded at slab i (i < n always since mm ≥ 2).
-                let lro_past = if i < 0 {
-                    lane.initial_length
-                } else {
-                    trace.lro[i as usize * b + lane_idx]
-                };
-                let base_nmm = slot(i);
-                let (tau, delta, next) = crate::bank::step_domain(
-                    lane.quantization,
-                    &mut lane.controller,
-                    paths[lane_idx].as_mut(),
-                    n,
-                    i,
-                    lro_past,
-                    e_ring[base_nmm + lane_idx],
-                    e_ring[base_n1 + lane_idx],
-                    mu_ring[base_nmm + lane_idx],
-                    (inputs[lane_idx].setpoint)(n),
-                );
-                trace.tau.push(tau);
-                trace.delta.push(delta);
-                trace.lro.push(cur[lane_idx]);
-                cur[lane_idx] = next;
-            }
-        }
-        self.bank.note_steps(steps as u64);
-        self.telemetry
-            .counter("batch.controller_steps")
-            .add((steps * b) as u64);
-        let (injected, relocks) = paths.iter().flatten().fold((0u64, 0u64), |(i, r), fp| {
-            (
-                i + fp.schedule().injected_before(steps as u64),
-                r + fp.relocks(),
-            )
-        });
-        if injected > 0 {
-            self.telemetry.counter("faults.injected").add(injected);
-        }
-        if relocks > 0 {
-            self.telemetry.counter("controller.relocks").add(relocks);
-        }
-        trace
+        sink: S,
+    ) -> S::Output {
+        sink.drive(self, inputs.into(), steps)
     }
 }
 
@@ -655,12 +439,54 @@ mod tests {
 
     fn reference(
         m: usize,
-        controller: crate::controller::Controller,
+        controller: Controller,
         q: Quantization,
         inputs: &LoopInputs<'_>,
         steps: usize,
     ) -> LoopTrace {
         DiscreteLoop::new(m, controller, q).run(inputs, steps)
+    }
+
+    /// The lockstep scalar reference: every lane of `bank` advanced one
+    /// period at a time through [`DomainBank::runner`], the stepping path
+    /// the mesh uses.
+    fn lockstep(bank: &mut DomainBank, inputs: &[LoopInputs<'_>], steps: usize) -> Vec<LoopTrace> {
+        let mm: Vec<i64> = (0..bank.len()).map(|d| bank.m(d) as i64 + 2).collect();
+        let mut out = vec![LoopTrace::default(); bank.len()];
+        let mut runner = bank.runner();
+        for n in 0..steps as i64 {
+            for (d, li) in inputs.iter().enumerate() {
+                let i = n - mm[d];
+                let s = runner.step(
+                    d,
+                    n,
+                    (li.setpoint)(n),
+                    (li.homogeneous)(i),
+                    (li.homogeneous)(n - 1),
+                    (li.heterogeneous)(i),
+                );
+                out[d].tau.push(s.tau);
+                out[d].delta.push(s.delta);
+                out[d].lro.push(s.lro);
+            }
+        }
+        out
+    }
+
+    /// Every field of every summary as raw bits, so NaN `last_lro`s and
+    /// signed zeros compare exactly.
+    fn summary_bits(s: &[LaneSummary]) -> Vec<[u64; 5]> {
+        s.iter()
+            .map(|x| {
+                [
+                    x.samples,
+                    x.mean_period.to_bits(),
+                    x.worst_negative_error.to_bits(),
+                    x.worst_positive_error.to_bits(),
+                    x.last_lro.to_bits(),
+                ]
+            })
+            .collect()
     }
 
     #[test]
@@ -684,10 +510,10 @@ mod tests {
         let mut batch = BatchLoop::new();
         batch.push(
             1,
-            LaneController::int_iir(&cfg, 64).unwrap(),
+            Controller::int_iir(&cfg, 64).unwrap(),
             Quantization::Floor,
         );
-        let got = batch.run(std::slice::from_ref(&inputs), 500);
+        let got = batch.run(std::slice::from_ref(&inputs), 500, TraceSink::default());
         assert_eq!(got.lane(0), want);
     }
 
@@ -706,31 +532,31 @@ mod tests {
         let cases: Vec<(
             usize,
             crate::controller::Controller,
-            LaneController,
+            Controller,
             Quantization,
         )> = vec![
             (
                 0,
                 IntIirControl::new(cfg.clone(), 64).unwrap().into(),
-                LaneController::int_iir(&cfg, 64).unwrap(),
+                Controller::int_iir(&cfg, 64).unwrap(),
                 Quantization::Floor,
             ),
             (
                 2,
                 FloatIir::from_config(&cfg, 64.0).unwrap().into(),
-                LaneController::float_iir(&cfg, 64.0).unwrap(),
+                Controller::float_iir(&cfg, 64.0).unwrap(),
                 Quantization::None,
             ),
             (
                 1,
                 TeaTime::new(64).into(),
-                LaneController::teatime(64, 1.0),
+                Controller::teatime(64, 1.0),
                 Quantization::Floor,
             ),
             (
                 3,
                 FreeRunning::new(64).into(),
-                LaneController::free(64),
+                Controller::free(64),
                 Quantization::Nearest,
             ),
         ];
@@ -746,7 +572,7 @@ mod tests {
                 heterogeneous: &mu,
             });
         }
-        let got = batch.run(&lane_inputs, steps);
+        let got = batch.run(&lane_inputs, steps, TraceSink::default());
         assert_eq!(got.lanes(), 4);
         assert_eq!(got.steps(), steps);
         for (k, want) in wants.iter().enumerate() {
@@ -754,7 +580,7 @@ mod tests {
         }
     }
 
-    /// `run_recycled` must return the same bits as a fresh `run` no
+    /// A recycling trace sink must return the same bits as a fresh run no
     /// matter what the spare trace held, and must actually reuse a
     /// big-enough donor allocation instead of reallocating.
     #[test]
@@ -767,7 +593,7 @@ mod tests {
         for m in 0..5 {
             batch.push(
                 m % 3,
-                LaneController::int_iir(&cfg, 64).unwrap(),
+                Controller::int_iir(&cfg, 64).unwrap(),
                 Quantization::Floor,
             );
         }
@@ -778,7 +604,7 @@ mod tests {
                 heterogeneous: &zero,
             })
             .collect();
-        let fresh = batch.run(&inputs, 300);
+        let fresh = batch.run(&inputs, 300, TraceSink::default());
 
         // Donor larger than needed: buffers must be reused in place.
         batch.reset();
@@ -789,7 +615,7 @@ mod tests {
             ..BatchTrace::default()
         };
         let big_ptr = big.tau.as_ptr();
-        let recycled = batch.run_recycled(&inputs, 300, big);
+        let recycled = batch.run(&inputs, 300, TraceSink::recycling(big));
         assert_eq!(recycled, fresh, "recycled run diverged from fresh run");
         assert_eq!(
             recycled.tau.as_ptr(),
@@ -799,9 +625,9 @@ mod tests {
 
         // Donor smaller than needed: must grow, still identical.
         batch.reset();
-        let small = batch.run_recycled(&inputs, 10, BatchTrace::default());
+        let small = batch.run(&inputs, 10, TraceSink::recycling(BatchTrace::default()));
         batch.reset();
-        let regrown = batch.run_recycled(&inputs, 300, small);
+        let regrown = batch.run(&inputs, 300, TraceSink::recycling(small));
         assert_eq!(regrown, fresh);
     }
 
@@ -818,7 +644,7 @@ mod tests {
         for m in 0..6 {
             batch.push(
                 m % 3,
-                LaneController::int_iir(&cfg, 64).unwrap(),
+                Controller::int_iir(&cfg, 64).unwrap(),
                 Quantization::Floor,
             );
         }
@@ -829,14 +655,14 @@ mod tests {
                 heterogeneous: &zero,
             })
             .collect();
-        let first = batch.run(&inputs, 250);
+        let first = batch.run(&inputs, 250, TraceSink::default());
         let ptrs = [
             first.tau.as_ptr() as usize,
             first.delta.as_ptr() as usize,
             first.lro.as_ptr() as usize,
         ];
         batch.reset();
-        let second = batch.run_recycled(&inputs, 250, first);
+        let second = batch.run(&inputs, 250, TraceSink::recycling(first));
         assert_eq!(
             [
                 second.tau.as_ptr() as usize,
@@ -847,204 +673,186 @@ mod tests {
             "equal-size rerun reallocated a recycled buffer"
         );
         batch.reset();
-        assert_eq!(second, batch.run(&inputs, 250));
+        assert_eq!(second, batch.run(&inputs, 250, TraceSink::default()));
+    }
+
+    type Seq = Box<dyn Fn(i64) -> f64>;
+
+    /// A bank with two full blocks, a scalar tail, TEAtime and Free
+    /// lanes and a faulted hardened lane.
+    fn summary_bank() -> BatchLoop {
+        use crate::resilience::Resilience;
+        use clock_faults::{FaultClass, FaultSchedule};
+
+        let cfg = IirConfig::paper();
+        let schedule = FaultSchedule::random(17, FaultClass::TdcDropout, 5.0, 700, 3);
+        let mut b = BatchLoop::new();
+        for k in 0..2 * BLOCK_WIDTH + 1 {
+            b.push(
+                k % 3,
+                Controller::int_iir(&cfg, 64).unwrap(),
+                Quantization::Floor,
+            );
+        }
+        b.push(1, Controller::teatime(64, 1.0), Quantization::Floor);
+        b.push(2, Controller::free(64), Quantization::Floor);
+        b.push_with(
+            1,
+            Controller::int_iir(&cfg, 64).unwrap(),
+            Quantization::Floor,
+            schedule,
+            Resilience::hardened(64.0),
+        );
+        b
+    }
+
+    fn per_lane<'a>(
+        c: &'a dyn Fn(i64) -> f64,
+        e: &'a dyn Fn(i64) -> f64,
+        mus: &'a [Seq],
+    ) -> Vec<LoopInputs<'a>> {
+        mus.iter()
+            .map(|mu| LoopInputs {
+                setpoint: c,
+                homogeneous: e,
+                heterogeneous: mu.as_ref(),
+            })
+            .collect()
+    }
+
+    /// Runs `form` for two legs on a traced and a traceless copy of
+    /// `build()`: the traceless summaries must equal trace-then-summarize
+    /// bit for bit on both legs, so controller state advanced identically
+    /// too. Returns the first leg's trace as raw bits and its summaries.
+    fn assert_traceless_matches_traced(
+        at: &str,
+        build: &dyn Fn() -> BatchLoop,
+        form: BatchInputs<'_>,
+        steps: usize,
+        warmup: usize,
+    ) -> (Vec<u64>, Vec<LaneSummary>) {
+        let (mut traced, mut traceless) = (build(), build());
+        let mut first = None;
+        for leg in 0..2 {
+            let trace = traced.run(form, steps, TraceSink::default());
+            let want = trace.summarize_after(warmup);
+            let got = traceless.run(form, steps, SummarySink::with_warmup(warmup));
+            assert_eq!(got.len(), traced.len(), "{at}");
+            assert_eq!(summary_bits(&got), summary_bits(&want), "{at} leg {leg}");
+            if leg == 0 {
+                let bits = [&trace.tau, &trace.delta, &trace.lro]
+                    .iter()
+                    .flat_map(|v| v.iter().map(|x| x.to_bits()))
+                    .collect();
+                first = Some((bits, got));
+            }
+        }
+        first.unwrap()
     }
 
     /// The traceless path must produce the same bits as running the
     /// traced engine and summarizing after the fact — across blocked
-    /// lanes, scalar tails, faulted and hardened lanes.
+    /// lanes, scalar tails, faulted and hardened lanes, with and without
+    /// a warmup window.
     #[test]
     fn traceless_summaries_match_trace_then_summarize_bitwise() {
-        use crate::resilience::Resilience;
-        use clock_faults::{FaultClass, FaultSchedule};
-
-        let cfg = IirConfig::paper();
         let c = constant(64.0);
         let e = |n: i64| 6.5 * (std::f64::consts::TAU * n as f64 / 110.0).sin();
-        let steps = 900;
-        let schedule = FaultSchedule::random(17, FaultClass::TdcDropout, 5.0, steps as u64, 3);
-        let build = || {
-            let mut b = BatchLoop::new();
-            for k in 0..2 * BLOCK_WIDTH + 1 {
-                b.push(
-                    k % 3,
-                    LaneController::int_iir(&cfg, 64).unwrap(),
-                    Quantization::Floor,
+        let lanes = summary_bank().len();
+        let mus: Vec<Seq> = (0..lanes)
+            .map(|k| Box::new(step_at(20 + k as i64, k as f64 - 4.0)) as Seq)
+            .collect();
+        let inputs = per_lane(&c, &e, &mus);
+        for steps in [0usize, 700] {
+            for warmup in [0usize, 150] {
+                let at = format!("steps {steps} warmup {warmup}");
+                assert_traceless_matches_traced(
+                    &at,
+                    &summary_bank,
+                    (&inputs).into(),
+                    steps,
+                    warmup,
                 );
             }
-            b.push(1, LaneController::teatime(64, 1.0), Quantization::Floor);
-            b.push_with(
-                1,
-                LaneController::int_iir(&cfg, 64).unwrap(),
-                Quantization::Floor,
-                schedule.clone(),
-                Resilience::hardened(64.0),
-            );
-            b
-        };
-        let mut traced = build();
-        let mut traceless = build();
-        let lanes = traced.len();
-        let mus: Vec<Box<dyn Fn(i64) -> f64>> = (0..lanes)
-            .map(|k| Box::new(step_at(20 + k as i64, k as f64 - 4.0)) as Box<dyn Fn(i64) -> f64>)
-            .collect();
-        let inputs: Vec<LoopInputs<'_>> = mus
-            .iter()
-            .map(|mu| LoopInputs {
-                setpoint: &c,
-                homogeneous: &e,
-                heterogeneous: mu.as_ref(),
-            })
-            .collect();
-        let want = traced.run(&inputs, steps).summarize();
-        let got = traceless.run_summaries(&inputs, steps);
-        assert_eq!(got.len(), lanes);
-        for (k, (g, w)) in got.iter().zip(&want).enumerate() {
-            assert_eq!(g.samples, w.samples, "lane {k} samples");
-            assert_eq!(
-                g.mean_period.to_bits(),
-                w.mean_period.to_bits(),
-                "lane {k} mean_period: {} vs {}",
-                g.mean_period,
-                w.mean_period
-            );
-            assert_eq!(
-                g.worst_negative_error.to_bits(),
-                w.worst_negative_error.to_bits(),
-                "lane {k} worst_negative_error"
-            );
-            assert_eq!(
-                g.worst_positive_error.to_bits(),
-                w.worst_positive_error.to_bits(),
-                "lane {k} worst_positive_error"
-            );
-            assert_eq!(
-                g.last_lro.to_bits(),
-                w.last_lro.to_bits(),
-                "lane {k} last_lro"
-            );
         }
-        // Controller state advanced identically: a second leg agrees too.
-        let want2 = traced.run(&inputs, steps).summarize();
-        let got2 = traceless.run_summaries(&inputs, steps);
-        assert_eq!(got2, want2, "second leg diverged");
     }
 
-    /// The static-μ entry point must produce the same bits as per-lane
+    /// The static-μ input form must produce the same bits as per-lane
     /// `constant(μ)` closures through the general path — across blocked
     /// lanes, scalar tails, a faulted lane, and a warmup window.
     #[test]
     fn static_mu_summaries_match_constant_closures_bitwise() {
-        use crate::resilience::Resilience;
-        use clock_faults::{FaultClass, FaultSchedule};
-
-        let cfg = IirConfig::paper();
         let c = constant(64.0);
         let e = |n: i64| 9.0 * (std::f64::consts::TAU * n as f64 / 140.0).sin();
-        let steps = 700;
-        let schedule = FaultSchedule::random(23, FaultClass::TdcDropout, 4.0, steps as u64, 2);
-        let build = || {
-            let mut b = BatchLoop::new();
-            for k in 0..2 * BLOCK_WIDTH + 1 {
-                b.push(
-                    k % 3,
-                    LaneController::int_iir(&cfg, 64).unwrap(),
-                    Quantization::Floor,
-                );
-            }
-            b.push(1, LaneController::teatime(64, 1.0), Quantization::Floor);
-            b.push(2, LaneController::free(64), Quantization::Floor);
-            b.push_with(
-                1,
-                LaneController::int_iir(&cfg, 64).unwrap(),
-                Quantization::Floor,
-                schedule.clone(),
-                Resilience::hardened(64.0),
-            );
-            b
-        };
-        let mut closures = build();
-        let mut statics = build();
-        let lanes = closures.len();
+        let lanes = summary_bank().len();
         let mus: Vec<f64> = (0..lanes).map(|k| 0.37 * k as f64 - 5.1).collect();
-        let mu_fns: Vec<Box<dyn Fn(i64) -> f64>> = mus
-            .iter()
-            .map(|&m| Box::new(constant(m)) as Box<dyn Fn(i64) -> f64>)
-            .collect();
-        let inputs: Vec<LoopInputs<'_>> = mu_fns
-            .iter()
-            .map(|mu| LoopInputs {
-                setpoint: &c,
-                homogeneous: &e,
-                heterogeneous: mu.as_ref(),
-            })
-            .collect();
-        for warmup in [0usize, 150] {
-            closures.reset();
-            statics.reset();
-            let want = closures.run_summaries_after(&inputs, steps, warmup);
-            let got = statics.run_summaries_static(&c, &e, &mus, steps, warmup);
-            assert_eq!(got.len(), lanes);
-            for (k, (g, w)) in got.iter().zip(&want).enumerate() {
-                assert_eq!(g.samples, w.samples, "warmup {warmup} lane {k} samples");
-                for (ga, wa, what) in [
-                    (g.mean_period, w.mean_period, "mean_period"),
-                    (
-                        g.worst_negative_error,
-                        w.worst_negative_error,
-                        "worst_negative_error",
-                    ),
-                    (
-                        g.worst_positive_error,
-                        w.worst_positive_error,
-                        "worst_positive_error",
-                    ),
-                    (g.last_lro, w.last_lro, "last_lro"),
-                ] {
-                    assert_eq!(
-                        ga.to_bits(),
-                        wa.to_bits(),
-                        "warmup {warmup} lane {k} {what}: {ga} vs {wa}"
-                    );
-                }
+        let constants: Vec<Seq> = mus.iter().map(|&m| Box::new(constant(m)) as Seq).collect();
+        let closures = per_lane(&c, &e, &constants);
+        let statics = BatchInputs::StaticMu {
+            setpoint: &c,
+            homogeneous: &e,
+            mu: &mus,
+        };
+        for steps in [0usize, 700] {
+            for warmup in [0usize, 150] {
+                let at = format!("steps {steps} warmup {warmup}");
+                let (want_trace, want) = assert_traceless_matches_traced(
+                    &at,
+                    &summary_bank,
+                    (&closures).into(),
+                    steps,
+                    warmup,
+                );
+                let (got_trace, got) =
+                    assert_traceless_matches_traced(&at, &summary_bank, statics, steps, warmup);
+                assert_eq!(got_trace, want_trace, "{at}: trace");
+                assert_eq!(summary_bits(&got), summary_bits(&want), "{at}: summaries");
             }
         }
-        // Zero steps and the lane-count panic contract.
-        let mut b = build();
-        let s = b.run_summaries_static(&c, &e, &vec![0.0; lanes], 0, 0);
-        assert_eq!(s.len(), lanes);
-        assert!(s.iter().all(|x| x.samples == 0 && x.last_lro.is_nan()));
     }
 
+    /// Empty batches summarize to nothing, and zero steps give every lane
+    /// an empty summary, in both input forms.
     #[test]
     fn summaries_of_empty_batches_and_zero_steps() {
-        let cfg = IirConfig::paper();
         let c = constant(64.0);
         let zero = constant(0.0);
-        let mut empty = BatchLoop::new();
-        assert!(empty.run_summaries(&[], 100).is_empty());
-        let mut batch = BatchLoop::new();
-        batch.push(
-            1,
-            LaneController::int_iir(&cfg, 64).unwrap(),
-            Quantization::Floor,
-        );
-        let inputs = [LoopInputs {
+        let empty_mu = BatchInputs::StaticMu {
             setpoint: &c,
             homogeneous: &zero,
-            heterogeneous: &zero,
-        }];
-        let s = batch.run_summaries(&inputs, 0);
-        assert_eq!(s.len(), 1);
-        assert_eq!(s[0].samples, 0);
-        assert_eq!(s[0].mean_period, 0.0);
-        assert_eq!(s[0].required_margin(), 0.0);
-        assert!(s[0].last_lro.is_nan());
-        // Matches the trace-then-summarize reference on zero steps too.
-        let t = batch.run(&inputs, 0).summarize();
-        assert_eq!(t.len(), 1);
-        assert_eq!(t[0].samples, 0);
-        assert!(t[0].last_lro.is_nan());
+            mu: &[],
+        };
+        for form in [BatchInputs::PerLane(&[]), empty_mu] {
+            for steps in [0usize, 100] {
+                let at = format!("empty batch, steps {steps}");
+                let (trace, got) =
+                    assert_traceless_matches_traced(&at, &BatchLoop::new, form, steps, 0);
+                assert!(trace.is_empty() && got.is_empty(), "{at}");
+            }
+        }
+        let lanes = summary_bank().len();
+        let mus = vec![0.0; lanes];
+        let zeros: Vec<Seq> = mus.iter().map(|&m| Box::new(constant(m)) as Seq).collect();
+        let closures = per_lane(&c, &zero, &zeros);
+        let statics = BatchInputs::StaticMu {
+            setpoint: &c,
+            homogeneous: &zero,
+            mu: &mus,
+        };
+        for form in [(&closures).into(), statics] {
+            for warmup in [0usize, 150] {
+                let at = format!("zero steps, warmup {warmup}");
+                let (_, s) = assert_traceless_matches_traced(&at, &summary_bank, form, 0, warmup);
+                assert_eq!(s.len(), lanes, "{at}");
+                assert!(
+                    s.iter().all(|x| x.samples == 0
+                        && x.mean_period == 0.0
+                        && x.required_margin() == 0.0
+                        && x.last_lro.is_nan()),
+                    "{at}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1053,7 +861,7 @@ mod tests {
         t.enable_tracing();
         let mut batch = BatchLoop::new().with_telemetry(t.clone());
         for _ in 0..BLOCK_WIDTH + 1 {
-            batch.push(1, LaneController::free(64), Quantization::None);
+            batch.push(1, Controller::free(64), Quantization::None);
         }
         let c = constant(64.0);
         let zero = constant(0.0);
@@ -1064,7 +872,7 @@ mod tests {
                 heterogeneous: &zero,
             })
             .collect();
-        let _ = batch.run_summaries(&inputs, 40);
+        let _ = batch.run(&inputs, 40, SummarySink::default());
         let snap = t.snapshot();
         assert_eq!(
             snap.counter("batch.controller_steps"),
@@ -1077,7 +885,7 @@ mod tests {
     }
 
     /// Enough same-scheme lanes to fill whole blocks *and* leave a tail:
-    /// every one must match its scalar twin and the scalar-SoA engine.
+    /// every one must match its scalar twin and the lockstep bank runner.
     #[test]
     fn full_blocks_and_tail_match_scalar_engines_bitwise() {
         let cfg = IirConfig::paper();
@@ -1087,27 +895,20 @@ mod tests {
         // 2 full int-IIR blocks + 3-lane tail, plus a teatime block tail.
         let lanes = 2 * BLOCK_WIDTH + 3;
         let mut batch = BatchLoop::new();
-        let mut scalar = BatchLoop::new();
         let mut mus: Vec<Box<dyn Fn(i64) -> f64>> = Vec::new();
         for k in 0..lanes {
-            let m = k % 3;
             batch.push(
-                m,
-                LaneController::int_iir(&cfg, 64).unwrap(),
-                Quantization::Floor,
-            );
-            scalar.push(
-                m,
-                LaneController::int_iir(&cfg, 64).unwrap(),
+                k % 3,
+                Controller::int_iir(&cfg, 64).unwrap(),
                 Quantization::Floor,
             );
             mus.push(Box::new(step_at(10 + k as i64, k as f64 - 6.0)));
         }
         for k in 0..3 {
-            batch.push(1, LaneController::teatime(64, 1.0), Quantization::Floor);
-            scalar.push(1, LaneController::teatime(64, 1.0), Quantization::Floor);
+            batch.push(1, Controller::teatime(64, 1.0), Quantization::Floor);
             mus.push(Box::new(step_at(15, 2.0 * k as f64)));
         }
+        let mut bank = batch.bank().clone();
         let inputs: Vec<LoopInputs<'_>> = mus
             .iter()
             .map(|mu| LoopInputs {
@@ -1116,15 +917,19 @@ mod tests {
                 heterogeneous: mu.as_ref(),
             })
             .collect();
-        let got = batch.run(&inputs, steps);
-        let want = scalar.run_scalar(&inputs, steps);
-        assert_eq!(got, want, "blocked vs scalar-SoA full-trace");
+        let got = batch.run(&inputs, steps, TraceSink::default());
+        let want = lockstep(&mut bank, &inputs, steps);
         for (k, input) in inputs.iter().enumerate() {
+            assert_eq!(
+                got.lane(k),
+                want[k],
+                "lane {k} diverged from the bank runner"
+            );
             let m = if k < lanes { k % 3 } else { 1 };
             let ctrl = if k < lanes {
                 IntIirControl::new(cfg.clone(), 64).unwrap().into()
             } else {
-                crate::controller::Controller::teatime(64, 1.0)
+                Controller::teatime(64, 1.0)
             };
             let twin = reference(m, ctrl, Quantization::Floor, input, steps);
             assert_eq!(got.lane(k), twin, "lane {k} diverged from its twin");
@@ -1145,18 +950,18 @@ mod tests {
         let mut batch = BatchLoop::new();
         batch.push(
             1,
-            LaneController::int_iir(&cfg, 64).unwrap(),
+            Controller::int_iir(&cfg, 64).unwrap(),
             Quantization::Floor,
         );
-        let first = batch.run(&inputs, 200);
+        let first = batch.run(&inputs, 200, TraceSink::default());
         batch.reset();
-        let second = batch.run(&inputs, 200);
+        let second = batch.run(&inputs, 200, TraceSink::default());
         assert_eq!(first, second);
     }
 
     /// Back-to-back runs without a reset must continue from the blocked
-    /// engine's written-back controller state exactly like the scalar
-    /// engine does from its in-place state.
+    /// engine's written-back controller state exactly like the bank
+    /// runner does from its in-place state.
     #[test]
     fn controller_state_write_back_chains_runs() {
         let cfg = IirConfig::paper();
@@ -1165,19 +970,14 @@ mod tests {
         let zero = constant(0.0);
         let lanes = BLOCK_WIDTH + 1;
         let mut batch = BatchLoop::new();
-        let mut scalar = BatchLoop::new();
         for _ in 0..lanes {
             batch.push(
                 1,
-                LaneController::float_iir(&cfg, 64.0).unwrap(),
-                Quantization::None,
-            );
-            scalar.push(
-                1,
-                LaneController::float_iir(&cfg, 64.0).unwrap(),
+                Controller::float_iir(&cfg, 64.0).unwrap(),
                 Quantization::None,
             );
         }
+        let mut bank = batch.bank().clone();
         let inputs: Vec<LoopInputs<'_>> = (0..lanes)
             .map(|_| LoopInputs {
                 setpoint: &c,
@@ -1185,12 +985,14 @@ mod tests {
                 heterogeneous: &zero,
             })
             .collect();
-        let _ = batch.run(&inputs, 150);
-        let _ = scalar.run_scalar(&inputs, 150);
+        let _ = batch.run(&inputs, 150, TraceSink::default());
+        let _ = lockstep(&mut bank, &inputs, 150);
         // Second leg: must pick up where the first left off, bit for bit.
-        let got = batch.run(&inputs, 150);
-        let want = scalar.run_scalar(&inputs, 150);
-        assert_eq!(got, want);
+        let got = batch.run(&inputs, 150, TraceSink::default());
+        let want = lockstep(&mut bank, &inputs, 150);
+        for (k, w) in want.iter().enumerate() {
+            assert_eq!(&got.lane(k), w, "lane {k}");
+        }
     }
 
     #[test]
@@ -1223,12 +1025,12 @@ mod tests {
                 let mut batch = BatchLoop::new();
                 batch.push_with(
                     1,
-                    LaneController::int_iir(&cfg, 64).unwrap(),
+                    Controller::int_iir(&cfg, 64).unwrap(),
                     Quantization::Floor,
                     schedule.clone(),
                     resilience,
                 );
-                let got = batch.run(std::slice::from_ref(&inputs), steps);
+                let got = batch.run(std::slice::from_ref(&inputs), steps, TraceSink::default());
                 let got = got.lane(0);
                 for k in 0..steps {
                     assert_eq!(
@@ -1265,7 +1067,7 @@ mod tests {
             if k == faulted_at {
                 batch.push_with(
                     1,
-                    LaneController::int_iir(&cfg, 64).unwrap(),
+                    Controller::int_iir(&cfg, 64).unwrap(),
                     Quantization::Floor,
                     schedule.clone(),
                     Resilience::hardened(64.0),
@@ -1273,7 +1075,7 @@ mod tests {
             } else {
                 batch.push(
                     1,
-                    LaneController::int_iir(&cfg, 64).unwrap(),
+                    Controller::int_iir(&cfg, 64).unwrap(),
                     Quantization::Floor,
                 );
             }
@@ -1285,7 +1087,7 @@ mod tests {
                 heterogeneous: &zero,
             })
             .collect();
-        let got = batch.run(&inputs, steps);
+        let got = batch.run(&inputs, steps, TraceSink::default());
         let clean_twin = reference(
             1,
             IntIirControl::new(cfg.clone(), 64).unwrap().into(),
@@ -1335,17 +1137,17 @@ mod tests {
         let mut batch = BatchLoop::new();
         batch.push(
             1,
-            LaneController::int_iir(&cfg, 64).unwrap(),
+            Controller::int_iir(&cfg, 64).unwrap(),
             Quantization::Floor,
         );
         batch.push_with(
             1,
-            LaneController::int_iir(&cfg, 64).unwrap(),
+            Controller::int_iir(&cfg, 64).unwrap(),
             Quantization::Floor,
             FaultSchedule::new(3),
             Resilience::default(),
         );
-        let tr = batch.run(&inputs, 600);
+        let tr = batch.run(&inputs, 600, TraceSink::default());
         assert_eq!(tr.lane(0), tr.lane(1));
     }
 
@@ -1364,7 +1166,7 @@ mod tests {
                 .collect();
             for k in range {
                 let (m, q) = (k % 3, Quantization::Floor);
-                b.push(m, LaneController::int_iir(&cfg, 64).unwrap(), q);
+                b.push(m, Controller::int_iir(&cfg, 64).unwrap(), q);
             }
             let inputs: Vec<LoopInputs<'_>> = mus
                 .iter()
@@ -1374,7 +1176,7 @@ mod tests {
                     heterogeneous: mu.as_ref(),
                 })
                 .collect();
-            b.run(&inputs, steps)
+            b.run(&inputs, steps, TraceSink::default())
         };
         let whole = build(0..total);
         let parts = [build(0..4), build(4..9), build(9..total)];
@@ -1390,7 +1192,7 @@ mod tests {
         let mut batch = BatchLoop::new().with_telemetry(t.clone());
         // One full free-running block + a 3-lane tail.
         for _ in 0..BLOCK_WIDTH + 3 {
-            batch.push(1, LaneController::free(64), Quantization::None);
+            batch.push(1, Controller::free(64), Quantization::None);
         }
         let c = constant(64.0);
         let zero = constant(0.0);
@@ -1401,7 +1203,7 @@ mod tests {
                 heterogeneous: &zero,
             })
             .collect();
-        let _ = batch.run(&inputs, 50);
+        let _ = batch.run(&inputs, 50, TraceSink::default());
         let snap = t.snapshot();
         assert_eq!(
             snap.counter("batch.controller_steps"),

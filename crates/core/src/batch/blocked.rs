@@ -1,4 +1,5 @@
-//! The fixed-width lane-block engine behind [`BatchLoop::run`].
+//! The fixed-width lane-block engine behind [`BatchLoop::run`], and the
+//! two [`Sink`]s a run can feed.
 //!
 //! Clean lanes of a batch are grouped by control scheme and packed into
 //! [`BLOCK_WIDTH`]-wide structure-of-arrays blocks (`[f64; W]` /
@@ -37,11 +38,10 @@
 
 use crate::controller::kernel::shift;
 use crate::controller::Controller;
-use crate::loopsim::LoopInputs;
 use crate::resilience::FaultPath;
 use crate::tdc::Quantization;
 
-use super::{BatchLoop, BatchTrace, LaneSummary};
+use super::{BatchInputs, BatchLoop, BatchTrace, LaneSummary};
 
 /// Lane-block width `W`: how many lanes one SoA block advances per
 /// period. Four f64 columns are two 128-bit register rows at the SSE2
@@ -441,16 +441,25 @@ impl Block {
 fn append_row(v: &mut Vec<f64>, row: &[f64], stream: bool) {
     #[cfg(target_arch = "x86_64")]
     if stream {
-        // SAFETY: capacity for the full run was reserved up front (debug
-        // assert below); `stream` implies an even row length and a
-        // 16-byte-aligned destination (base alignment checked by the
-        // caller, preserved because every row is an even number of f64s).
+        // The run reserved capacity for every row up front, rows have the
+        // batch's even lane count and the base is 16-byte aligned (the
+        // sink's `begin` checks both before setting `stream`). The sink's
+        // hooks are public, so the conditions the stores rely on are
+        // checked here, where they are used.
+        let len = v.len();
+        assert!(
+            row.len().is_multiple_of(2)
+                && row.len() <= v.capacity() - len
+                && (v.as_ptr() as usize + len * 8).is_multiple_of(16),
+            "streamed trace row outside its reserved, aligned capacity"
+        );
+        // SAFETY: the assert above guarantees the destination
+        // `[len, len + row.len())` lies inside the allocation, starts on
+        // a 16-byte boundary and is covered by whole 2-lane stores, so
+        // every element up to the new length is written.
         unsafe {
             use core::arch::x86_64::{_mm_loadu_pd, _mm_stream_pd};
-            let len = v.len();
-            debug_assert!(len + row.len() <= v.capacity());
             let dst = v.as_mut_ptr().add(len);
-            debug_assert_eq!(dst as usize % 16, 0);
             let mut i = 0;
             while i + 2 <= row.len() {
                 _mm_stream_pd(dst.add(i), _mm_loadu_pd(row.as_ptr().add(i)));
@@ -490,12 +499,25 @@ fn dedup<'a>(
     (uniq, idx)
 }
 
-/// Where each period's completed staging rows go. The engine body
-/// ([`run_impl`]) is generic over this sink, so the traced and traceless
-/// modes share one gather/kernel/scatter code path — the per-lane
-/// arithmetic, and therefore every recorded or summarized bit, is common
-/// by construction; only the destination of the rows differs.
-trait StepSink {
+mod sealed {
+    /// Seals [`Sink`](super::Sink): the engine hooks are an internal
+    /// protocol, so only the sinks defined here exist.
+    pub trait Sealed {}
+}
+
+/// Where a [`BatchLoop::run`] sends each period's per-lane samples, and
+/// what the run returns. The engine body is generic over the sink, so the
+/// traced and traceless modes share one gather/kernel/scatter code path —
+/// the per-lane arithmetic, and therefore every recorded or summarized
+/// bit, is common by construction; only the destination differs.
+///
+/// The trait is sealed: [`TraceSink`] and [`SummarySink`] are the only
+/// sinks. The `#[doc(hidden)]` methods are the engine's side of the
+/// protocol and are not meant to be called directly.
+pub trait Sink: sealed::Sealed {
+    /// What [`BatchLoop::run`] returns with this sink.
+    type Output;
+
     /// Whether the sink reads the `tau` staging row. When `false`
     /// (the summary sink — `LaneSummary` has no τ statistic), the engine
     /// body skips the per-lane τ scatter stores entirely; the `tau` slice
@@ -503,22 +525,34 @@ trait StepSink {
     const NEEDS_TAU: bool;
 
     /// Whether the sink consumes whole lane-indexed staging rows via
-    /// [`row`](StepSink::row). When `false` the engine never writes the
-    /// staging rows at all: blocks hand their `W` columns straight to
-    /// [`block`](StepSink::block) and scalar lanes to
-    /// [`lane`](StepSink::lane), saving one scattered store plus one
-    /// re-load per lane per period. Per-lane fold results are unchanged
-    /// either way — every lane is still visited exactly once per period,
-    /// in period order, and the folds are per-lane accumulators.
+    /// `row`. When `false` the engine never writes the staging rows at
+    /// all: blocks hand their `W` columns straight to `block` and scalar
+    /// lanes to `lane`, saving one scattered store plus one re-load per
+    /// lane per period. Per-lane fold results are unchanged either way —
+    /// every lane is still visited exactly once per period, in period
+    /// order, and the folds are per-lane accumulators.
     const PER_ROW: bool;
 
+    /// Telemetry span the run lands under.
+    #[doc(hidden)]
+    const SPAN: &'static str;
+
+    /// Prepare for a run of `lanes` lanes × `steps` periods. Called once
+    /// per run, also when the run is empty.
+    #[doc(hidden)]
+    fn begin(&mut self, lanes: usize, steps: usize);
+
     /// Consume period `n`'s staging rows (lane-indexed, length `B`).
-    /// Called only when [`PER_ROW`](StepSink::PER_ROW) is `true`.
-    fn row(&mut self, n: usize, steps: usize, tau: &[f64], delta: &[f64], lro: &[f64]);
+    /// Called only when `PER_ROW` is `true`.
+    #[doc(hidden)]
+    fn row(&mut self, n: usize, steps: usize, tau: &[f64], delta: &[f64], lro: &[f64]) {
+        let _ = (n, steps, tau, delta, lro);
+    }
 
     /// Consume one block's columns for period `n` (`lane[j]` maps column
     /// `j` to its batch lane index). Called only when `PER_ROW` is
     /// `false`.
+    #[doc(hidden)]
     fn block(
         &mut self,
         n: usize,
@@ -532,21 +566,109 @@ trait StepSink {
 
     /// Consume one scalar-path lane's period-`n` sample. Called only
     /// when `PER_ROW` is `false`.
+    #[doc(hidden)]
     fn lane(&mut self, n: usize, steps: usize, k: usize, delta: f64, lro: f64) {
         let _ = (n, steps, k, delta, lro);
     }
+
+    /// Hand back the run's result.
+    #[doc(hidden)]
+    fn finish(self, lanes: usize, steps: usize) -> Self::Output;
+
+    /// Run the engine into this sink. Each sink implements it without
+    /// generics, so the engine body is compiled once per sink in this
+    /// crate, with the sink's hooks inlined into its hot loop, instead of
+    /// in every crate that calls [`BatchLoop::run`].
+    #[doc(hidden)]
+    fn drive(self, batch: &mut BatchLoop, inputs: BatchInputs<'_>, steps: usize) -> Self::Output;
 }
 
-/// The traced sink: appends rows onto the flat [`BatchTrace`] arrays,
-/// with non-temporal stores when the row geometry allows.
-struct TraceSink {
+/// The traced sink: records every period into a flat [`BatchTrace`],
+/// appending rows with non-temporal stores when the row geometry allows.
+///
+/// A full-length multi-lane trace is tens of megabytes — above the
+/// allocator's mmap threshold — so repeated runs with a fresh trace pay
+/// the whole page-fault + zeroing + unmap cycle per run even though the
+/// engine overwrites every element anyway.
+/// [`recycling`](Self::recycling) a previous trace
+/// (`trace = batch.run(inputs, steps, TraceSink::recycling(trace))`) makes
+/// repeated runs steady-state.
+///
+/// The reuse contract, precisely: each of the spare trace's three buffers
+/// is cleared (length 0, **capacity kept**) and written in place whenever
+/// its capacity already covers the run's `steps · lanes` elements —
+/// equal-size reruns never touch the allocator, which debug builds
+/// assert. A buffer only reallocates when a previous run was smaller than
+/// this one. The spare's *contents* and its recorded lane/step counts are
+/// irrelevant (any trace works, including `BatchTrace::default()`, which
+/// is what [`TraceSink::default`] holds); the returned trace is
+/// bit-identical either way.
+///
+/// Callers that only need per-lane statistics should prefer
+/// [`SummarySink`], which skips the trace — and with it this whole
+/// recycling dance — entirely.
+#[derive(Debug, Default)]
+pub struct TraceSink {
     trace: BatchTrace,
     stream: bool,
 }
 
-impl StepSink for TraceSink {
+impl TraceSink {
+    /// A trace sink that writes into `spare`'s buffers (see the type docs).
+    pub fn recycling(spare: BatchTrace) -> TraceSink {
+        TraceSink {
+            trace: spare,
+            stream: false,
+        }
+    }
+}
+
+impl sealed::Sealed for TraceSink {}
+
+impl Sink for TraceSink {
+    type Output = BatchTrace;
     const NEEDS_TAU: bool = true;
     const PER_ROW: bool = true;
+    const SPAN: &'static str = "engine.batch";
+
+    fn begin(&mut self, lanes: usize, steps: usize) {
+        // The trace is appended one row per period from small staging
+        // buffers (see `run_impl`): blocks scatter by lane index into the
+        // cache-resident row, and the row is then memcpy'd onto the flat
+        // arrays. Appending instead of preallocating `vec![0.0; steps·b]`
+        // skips a full zero-init pass over a trace that every lane
+        // overwrites anyway — at long horizons that pass alone streams
+        // megabytes through the cache hierarchy twice.
+        let len = steps * lanes;
+        let t = &mut self.trace;
+        t.lanes = lanes;
+        t.steps = steps;
+        let bufs = [&mut t.tau, &mut t.delta, &mut t.lro];
+        for v in bufs {
+            v.clear();
+            #[cfg(debug_assertions)]
+            let (cap, before) = (v.capacity(), v.as_ptr() as usize);
+            v.reserve(len);
+            // The recycling contract: a donor buffer whose capacity
+            // already covers the run is written in place, never
+            // reallocated (equal-size reruns must not touch the allocator).
+            #[cfg(debug_assertions)]
+            debug_assert!(
+                cap < len || before == v.as_ptr() as usize,
+                "recycled trace buffer with sufficient capacity ({cap} >= {len}) was reallocated"
+            );
+        }
+        // Streaming eligibility: an even lane count keeps every row start
+        // on a 16-byte boundary once the base is aligned. Nothing reads the
+        // trace back during the run — scalar-path lanes gather
+        // `l_RO[n−mm]` from their own history ring in `run_impl` — so all
+        // three arrays stream.
+        self.stream = cfg!(target_arch = "x86_64")
+            && lanes.is_multiple_of(2)
+            && [&t.tau, &t.delta, &t.lro]
+                .iter()
+                .all(|v| (v.as_ptr() as usize).is_multiple_of(16));
+    }
 
     #[inline]
     fn row(&mut self, _n: usize, _steps: usize, tau: &[f64], delta: &[f64], lro: &[f64]) {
@@ -554,19 +676,49 @@ impl StepSink for TraceSink {
         append_row(&mut self.trace.delta, delta, self.stream);
         append_row(&mut self.trace.lro, lro, self.stream);
     }
+
+    fn drive(self, batch: &mut BatchLoop, inputs: BatchInputs<'_>, steps: usize) -> BatchTrace {
+        run(batch, inputs, steps, self)
+    }
+
+    fn finish(self, _lanes: usize, _steps: usize) -> BatchTrace {
+        // Non-temporal stores are weakly ordered: fence once so the trace
+        // is globally visible before it can cross a thread boundary (the
+        // lane dispatcher hands chunk traces to a recombining thread).
+        #[cfg(target_arch = "x86_64")]
+        #[allow(unsafe_code)]
+        if self.stream {
+            // SAFETY: `sfence` is available on every x86-64 CPU.
+            unsafe { core::arch::x86_64::_mm_sfence() }
+        }
+        self.trace
+    }
 }
 
-/// The traceless sink: folds each row into per-lane margin accumulators
-/// and drops it. The folds run in the exact operation order
-/// [`BatchTrace::summarize`] uses on a materialized trace — per lane,
-/// `max` over `δ` (worst negative error), `max` over `−δ` (worst
-/// positive), a step-ordered sum of `l_RO` — so the resulting summaries
-/// are bit-identical to trace-then-summarize, as the differential suite
-/// pins. Rows before `skip` are stepped but not folded (the warmup
-/// window of [`BatchLoop::run_summaries_after`]), matching
-/// [`BatchTrace::summarize_after`] on a materialized trace.
-struct SummarySink {
-    skip: usize,
+/// The traceless sink: folds each period into per-lane [`LaneSummary`]
+/// accumulators and drops it — no trace allocation, no ~24 B per
+/// lane-step of store bandwidth, the compulsory cost floor of the traced
+/// path for consumers that only read a handful of numbers per lane
+/// (margin sweeps, Monte Carlo sample panels).
+///
+/// The folds run in the exact operation order [`BatchTrace::summarize`]
+/// uses on a materialized trace — per lane, `max` over `δ` (worst
+/// negative error), `max` over `−δ` (worst positive), a step-ordered sum
+/// of `l_RO` — so the summaries are bit-identical to
+/// `run(inputs, steps, TraceSink::default()).summarize_after(warmup)` for
+/// every lane, and the controller state advances exactly as a traced run
+/// would leave it. Periods before the warmup are stepped but not folded:
+/// every lane still lives through its lock-in transient, while the
+/// statistics cover the post-warmup window (the paper's measurement
+/// methodology).
+///
+/// # Panics
+///
+/// A run panics when `warmup >= steps` on a non-empty run (an empty
+/// measurement window has no statistics).
+#[derive(Debug, Default)]
+pub struct SummarySink {
+    warmup: usize,
     wne: Vec<f64>,
     wpe: Vec<f64>,
     sum: Vec<f64>,
@@ -574,48 +726,33 @@ struct SummarySink {
 }
 
 impl SummarySink {
-    fn new(b: usize, skip: usize) -> SummarySink {
+    /// A summary sink that folds only the periods from `warmup` on.
+    pub fn with_warmup(warmup: usize) -> SummarySink {
         SummarySink {
-            skip,
-            wne: vec![0.0; b],
-            wpe: vec![0.0; b],
-            sum: vec![0.0; b],
-            last: vec![f64::NAN; b],
+            warmup,
+            ..SummarySink::default()
         }
-    }
-
-    fn finish(self, steps: usize) -> Vec<LaneSummary> {
-        let SummarySink {
-            skip,
-            wne,
-            wpe,
-            sum,
-            last,
-        } = self;
-        let samples = steps - skip;
-        wne.into_iter()
-            .zip(wpe)
-            .zip(sum.into_iter().zip(last))
-            .map(|((wne, wpe), (sum, last))| LaneSummary {
-                samples: samples as u64,
-                mean_period: sum / samples as f64,
-                worst_negative_error: wne,
-                worst_positive_error: wpe,
-                last_lro: last,
-            })
-            .collect()
     }
 }
 
-impl StepSink for SummarySink {
+impl sealed::Sealed for SummarySink {}
+
+impl Sink for SummarySink {
+    type Output = Vec<LaneSummary>;
     const NEEDS_TAU: bool = false;
     const PER_ROW: bool = false;
+    const SPAN: &'static str = "engine.batch.summaries";
 
-    /// Never called (`PER_ROW` is `false`); the folds run straight off
-    /// the block registers in [`block`](StepSink::block) /
-    /// [`lane`](StepSink::lane) without a staging-row round trip.
-    fn row(&mut self, _n: usize, _steps: usize, _tau: &[f64], _delta: &[f64], _lro: &[f64]) {
-        unreachable!("summary sink consumes blocks directly");
+    fn begin(&mut self, lanes: usize, steps: usize) {
+        let warmup = self.warmup;
+        assert!(
+            steps == 0 || warmup < steps,
+            "warmup ({warmup}) must leave at least one measured period of {steps}"
+        );
+        self.wne = vec![0.0; lanes];
+        self.wpe = vec![0.0; lanes];
+        self.sum = vec![0.0; lanes];
+        self.last = vec![f64::NAN; lanes];
     }
 
     #[inline]
@@ -627,7 +764,7 @@ impl StepSink for SummarySink {
         delta: &[f64; W],
         lro: &[f64; W],
     ) {
-        if n >= self.skip {
+        if n >= self.warmup {
             for j in 0..W {
                 let k = lane[j];
                 self.wne[k] = self.wne[k].max(delta[j]);
@@ -644,7 +781,7 @@ impl StepSink for SummarySink {
 
     #[inline]
     fn lane(&mut self, n: usize, steps: usize, k: usize, delta: f64, lro: f64) {
-        if n >= self.skip {
+        if n >= self.warmup {
             self.wne[k] = self.wne[k].max(delta);
             self.wpe[k] = self.wpe[k].max(-delta);
             self.sum[k] += lro;
@@ -653,171 +790,107 @@ impl StepSink for SummarySink {
             self.last[k] = lro;
         }
     }
+
+    fn drive(
+        self,
+        batch: &mut BatchLoop,
+        inputs: BatchInputs<'_>,
+        steps: usize,
+    ) -> Vec<LaneSummary> {
+        run(batch, inputs, steps, self)
+    }
+
+    fn finish(self, lanes: usize, steps: usize) -> Vec<LaneSummary> {
+        if steps == 0 {
+            return vec![LaneSummary::EMPTY; lanes];
+        }
+        let samples = steps - self.warmup;
+        self.wne
+            .into_iter()
+            .zip(self.wpe)
+            .zip(self.sum.into_iter().zip(self.last))
+            .map(|((wne, wpe), (sum, last))| LaneSummary {
+                samples: samples as u64,
+                mean_period: sum / samples as f64,
+                worst_negative_error: wne,
+                worst_positive_error: wpe,
+                last_lro: last,
+            })
+            .collect()
+    }
 }
 
-/// The blocked engine: body of [`BatchLoop::run`] /
-/// [`BatchLoop::run_recycled`]. `spare` donates its buffers.
-pub(super) fn run(
+/// The blocked engine behind [`BatchLoop::run`]: checks the input shape,
+/// opens the sink's span, and runs the shared body on a non-empty batch.
+fn run<S: Sink>(
     batch: &mut BatchLoop,
-    inputs: &[LoopInputs<'_>],
+    inputs: BatchInputs<'_>,
     steps: usize,
-    spare: BatchTrace,
-) -> BatchTrace {
+    mut sink: S,
+) -> S::Output {
     let b = batch.bank.domains.len();
-    let mut run_scope = batch.telemetry.scope("engine.batch");
+    match inputs {
+        BatchInputs::PerLane(li) => {
+            assert_eq!(li.len(), b, "one LoopInputs per lane required");
+        }
+        BatchInputs::StaticMu { mu, .. } => {
+            assert_eq!(mu.len(), b, "one static mu per lane required");
+        }
+    }
+    let mut run_scope = batch.telemetry.scope(S::SPAN);
     run_scope.attr("steps", steps);
     run_scope.attr("lanes", b);
-    if b == 0 || steps == 0 {
-        return BatchTrace {
-            lanes: b,
-            steps,
-            ..BatchTrace::default()
-        };
+    sink.begin(b, steps);
+    if b > 0 && steps > 0 {
+        run_impl(batch, inputs, steps, &mut sink);
     }
-
-    // The trace is appended one row per period from small staging buffers
-    // (see `run_impl`): blocks scatter by lane index into the
-    // cache-resident row, and the row is then memcpy'd onto the flat
-    // arrays. Appending instead of preallocating `vec![0.0; steps·b]`
-    // skips a full zero-init pass over a trace that every lane overwrites
-    // anyway — at long horizons that pass alone streams megabytes through
-    // the cache hierarchy twice. `spare`'s buffers are recycled: cleared
-    // (length 0, capacity kept) and grown only if a previous run was
-    // smaller. Steady-state repeated runs then write into already-faulted
-    // pages instead of paying the page-fault + zero + unmap cycle of a
-    // fresh tens-of-megabytes allocation on every run.
-    let BatchTrace {
-        tau: mut t_tau,
-        delta: mut t_delta,
-        lro: mut t_lro,
-        ..
-    } = spare;
-    t_tau.clear();
-    t_delta.clear();
-    t_lro.clear();
-    #[cfg(debug_assertions)]
-    let donors = [
-        (t_tau.capacity(), t_tau.as_ptr() as usize),
-        (t_delta.capacity(), t_delta.as_ptr() as usize),
-        (t_lro.capacity(), t_lro.as_ptr() as usize),
-    ];
-    t_tau.reserve(steps * b);
-    t_delta.reserve(steps * b);
-    t_lro.reserve(steps * b);
-    // The contract `run_recycled` documents: a donor buffer whose
-    // capacity already covers the run is written in place, never
-    // reallocated (equal-size reruns must not touch the allocator).
-    #[cfg(debug_assertions)]
-    for ((cap, before), after) in donors.into_iter().zip([
-        t_tau.as_ptr() as usize,
-        t_delta.as_ptr() as usize,
-        t_lro.as_ptr() as usize,
-    ]) {
-        debug_assert!(
-            cap < steps * b || before == after,
-            "recycled trace buffer with sufficient capacity ({cap} >= {}) was reallocated",
-            steps * b
-        );
-    }
-    let trace = BatchTrace {
-        lanes: b,
-        steps,
-        tau: t_tau,
-        delta: t_delta,
-        lro: t_lro,
-    };
-    // Streaming eligibility: an even lane count keeps every row start on
-    // a 16-byte boundary once the base is aligned. Nothing reads the
-    // trace back during the run — scalar-path lanes gather `l_RO[n−mm]`
-    // from their own history ring in `run_impl` — so all three arrays
-    // stream.
-    let stream = cfg!(target_arch = "x86_64")
-        && b.is_multiple_of(2)
-        && (trace.tau.as_ptr() as usize).is_multiple_of(16)
-        && (trace.delta.as_ptr() as usize).is_multiple_of(16)
-        && (trace.lro.as_ptr() as usize).is_multiple_of(16);
-    let mut sink = TraceSink { trace, stream };
-    run_impl(batch, inputs, None, steps, &mut sink);
-    // Non-temporal stores are weakly ordered: fence once so the trace is
-    // globally visible before it can cross a thread boundary (the lane
-    // dispatcher hands chunk traces to a recombining thread).
-    #[cfg(target_arch = "x86_64")]
-    #[allow(unsafe_code)]
-    if stream {
-        // SAFETY: `sfence` is available on every x86-64 CPU.
-        unsafe { core::arch::x86_64::_mm_sfence() }
-    }
-    sink.trace
-}
-
-/// The traceless engine: body of [`BatchLoop::run_summaries`] and
-/// [`BatchLoop::run_summaries_static`]. Shares [`run_impl`] with the
-/// traced path; the staging rows are folded into per-lane
-/// [`LaneSummary`] accumulators instead of being appended to a
-/// [`BatchTrace`] — no trace allocation, no trace-store bandwidth.
-///
-/// `static_mu`, when set, carries one step-invariant heterogeneous
-/// offset per lane and the `heterogeneous` closures in `inputs` are
-/// never sampled (see [`run_impl`]).
-pub(super) fn run_summaries(
-    batch: &mut BatchLoop,
-    inputs: &[LoopInputs<'_>],
-    static_mu: Option<&[f64]>,
-    steps: usize,
-    warmup: usize,
-) -> Vec<LaneSummary> {
-    let b = batch.bank.domains.len();
-    let mut run_scope = batch.telemetry.scope("engine.batch.summaries");
-    run_scope.attr("steps", steps);
-    run_scope.attr("lanes", b);
-    if b == 0 {
-        return Vec::new();
-    }
-    if steps == 0 {
-        return vec![LaneSummary::EMPTY; b];
-    }
-    let mut sink = SummarySink::new(b, warmup);
-    run_impl(batch, inputs, static_mu, steps, &mut sink);
-    sink.finish(steps)
+    sink.finish(b, steps)
 }
 
 /// The shared engine body: input dedup and ring-buffering, lane
 /// partition, the per-period gather → kernel → scatter loop, controller
-/// state write-back and telemetry — generic over the [`StepSink`]
-/// receiving each period's staging rows.
+/// state write-back and telemetry — generic over the [`Sink`] receiving
+/// each period's samples.
 ///
-/// `static_mu`, when set, holds one **step-invariant** heterogeneous
-/// offset per lane: the μ closures in `inputs` are never sampled, no μ
-/// ring is kept, and the gather adds the per-lane constant directly —
-/// deleting one indirect call and one ring store per lane per period
-/// for workloads (Monte Carlo sample panels) whose per-lane mismatch is
-/// a sampled constant. Because `μ[n − mm] = μ` for every row, adding
-/// the same f64 the equivalent `constant(μ)` closure would have
-/// produced, in the same association order, keeps the run bit-identical
-/// to the closure form.
-fn run_impl<S: StepSink>(
-    batch: &mut BatchLoop,
-    inputs: &[LoopInputs<'_>],
-    static_mu: Option<&[f64]>,
-    steps: usize,
-    sink: &mut S,
-) {
+/// [`BatchInputs::StaticMu`] holds one **step-invariant** heterogeneous
+/// offset per lane: no μ closure is sampled, no μ ring is kept, and the
+/// gather adds the per-lane constant directly — deleting one indirect
+/// call and one ring store per lane per period for workloads (Monte Carlo
+/// sample panels) whose per-lane mismatch is a sampled constant. Because
+/// `μ[n − mm] = μ` for every row, adding the same f64 the equivalent
+/// `constant(μ)` closure would have produced, in the same association
+/// order, keeps the run bit-identical to the closure form.
+fn run_impl<S: Sink>(batch: &mut BatchLoop, inputs: BatchInputs<'_>, steps: usize, sink: &mut S) {
     let b = batch.bank.domains.len();
-    debug_assert!(b > 0 && steps > 0, "empty cases are handled by the callers");
+    debug_assert!(b > 0 && steps > 0, "empty cases are handled by the caller");
 
     // --- Input plumbing: dedup closures, then ring-buffer their rows. ---
-    let (h_uniq, h_idx) = dedup(inputs.iter().map(|li| li.homogeneous));
-    let (mu_uniq, mu_idx) = match static_mu {
-        // Static μ: no closures to dedup or ring-buffer. The per-lane
-        // index vector still exists (blocks capture it) but indexes into
-        // nothing; the gather reads the block-resident constants instead.
-        Some(mu) => {
-            debug_assert_eq!(mu.len(), b, "one static mu per lane required");
-            (Vec::new(), vec![0usize; b])
+    let (h_uniq, h_idx, mu_uniq, mu_idx, sp_uniq, sp_idx, static_mu) = match inputs {
+        BatchInputs::PerLane(li) => {
+            let (h_uniq, h_idx) = dedup(li.iter().map(|li| li.homogeneous));
+            let (mu_uniq, mu_idx) = dedup(li.iter().map(|li| li.heterogeneous));
+            let (sp_uniq, sp_idx) = dedup(li.iter().map(|li| li.setpoint));
+            (h_uniq, h_idx, mu_uniq, mu_idx, sp_uniq, sp_idx, None)
         }
-        None => dedup(inputs.iter().map(|li| li.heterogeneous)),
+        // Static μ: every lane shares one setpoint and one homogeneous
+        // closure, and there are no μ closures to dedup or ring-buffer.
+        // The per-lane μ index vector still exists (blocks capture it) but
+        // indexes into nothing; the gather reads the block-resident
+        // constants instead.
+        BatchInputs::StaticMu {
+            setpoint,
+            homogeneous,
+            mu,
+        } => (
+            vec![homogeneous],
+            vec![0usize; b],
+            Vec::new(),
+            vec![0usize; b],
+            vec![setpoint],
+            vec![0usize; b],
+            Some(mu),
+        ),
     };
-    let (sp_uniq, sp_idx) = dedup(inputs.iter().map(|li| li.setpoint));
     let (nh, nmu, nsp) = (h_uniq.len(), mu_uniq.len(), sp_uniq.len());
 
     let mm: Vec<i64> = batch

@@ -2,16 +2,19 @@
 //! arbitrary lane counts (including non-multiples of the block width),
 //! mixed control schemes, random fault schedules and resilience configs,
 //! every lane of a [`BatchLoop::run`] must be **bit-identical** to its
-//! scalar [`DiscreteLoop`] twin — and the whole trace bit-identical to the
-//! pre-block scalar SoA engine (`run_scalar`).
+//! scalar [`DiscreteLoop`] twin and to a lockstep run of the same bank
+//! through the public `DomainBank::runner` stepping interface.
 //!
 //! Lane configurations are derived from a single proptest-drawn seed via
 //! splitmix64, so each case is reproducible from `(lanes, seed)` alone and
 //! the generator stays in lock-step between the batch under test and the
 //! scalar twins.
 
-use adaptive_clock::batch::{BatchLoop, BatchTrace, LaneController, LaneSummary, BLOCK_WIDTH};
-use adaptive_clock::controller::IirConfig;
+use adaptive_clock::bank::DomainBank;
+use adaptive_clock::batch::{
+    BatchLoop, BatchTrace, LaneSummary, SummarySink, TraceSink, BLOCK_WIDTH,
+};
+use adaptive_clock::controller::{Controller, IirConfig};
 use adaptive_clock::loopsim::{constant, step_at, DiscreteLoop, LoopInputs, LoopTrace};
 use adaptive_clock::resilience::Resilience;
 use adaptive_clock::tdc::Quantization;
@@ -81,20 +84,46 @@ impl LaneSpec {
         }
     }
 
-    fn controller(&self) -> LaneController {
+    fn controller(&self) -> Controller {
         let cfg = IirConfig::paper();
         match self.scheme {
-            0 => LaneController::int_iir(&cfg, SETPOINT).expect("paper config"),
-            1 => LaneController::float_iir(&cfg, SETPOINT as f64).expect("paper config"),
-            2 => LaneController::teatime(SETPOINT, 1.0),
-            _ => LaneController::free(SETPOINT),
+            0 => Controller::int_iir(&cfg, SETPOINT).expect("paper config"),
+            1 => Controller::float_iir(&cfg, SETPOINT as f64).expect("paper config"),
+            2 => Controller::teatime(SETPOINT, 1.0),
+            _ => Controller::free(SETPOINT),
         }
     }
 }
 
-/// Run the whole batch through both batch engines and collect per-lane
-/// scalar `DiscreteLoop` twins, all from the same derived specs.
-fn run_all(lanes: usize, seed: u64) -> (BatchTrace, BatchTrace, Vec<LoopTrace>) {
+/// The lockstep scalar reference: every lane of `bank` advanced one period
+/// at a time through `DomainBank::runner`, the stepping path the mesh uses.
+fn lockstep(bank: &mut DomainBank, inputs: &[LoopInputs<'_>]) -> Vec<LoopTrace> {
+    let mm: Vec<i64> = (0..bank.len()).map(|d| bank.m(d) as i64 + 2).collect();
+    let mut out = vec![LoopTrace::default(); bank.len()];
+    let mut runner = bank.runner();
+    for n in 0..STEPS as i64 {
+        for (d, li) in inputs.iter().enumerate() {
+            let i = n - mm[d];
+            let s = runner.step(
+                d,
+                n,
+                (li.setpoint)(n),
+                (li.homogeneous)(i),
+                (li.homogeneous)(n - 1),
+                (li.heterogeneous)(i),
+            );
+            out[d].tau.push(s.tau);
+            out[d].delta.push(s.delta);
+            out[d].lro.push(s.lro);
+        }
+    }
+    out
+}
+
+/// Run the whole batch through the blocked engine and collect the lockstep
+/// bank-runner reference plus per-lane scalar `DiscreteLoop` twins, all
+/// from the same derived specs.
+fn run_all(lanes: usize, seed: u64) -> (BatchTrace, Vec<LoopTrace>, Vec<LoopTrace>) {
     let specs: Vec<LaneSpec> = (0..lanes).map(|k| LaneSpec::derive(seed, k)).collect();
     let sp = constant(SETPOINT as f64);
     let e = |n: i64| 7.3 * (std::f64::consts::TAU * n as f64 / 41.0).sin();
@@ -113,7 +142,6 @@ fn run_all(lanes: usize, seed: u64) -> (BatchTrace, BatchTrace, Vec<LoopTrace>) 
         .collect();
 
     let mut blocked = BatchLoop::new();
-    let mut scalar_soa = BatchLoop::new();
     for spec in &specs {
         blocked.push_with(
             spec.m,
@@ -122,16 +150,9 @@ fn run_all(lanes: usize, seed: u64) -> (BatchTrace, BatchTrace, Vec<LoopTrace>) 
             spec.faults.clone(),
             spec.resilience,
         );
-        scalar_soa.push_with(
-            spec.m,
-            spec.controller(),
-            spec.quant,
-            spec.faults.clone(),
-            spec.resilience,
-        );
     }
-    let got = blocked.run(&inputs, STEPS);
-    let want_soa = scalar_soa.run_scalar(&inputs, STEPS);
+    let want_bank = lockstep(&mut blocked.bank().clone(), &inputs);
+    let got = blocked.run(&inputs, STEPS, TraceSink::default());
     let twins: Vec<LoopTrace> = specs
         .iter()
         .zip(&inputs)
@@ -142,7 +163,7 @@ fn run_all(lanes: usize, seed: u64) -> (BatchTrace, BatchTrace, Vec<LoopTrace>) 
                 .run(input, STEPS)
         })
         .collect();
-    (got, want_soa, twins)
+    (got, want_bank, twins)
 }
 
 fn assert_lane_bits(got: &LoopTrace, want: &LoopTrace, lane: usize) {
@@ -164,6 +185,16 @@ fn assert_lane_bits(got: &LoopTrace, want: &LoopTrace, lane: usize) {
             want.lro[n].to_bits(),
             "lane {lane} lro[{n}]"
         );
+    }
+}
+
+/// Every blocked lane against both references, bit for bit.
+fn assert_both_references(got: &BatchTrace, bank: &[LoopTrace], twins: &[LoopTrace]) {
+    assert_eq!((bank.len(), twins.len()), (got.lanes(), got.lanes()));
+    for (lane, (b, twin)) in bank.iter().zip(twins).enumerate() {
+        let view = got.lane(lane);
+        assert_lane_bits(&view, b, lane);
+        assert_lane_bits(&view, twin, lane);
     }
 }
 
@@ -196,7 +227,7 @@ fn run_all_summaries(lanes: usize, seed: u64, warmup: usize) -> Vec<LaneSummary>
             spec.resilience,
         );
     }
-    batch.run_summaries_after(&inputs, STEPS, warmup)
+    batch.run(&inputs, STEPS, SummarySink::with_warmup(warmup))
 }
 
 /// Assert that a traceless lane summary carries the same bits as the
@@ -238,22 +269,19 @@ fn assert_summary_matches_trace(got: &LaneSummary, trace: &BatchTrace, lane: usi
 
 proptest! {
     /// Arbitrary lane counts and seeds: the blocked engine's every lane is
-    /// bit-identical to its scalar `DiscreteLoop` twin and the whole trace
-    /// equals the scalar SoA engine's.
+    /// bit-identical to its scalar `DiscreteLoop` twin and to the lockstep
+    /// bank runner.
     #[test]
     fn blocked_lanes_bit_identical_to_scalar_twins(
         lanes in 1usize..21,
         seed in 0u64..u64::MAX,
     ) {
-        let (got, want_soa, twins) = run_all(lanes, seed);
-        prop_assert_eq!(&got, &want_soa, "blocked vs scalar-SoA full trace");
-        for (lane, twin) in twins.iter().enumerate() {
-            assert_lane_bits(&got.lane(lane), twin, lane);
-        }
+        let (got, want_bank, twins) = run_all(lanes, seed);
+        assert_both_references(&got, &want_bank, &twins);
     }
 
     /// Traceless summaries: for arbitrary lane counts, schemes, and fault
-    /// schedules, `run_summaries` is bit-identical both to the engine's
+    /// schedules, a summary-sink run is bit-identical both to the engine's
     /// own trace-then-summarize fold (`BatchTrace::summarize`) and to the
     /// `metrics::margin` arithmetic recomputed from the full trace.
     #[test]
@@ -263,7 +291,7 @@ proptest! {
     ) {
         let (trace, _, _) = run_all(lanes, seed);
         let got = run_all_summaries(lanes, seed, 0);
-        prop_assert_eq!(&got, &trace.summarize(), "run_summaries vs BatchTrace::summarize");
+        prop_assert_eq!(&got, &trace.summarize(), "summary sink vs BatchTrace::summarize");
         for (lane, summary) in got.iter().enumerate() {
             assert_summary_matches_trace(summary, &trace, lane);
         }
@@ -281,7 +309,7 @@ proptest! {
         let (trace, _, _) = run_all(lanes, seed);
         let got = run_all_summaries(lanes, seed, warmup);
         prop_assert_eq!(&got, &trace.summarize_after(warmup),
-            "run_summaries_after vs BatchTrace::summarize_after (warmup {})", warmup);
+            "summary sink vs BatchTrace::summarize_after (warmup {})", warmup);
     }
 
     /// Lane counts straddling multiples of the block width, with uniform
@@ -293,11 +321,8 @@ proptest! {
         seed in 0u64..u64::MAX,
     ) {
         let lanes = 2 * BLOCK_WIDTH + extra;
-        let (got, want_soa, twins) = run_all(lanes, seed);
-        prop_assert_eq!(&got, &want_soa);
-        for (lane, twin) in twins.iter().enumerate() {
-            assert_lane_bits(&got.lane(lane), twin, lane);
-        }
+        let (got, want_bank, twins) = run_all(lanes, seed);
+        assert_both_references(&got, &want_bank, &twins);
     }
 }
 
@@ -306,11 +331,8 @@ proptest! {
 /// lane count that forms several full blocks per scheme plus tails.
 #[test]
 fn kitchen_sink_case_is_bit_exact() {
-    let (got, want_soa, twins) = run_all(41, 0xDEAD_BEEF_CAFE_F00D);
-    assert_eq!(got, want_soa);
-    for (lane, twin) in twins.iter().enumerate() {
-        assert_lane_bits(&got.lane(lane), twin, lane);
-    }
+    let (got, want_bank, twins) = run_all(41, 0xDEAD_BEEF_CAFE_F00D);
+    assert_both_references(&got, &want_bank, &twins);
     // The same kitchen sink through the traceless path: every summary
     // bit-identical to the margin arithmetic over the full trace.
     let summaries = run_all_summaries(41, 0xDEAD_BEEF_CAFE_F00D, 0);

@@ -78,19 +78,4 @@ pub trait Block {
     fn set_value(&mut self, _value: f64) -> bool {
         false
     }
-
-    /// Describe this block to the compiling engine
-    /// ([`crate::compiled::CompiledSim`]) as a [`Lowering`] descriptor.
-    ///
-    /// Built-in blocks override this to expose their configuration *and
-    /// current state*, so a simulation compiled mid-run continues exactly
-    /// where the interpreted one left off. The default ([`Lowering::Opaque`])
-    /// keeps the block boxed inside the compiled program — every graph
-    /// compiles, custom blocks just stay on the dynamic-dispatch path.
-    ///
-    /// [`Lowering`]: crate::compiled::Lowering
-    /// [`Lowering::Opaque`]: crate::compiled::Lowering::Opaque
-    fn lower(&self) -> crate::compiled::Lowering {
-        crate::compiled::Lowering::Opaque
-    }
 }

@@ -1,7 +1,6 @@
 //! Arithmetic and algebraic blocks (all direct feedthrough).
 
 use crate::block::{Block, StepContext};
-use crate::compiled::Lowering;
 
 /// Multiplies its input by a constant gain.
 #[derive(Debug, Clone)]
@@ -32,9 +31,6 @@ impl Block for Gain {
     }
     fn output(&mut self, _ctx: &StepContext, inputs: &[f64], outputs: &mut [f64]) {
         outputs[0] = self.gain * inputs[0];
-    }
-    fn lower(&self) -> Lowering {
-        Lowering::Gain { gain: self.gain }
     }
 }
 
@@ -88,11 +84,6 @@ impl Block for Sum {
             .map(|(u, s)| u * s)
             .sum::<f64>();
     }
-    fn lower(&self) -> Lowering {
-        Lowering::Sum {
-            signs: self.signs.clone(),
-        }
-    }
 }
 
 /// Product of N inputs.
@@ -130,9 +121,6 @@ impl Block for Product {
     fn output(&mut self, _ctx: &StepContext, inputs: &[f64], outputs: &mut [f64]) {
         outputs[0] = inputs.iter().product();
     }
-    fn lower(&self) -> Lowering {
-        Lowering::Product
-    }
 }
 
 /// Negation: `y = -u`.
@@ -160,9 +148,6 @@ impl Block for Negate {
     }
     fn output(&mut self, _ctx: &StepContext, inputs: &[f64], outputs: &mut [f64]) {
         outputs[0] = -inputs[0];
-    }
-    fn lower(&self) -> Lowering {
-        Lowering::Negate
     }
 }
 
@@ -195,11 +180,6 @@ impl Block for Offset {
     }
     fn output(&mut self, _ctx: &StepContext, inputs: &[f64], outputs: &mut [f64]) {
         outputs[0] = inputs[0] + self.offset;
-    }
-    fn lower(&self) -> Lowering {
-        Lowering::Offset {
-            offset: self.offset,
-        }
     }
 }
 
@@ -239,12 +219,6 @@ impl Block for Saturate {
     }
     fn output(&mut self, _ctx: &StepContext, inputs: &[f64], outputs: &mut [f64]) {
         outputs[0] = inputs[0].clamp(self.lo, self.hi);
-    }
-    fn lower(&self) -> Lowering {
-        Lowering::Saturate {
-            lo: self.lo,
-            hi: self.hi,
-        }
     }
 }
 
@@ -303,12 +277,6 @@ impl Block for Quantizer {
         };
         outputs[0] = q * self.quantum;
     }
-    fn lower(&self) -> Lowering {
-        Lowering::Quantize {
-            quantum: self.quantum,
-            rounding: self.rounding,
-        }
-    }
 }
 
 /// Absolute value: `y = |u|`.
@@ -336,9 +304,6 @@ impl Block for Abs {
     }
     fn output(&mut self, _ctx: &StepContext, inputs: &[f64], outputs: &mut [f64]) {
         outputs[0] = inputs[0].abs();
-    }
-    fn lower(&self) -> Lowering {
-        Lowering::Abs
     }
 }
 
@@ -375,9 +340,6 @@ impl Block for Sign {
         } else {
             0.0
         };
-    }
-    fn lower(&self) -> Lowering {
-        Lowering::Sign
     }
 }
 
@@ -419,9 +381,6 @@ impl Block for Min {
     fn output(&mut self, _ctx: &StepContext, inputs: &[f64], outputs: &mut [f64]) {
         outputs[0] = inputs.iter().copied().fold(f64::INFINITY, f64::min);
     }
-    fn lower(&self) -> Lowering {
-        Lowering::Min
-    }
 }
 
 /// Maximum of N inputs.
@@ -458,9 +417,6 @@ impl Block for Max {
     }
     fn output(&mut self, _ctx: &StepContext, inputs: &[f64], outputs: &mut [f64]) {
         outputs[0] = inputs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    }
-    fn lower(&self) -> Lowering {
-        Lowering::Max
     }
 }
 

@@ -3,7 +3,6 @@
 use std::collections::VecDeque;
 
 use crate::block::{Block, StepContext};
-use crate::compiled::Lowering;
 
 /// Finite-impulse-response filter: `y[n] = Σ b_k · u[n−k]`.
 ///
@@ -59,12 +58,6 @@ impl Block for FirFilter {
     fn reset(&mut self) {
         for h in &mut self.history {
             *h = 0.0;
-        }
-    }
-    fn lower(&self) -> Lowering {
-        Lowering::Fir {
-            taps: self.taps.clone(),
-            history: self.history.iter().copied().collect(),
         }
     }
 }
@@ -149,13 +142,6 @@ impl Block for IirFilter {
             *s = 0.0;
         }
     }
-    fn lower(&self) -> Lowering {
-        Lowering::Iir {
-            b: self.b.clone(),
-            a: self.a.clone(),
-            state: self.state.clone(),
-        }
-    }
 }
 
 /// Discrete-time integrator (accumulator): `y[n] = y[n−1] + gain·u[n−1]`.
@@ -202,13 +188,6 @@ impl Block for Integrator {
     }
     fn reset(&mut self) {
         self.state = self.initial;
-    }
-    fn lower(&self) -> Lowering {
-        Lowering::Integrator {
-            gain: self.gain,
-            initial: self.initial,
-            state: self.state,
-        }
     }
 }
 

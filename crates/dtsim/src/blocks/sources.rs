@@ -1,7 +1,6 @@
 //! Source blocks (no inputs, one output).
 
 use crate::block::{Block, StepContext};
-use crate::compiled::Lowering;
 
 /// Emits a constant value.
 #[derive(Debug, Clone)]
@@ -35,9 +34,6 @@ impl Block for Constant {
     }
     fn output(&mut self, _ctx: &StepContext, _inputs: &[f64], outputs: &mut [f64]) {
         outputs[0] = self.value;
-    }
-    fn lower(&self) -> Lowering {
-        Lowering::Constant { value: self.value }
     }
 }
 
@@ -82,13 +78,6 @@ impl Block for Step {
             self.initial
         };
     }
-    fn lower(&self) -> Lowering {
-        Lowering::StepSource {
-            step_time: self.step_time,
-            initial: self.initial,
-            final_value: self.final_value,
-        }
-    }
 }
 
 /// Ramp source: `slope * max(0, t - start_time)`.
@@ -125,12 +114,6 @@ impl Block for Ramp {
     }
     fn output(&mut self, ctx: &StepContext, _inputs: &[f64], outputs: &mut [f64]) {
         outputs[0] = self.slope * (ctx.time - self.start_time).max(0.0);
-    }
-    fn lower(&self) -> Lowering {
-        Lowering::Ramp {
-            slope: self.slope,
-            start_time: self.start_time,
-        }
     }
 }
 
@@ -177,13 +160,6 @@ impl Block for Sine {
     fn output(&mut self, ctx: &StepContext, _inputs: &[f64], outputs: &mut [f64]) {
         outputs[0] =
             self.amplitude * (std::f64::consts::TAU * ctx.time / self.period + self.phase).sin();
-    }
-    fn lower(&self) -> Lowering {
-        Lowering::Sine {
-            amplitude: self.amplitude,
-            period: self.period,
-            phase: self.phase,
-        }
     }
 }
 
@@ -241,14 +217,6 @@ impl Block for Pulse {
         let high = t >= 0.0 && (t / self.period).fract() < self.duty;
         outputs[0] = if high { self.amplitude } else { 0.0 };
     }
-    fn lower(&self) -> Lowering {
-        Lowering::Pulse {
-            amplitude: self.amplitude,
-            period: self.period,
-            duty: self.duty,
-            start_time: self.start_time,
-        }
-    }
 }
 
 /// Single triangular pulse: rises from 0 to `amplitude` over the first half
@@ -303,13 +271,6 @@ impl Block for TriangularPulse {
             let x = t / self.duration;
             self.amplitude * (1.0 - (2.0 * x - 1.0).abs())
         };
-    }
-    fn lower(&self) -> Lowering {
-        Lowering::TriangularPulse {
-            amplitude: self.amplitude,
-            duration: self.duration,
-            start_time: self.start_time,
-        }
     }
 }
 

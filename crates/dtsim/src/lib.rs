@@ -48,19 +48,16 @@
 
 mod block;
 pub mod blocks;
-pub mod compiled;
 mod error;
 mod graph;
 mod sim;
 mod trace;
 
 pub use block::{Block, StepContext};
-pub use compiled::{CompiledSim, Lowering};
 pub use error::Error;
 pub use graph::{BlockId, GraphBuilder, PortRef};
 
-/// Numeric-behaviour revision of this engine (both the interpreter and
-/// [`CompiledSim`], which are bit-identical by contract).
+/// Numeric-behaviour revision of the interpreter, the crate's one engine.
 ///
 /// Result caches mix this into their content keys; bump it only when a
 /// change alters the numbers an identical graph produces, so stale cached

@@ -11,7 +11,7 @@ pub(crate) struct Connection {
     pub(crate) dst_slot: usize,
 }
 
-/// Static shape of a compiled simulation graph.
+/// Static shape of a built simulation graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScheduleStats {
     /// Number of blocks in the graph.
@@ -54,22 +54,6 @@ struct Profiler {
     block_ns: Vec<u64>,
     wall_ns: u64,
     steps: u64,
-}
-
-/// The dismantled internals of a [`Simulation`], handed to the compiling
-/// engine (`crate::compiled`). Field meanings match the `Simulation` fields
-/// they are moved out of.
-pub(crate) struct SimParts {
-    pub(crate) blocks: Vec<Box<dyn Block>>,
-    pub(crate) order: Vec<usize>,
-    pub(crate) fanout: Vec<Vec<Connection>>,
-    pub(crate) input_offsets: Vec<usize>,
-    pub(crate) output_offsets: Vec<usize>,
-    pub(crate) inputs: Vec<f64>,
-    pub(crate) outputs: Vec<f64>,
-    pub(crate) ctx: StepContext,
-    pub(crate) check_finite: bool,
-    pub(crate) telemetry: Telemetry,
 }
 
 /// An executable discrete-time model produced by
@@ -149,23 +133,6 @@ impl Simulation {
         self.telemetry = telemetry;
     }
 
-    /// Move the simulation's internals out, for lowering into a
-    /// [`crate::compiled::CompiledSim`].
-    pub(crate) fn into_parts(self) -> SimParts {
-        SimParts {
-            blocks: self.blocks,
-            order: self.order,
-            fanout: self.fanout,
-            input_offsets: self.input_offsets,
-            output_offsets: self.output_offsets,
-            inputs: self.inputs,
-            outputs: self.outputs,
-            ctx: self.ctx,
-            check_finite: self.check_finite,
-            telemetry: self.telemetry,
-        }
-    }
-
     /// Enable or disable per-block wall-clock profiling. Enabling resets
     /// any previously accumulated profile; while disabled the step path
     /// takes no timestamps at all.
@@ -177,7 +144,7 @@ impl Simulation {
         });
     }
 
-    /// Static shape of the compiled graph (always available).
+    /// Static shape of the built graph (always available).
     pub fn schedule_stats(&self) -> ScheduleStats {
         ScheduleStats {
             blocks: self.blocks.len(),

@@ -4,8 +4,8 @@
 //! (the core crate spawns no threads); this module scales it across
 //! `REPRO_THREADS` workers by splitting a batch's *lanes* into contiguous
 //! chunks, running each chunk as an independent `BatchLoop` on the sweep
-//! worker pool, and recombining the chunk traces in deterministic lane
-//! order with [`BatchTrace::concat`].
+//! worker pool, and handing back the per-chunk results in lane order —
+//! traces recombine with [`BatchTrace::concat`], summaries by flattening.
 //!
 //! Lane independence is what makes this exact rather than approximate:
 //! lanes of a batch never interact, so running lanes `[0..k)` and
@@ -21,122 +21,86 @@
 
 use std::ops::Range;
 
-use adaptive_clock::batch::{BatchTrace, LaneSummary};
+use adaptive_clock::batch::BatchTrace;
 use clock_telemetry::Telemetry;
 
 use crate::sweep::{parallel_map_planned, Plan};
 
-/// Split `lanes` lanes into `chunk`-sized ranges, run every range through
-/// `run_chunk` on the sweep worker pool, and recombine the partial traces
-/// into one `lanes`-wide [`BatchTrace`] in lane order.
-///
-/// `run_chunk(r)` must return a trace with exactly `r.len()` lanes, all
-/// chunks stepped for the same number of periods; the usual shape is
-/// "build a `BatchLoop` and its inputs for lanes `r`, call `run`".
-/// Dispatch cost hints are proportional to chunk width, so the
-/// longest-job-first scheduler keeps a ragged final chunk off the
-/// critical path. Under `--profile`, dispatch and recombination time land
-/// on the `batch.dispatch` / `batch.recombine` spans (with the per-chunk
-/// block kernels under each worker's own `engine.batch` spans).
-///
-/// # Panics
-///
-/// Panics when `chunk == 0` or the recombined parts disagree on step
-/// count (a `run_chunk` that ignored its range).
-pub fn run_lane_chunks<F>(
-    lanes: usize,
-    chunk: usize,
-    telemetry: &Telemetry,
-    run_chunk: F,
-) -> BatchTrace
-where
-    F: Fn(Range<usize>) -> BatchTrace + Sync,
-{
-    assert!(chunk > 0, "chunk width must be positive");
-    let ranges: Vec<Range<usize>> = (0..lanes)
-        .step_by(chunk)
-        .map(|start| start..(start + chunk).min(lanes))
-        .collect();
-    let parts = {
-        let mut scope = telemetry.scope("batch.dispatch");
-        scope.attr("lanes", lanes);
-        scope.attr("chunks", ranges.len());
-        parallel_map_planned(
-            &ranges,
-            |r| Plan::Compute(r.len() as u64),
-            |r| run_chunk(r.clone()),
-            telemetry,
-        )
-    };
-    let _scope = telemetry.scope("batch.recombine");
-    BatchTrace::concat(&parts)
+/// A chunk result that knows how many lanes it covers.
+pub trait Lanes {
+    /// Number of lanes in this part.
+    fn lanes(&self) -> usize;
 }
 
-/// The traceless twin of [`run_lane_chunks`]: split `lanes` lanes into
-/// `chunk`-sized ranges, run every range through `run_chunk` on the sweep
-/// worker pool, and concatenate the per-chunk
-/// [`LaneSummary`] vectors in lane order.
+impl Lanes for BatchTrace {
+    fn lanes(&self) -> usize {
+        BatchTrace::lanes(self)
+    }
+}
+
+impl<T> Lanes for Vec<T> {
+    fn lanes(&self) -> usize {
+        self.len()
+    }
+}
+
+/// Split `lanes` lanes into `chunk`-sized ranges, run every range through
+/// `run_chunk` on the sweep worker pool, and return the per-chunk parts
+/// in lane order.
 ///
-/// `run_chunk(r)` must return exactly `r.len()` summaries — the usual
-/// shape is "build a `BatchLoop` and its inputs for lanes `r`, call
-/// [`run_summaries`](adaptive_clock::batch::BatchLoop::run_summaries)".
-/// Because lanes never interact, the result is bit-identical to a single
-/// `lanes`-wide `run_summaries` for any chunk size and worker count —
-/// this is the dispatch layer Monte Carlo panels ride on, where the
-/// whole point is that no chunk ever materializes a trace.
+/// `run_chunk(r)` must return a part covering exactly `r.len()` lanes;
+/// the usual shape is "build a `BatchLoop` and its inputs for lanes `r`,
+/// call `run`". Dispatch cost hints are proportional to chunk width, so
+/// the longest-job-first scheduler keeps a ragged final chunk off the
+/// critical path. Under `--profile`, dispatch lands on the
+/// `batch.dispatch` span, with the per-chunk block kernels under each
+/// worker's own `engine.batch` spans; callers recombine the parts under a
+/// `batch.recombine` span.
 ///
 /// # Panics
 ///
-/// Panics when `chunk == 0` or a chunk returns the wrong number of
-/// summaries.
-pub fn run_summary_chunks<F>(
-    lanes: usize,
-    chunk: usize,
-    telemetry: &Telemetry,
-    run_chunk: F,
-) -> Vec<LaneSummary>
+/// Panics when `chunk == 0` or a chunk returns the wrong number of lanes.
+pub fn run_chunks<T, F>(lanes: usize, chunk: usize, telemetry: &Telemetry, run_chunk: F) -> Vec<T>
 where
-    F: Fn(Range<usize>) -> Vec<LaneSummary> + Sync,
+    T: Lanes + Send,
+    F: Fn(Range<usize>) -> T + Sync,
 {
     assert!(chunk > 0, "chunk width must be positive");
     let ranges: Vec<Range<usize>> = (0..lanes)
         .step_by(chunk)
         .map(|start| start..(start + chunk).min(lanes))
         .collect();
-    let parts = {
-        let mut scope = telemetry.scope("batch.dispatch");
-        scope.attr("lanes", lanes);
-        scope.attr("chunks", ranges.len());
-        parallel_map_planned(
-            &ranges,
-            |r| Plan::Compute(r.len() as u64),
-            |r| {
-                let part = run_chunk(r.clone());
-                assert_eq!(
-                    part.len(),
-                    r.len(),
-                    "chunk {r:?} returned a wrong lane count"
-                );
-                part
-            },
-            telemetry,
-        )
-    };
-    let _scope = telemetry.scope("batch.recombine");
-    parts.into_iter().flatten().collect()
+    let mut scope = telemetry.scope("batch.dispatch");
+    scope.attr("lanes", lanes);
+    scope.attr("chunks", ranges.len());
+    parallel_map_planned(
+        &ranges,
+        |r| Plan::Compute(r.len() as u64),
+        |r| {
+            let part = run_chunk(r.clone());
+            assert_eq!(
+                part.lanes(),
+                r.len(),
+                "chunk {r:?} returned a wrong lane count"
+            );
+            part
+        },
+        telemetry,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sweep::set_threads;
-    use adaptive_clock::batch::{BatchLoop, LaneController};
-    use adaptive_clock::controller::IirConfig;
+    use adaptive_clock::batch::{BatchLoop, LaneSummary, Sink, SummarySink, TraceSink};
+    use adaptive_clock::controller::{Controller, IirConfig};
     use adaptive_clock::loopsim::{constant, step_at, LoopInputs};
     use adaptive_clock::tdc::Quantization;
 
-    /// Run lanes `r` of a reference 23-lane mixed-scheme workload.
-    fn run_range(r: Range<usize>, steps: usize) -> BatchTrace {
+    /// Run lanes `r` of a reference 23-lane mixed-scheme workload into
+    /// `sink`.
+    fn run_range<S: Sink>(r: Range<usize>, steps: usize, sink: S) -> S::Output {
         let cfg = IirConfig::paper();
         let c = constant(64.0);
         let e = |n: i64| 6.0 * (std::f64::consts::TAU * n as f64 / 80.0).sin();
@@ -149,15 +113,15 @@ mod tests {
             match k % 3 {
                 0 => batch.push(
                     k % 2,
-                    LaneController::int_iir(&cfg, 64).unwrap(),
+                    Controller::int_iir(&cfg, 64).unwrap(),
                     Quantization::Floor,
                 ),
                 1 => batch.push(
                     1,
-                    LaneController::float_iir(&cfg, 64.0).unwrap(),
+                    Controller::float_iir(&cfg, 64.0).unwrap(),
                     Quantization::None,
                 ),
-                _ => batch.push(0, LaneController::teatime(64, 1.0), Quantization::Floor),
+                _ => batch.push(0, Controller::teatime(64, 1.0), Quantization::Floor),
             };
         }
         let inputs: Vec<LoopInputs<'_>> = mus
@@ -168,21 +132,25 @@ mod tests {
                 heterogeneous: mu.as_ref(),
             })
             .collect();
-        batch.run(&inputs, steps)
+        batch.run(&inputs, steps, sink)
     }
 
     #[test]
     fn dispatch_is_bit_identical_for_any_chunking_and_worker_count() {
         let (lanes, steps) = (23usize, 250usize);
-        let whole = run_range(0..lanes, steps);
+        let whole = run_range(0..lanes, steps, TraceSink::default());
         let telemetry = Telemetry::disabled();
         for chunk in [1, 4, 7, 23, 64] {
             for workers in [None, Some(1), Some(3)] {
                 set_threads(workers);
-                let got = run_lane_chunks(lanes, chunk, &telemetry, |r| run_range(r, steps));
+                let parts = run_chunks(lanes, chunk, &telemetry, |r| {
+                    run_range(r, steps, TraceSink::default())
+                });
                 set_threads(None);
+                assert_eq!(parts.len(), lanes.div_ceil(chunk));
                 assert_eq!(
-                    got, whole,
+                    BatchTrace::concat(&parts),
+                    whole,
                     "chunk={chunk} workers={workers:?} diverged from the single run"
                 );
             }
@@ -193,62 +161,42 @@ mod tests {
     fn dispatch_records_chunk_spans() {
         let telemetry = Telemetry::enabled();
         telemetry.enable_tracing();
-        let tr = run_lane_chunks(9, 4, &telemetry, |r| run_range(r, 50));
+        let parts = run_chunks(9, 4, &telemetry, |r| run_range(r, 50, TraceSink::default()));
+        let tr = BatchTrace::concat(&parts);
         assert_eq!(tr.lanes(), 9);
         assert_eq!(tr.steps(), 50);
         let spans = telemetry.trace_spans();
-        assert!(spans.iter().any(|s| s.name == "batch.dispatch"));
-        assert!(spans.iter().any(|s| s.name == "batch.recombine"));
-    }
-
-    /// The summary twin of [`run_range`]: same workload, traceless path.
-    fn run_range_summaries(r: Range<usize>, steps: usize) -> Vec<LaneSummary> {
-        let cfg = IirConfig::paper();
-        let c = constant(64.0);
-        let e = |n: i64| 6.0 * (std::f64::consts::TAU * n as f64 / 80.0).sin();
-        let mut batch = BatchLoop::new();
-        let mus: Vec<Box<dyn Fn(i64) -> f64>> = r
-            .clone()
-            .map(|k| Box::new(step_at(12, k as f64 - 5.0)) as Box<dyn Fn(i64) -> f64>)
-            .collect();
-        for k in r {
-            match k % 3 {
-                0 => batch.push(
-                    k % 2,
-                    LaneController::int_iir(&cfg, 64).unwrap(),
-                    Quantization::Floor,
-                ),
-                1 => batch.push(
-                    1,
-                    LaneController::float_iir(&cfg, 64.0).unwrap(),
-                    Quantization::None,
-                ),
-                _ => batch.push(0, LaneController::teatime(64, 1.0), Quantization::Floor),
-            };
-        }
-        let inputs: Vec<LoopInputs<'_>> = mus
+        let dispatch = spans
             .iter()
-            .map(|mu| LoopInputs {
-                setpoint: &c,
-                homogeneous: &e,
-                heterogeneous: mu.as_ref(),
-            })
-            .collect();
-        batch.run_summaries(&inputs, steps)
+            .find(|s| s.name == "batch.dispatch")
+            .expect("dispatch span recorded");
+        let attr = |k: &str| {
+            dispatch
+                .attrs
+                .iter()
+                .find(|(n, _)| n == k)
+                .map(|(_, v)| v.as_str())
+        };
+        assert_eq!((attr("lanes"), attr("chunks")), (Some("9"), Some("3")));
     }
 
     #[test]
     fn summary_dispatch_is_bit_identical_for_any_chunking_and_worker_count() {
         let (lanes, steps) = (23usize, 250usize);
-        let whole = run_range_summaries(0..lanes, steps);
-        assert_eq!(whole, run_range(0..lanes, steps).summarize());
+        let whole = run_range(0..lanes, steps, SummarySink::default());
+        assert_eq!(
+            whole,
+            run_range(0..lanes, steps, TraceSink::default()).summarize()
+        );
         let telemetry = Telemetry::disabled();
         for chunk in [1, 4, 7, 23, 64] {
             for workers in [None, Some(1), Some(3)] {
                 set_threads(workers);
-                let got =
-                    run_summary_chunks(lanes, chunk, &telemetry, |r| run_range_summaries(r, steps));
+                let parts = run_chunks(lanes, chunk, &telemetry, |r| {
+                    run_range(r, steps, SummarySink::default())
+                });
                 set_threads(None);
+                let got: Vec<LaneSummary> = parts.into_iter().flatten().collect();
                 assert_eq!(
                     got, whole,
                     "chunk={chunk} workers={workers:?} diverged from the single run"
@@ -260,7 +208,8 @@ mod tests {
     #[test]
     fn zero_lanes_is_an_empty_trace() {
         let telemetry = Telemetry::disabled();
-        let tr = run_lane_chunks(0, 8, &telemetry, |r| run_range(r, 10));
-        assert_eq!(tr.lanes(), 0);
+        let parts = run_chunks(0, 8, &telemetry, |r| run_range(r, 10, TraceSink::default()));
+        assert!(parts.is_empty());
+        assert_eq!(BatchTrace::concat(&parts).lanes(), 0);
     }
 }

@@ -1,36 +1,32 @@
 //! Machine-readable performance benchmarks for the simulation engines.
 //!
-//! Three head-to-head comparisons, each reported as steps/second and wall
+//! Head-to-head comparisons, each reported as steps/second and wall
 //! milliseconds:
 //!
-//! 1. **compiled vs interpreted `dtsim`** — the Fig. 7 workload (the
-//!    paper's Fig. 4 loop with the Fig. 5 IIR diagram inlined as primitive
-//!    blocks) run on the boxed-trait interpreter and on
-//!    [`dtsim::CompiledSim`];
-//! 2. **batched vs sequential discrete loops** — a bank of Fig. 4
+//! 1. **batched vs sequential discrete loops** — a bank of Fig. 4
 //!    recurrences advanced one [`DiscreteLoop`] at a time versus all lanes
 //!    in lock-step through the SoA [`BatchLoop`] engine;
-//! 3. **warm-started vs classic Fig. 9 panel** — [`fig9::run_panel`]
+//! 2. **warm-started vs classic Fig. 9 panel** — [`fig9::run_panel`]
 //!    against the coarse-to-fine [`fig9::run_panel_fast`], with the
 //!    warm-up samples saved by the warm starts read back off the
 //!    `margin_search.iterations_saved` telemetry counter;
-//! 4. **cold vs warm result cache** — the same Fig. 9 panel through
+//! 3. **cold vs warm result cache** — the same Fig. 9 panel through
 //!    [`fig9::run_panel`] with a [`RunCtx`] cache attached, against an
 //!    empty and a fully-populated on-disk store;
-//! 5. **FIFO vs longest-job-first dispatch** — a synthetic sweep with a
+//! 4. **FIFO vs longest-job-first dispatch** — a synthetic sweep with a
 //!    few heavy items parked at the end of the grid, scheduled in submission
 //!    order versus by descending cost hint;
-//! 6. **lane-count scaling** — the mixed-scheme lane bank at
-//!    B ∈ {4, 16, 64, 256}: sequential `DiscreteLoop` runs vs the scalar
-//!    SoA loop (`run_scalar`) vs the blocked lane-block engine (`run`),
-//!    plus the multi-threaded lane-chunk dispatcher at 64+ lanes;
-//! 7. **traceless summaries & Monte Carlo** — the summary-only block
-//!    path ([`BatchLoop::run_summaries`]) against the traced blocked
+//! 5. **lane-count scaling** — the mixed-scheme lane bank at
+//!    B ∈ {4, 16, 64, 256}: sequential `DiscreteLoop` runs vs the blocked
+//!    lane-block engine, plus the multi-threaded lane-chunk dispatcher at
+//!    64+ lanes;
+//! 6. **traceless summaries & Monte Carlo** — the summary-only block
+//!    path (a [`SummarySink`] run) against the traced blocked
 //!    engine on the same bank, and the traceless
 //!    [`McPanel`] against the per-instance
 //!    pre-batch harness (one `System` event-loop run per sampled
 //!    instance, the `runner::run_scheme` shape);
-//! 8. **domain-bank scaling** — N uniform IIR clock domains at
+//! 7. **domain-bank scaling** — N uniform IIR clock domains at
 //!    N ∈ {16, 64, 256}: one `DiscreteLoop` object per domain (the
 //!    pre-bank ownership shape) versus the same domains as a single
 //!    [`DomainBank`](adaptive_clock::bank::DomainBank) behind the
@@ -44,20 +40,16 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-use adaptive_clock::batch::{BatchLoop, BatchTrace, LaneController};
-use adaptive_clock::controller::IirConfig;
+use adaptive_clock::batch::{BatchLoop, BatchTrace, SummarySink, TraceSink};
+use adaptive_clock::controller::{Controller, IirConfig};
 use adaptive_clock::loopsim::{constant, DiscreteLoop, LoopInputs};
 use adaptive_clock::system::{Scheme as SystemScheme, SystemBuilder};
 use adaptive_clock::tdc::Quantization;
 use clock_telemetry::Telemetry;
-use dtsim::blocks::{
-    Constant, DelayN, Gain, Probe, Quantizer, Rounding, Sine, Sum, TappedDelayLine, UnitDelay,
-};
-use dtsim::{GraphBuilder, Simulation};
 use variation::process::ProcessSpec;
 use variation::sources::Harmonic;
 
-use crate::batchrun::run_lane_chunks;
+use crate::batchrun::run_chunks;
 use crate::cache::SweepCache;
 use crate::config::PaperParams;
 use crate::fig9;
@@ -180,111 +172,25 @@ pub fn git_revision() -> Option<String> {
     (!rev.is_empty()).then_some(rev)
 }
 
-/// Build the Fig. 7 workload as a fully-primitive `dtsim` graph: the
-/// paper's Fig. 4 loop (CDN delay `M = 1`, TDC floor quantization, HoDV
-/// sine, static mismatch) with the Fig. 5 IIR control filter inlined as
-/// gains, sums and delays. Every block lowers to a compiled opcode, so the
-/// same graph exercises both engines end to end.
-pub fn build_fig7_workload(params: &PaperParams) -> Simulation {
-    let c = params.setpoint as f64;
-    let config = IirConfig::paper();
-    let taps = config.taps_f64();
-    let kexp = 2f64.powi(config.kexp_exp as i32);
-    let k_star = config.k_star_f64();
-    let depth = 3; // M + 2 with M = 1 (t_clk = c)
-
-    let mut g = GraphBuilder::new();
-    let c_src = g.add(Constant::new("c", c));
-    // HoDV: amplitude 0.2c, period 50 clock periods (one step = one period).
-    let e_src = g.add(Sine::new("e", params.amplitude(), 50.0, 0.0));
-    let mu_src = g.add(Constant::new("mu", 0.05 * c));
-
-    let cdn = g.add(DelayN::new("cdn", depth, c));
-    let e_gen_delay = g.add(DelayN::new("e_gen_delay", depth, 0.0));
-    let e_meas_delay = g.add(UnitDelay::new("e_meas_delay", 0.0));
-    let mu_delay = g.add(DelayN::new("mu_delay", depth, 0.0));
-
-    // τ[n] = l_RO[n−M−2] + e[n−M−2] − e[n−1] + μ[n−M−2], floor-quantized.
-    let tau = g.add(Sum::new("tau", "++-+"));
-    let tdc = g.add(Quantizer::new("tdc", 1.0, Rounding::Floor));
-    let delta = g.add(Sum::new("delta", "+-"));
-
-    // Fig. 5 filter: δ·kexp feeds the adder, w = z⁻¹ of k*·(x + Σ kᵢ·wᵢ),
-    // output l_RO = c + w/kexp.
-    let kexp_gain = g.add(Gain::new("kexp", kexp));
-    let signs = "+".repeat(1 + taps.len());
-    let adder = g.add(Sum::new("adder", &signs));
-    let kstar_gain = g.add(Gain::new("k_star", k_star));
-    let w_reg = g.add(UnitDelay::new("w", 0.0));
-    let out_gain = g.add(Gain::new("kexp_inv", 1.0 / kexp));
-    let base = g.add(Constant::new("base", c));
-    let lro = g.add(Sum::new("lro", "++"));
-
-    let p_tau = g.add(Probe::new("bench_tau"));
-    let p_delta = g.add(Probe::new("bench_delta"));
-    let p_lro = g.add(Probe::new("bench_lro"));
-
-    let wire = |g: &mut GraphBuilder, a, ap, b, bp| {
-        g.connect(a, ap, b, bp)
-            .expect("bench workload wiring is statically correct");
-    };
-    wire(&mut g, lro, 0, cdn, 0);
-    wire(&mut g, e_src, 0, e_gen_delay, 0);
-    wire(&mut g, e_src, 0, e_meas_delay, 0);
-    wire(&mut g, mu_src, 0, mu_delay, 0);
-    wire(&mut g, cdn, 0, tau, 0);
-    wire(&mut g, e_gen_delay, 0, tau, 1);
-    wire(&mut g, e_meas_delay, 0, tau, 2);
-    wire(&mut g, mu_delay, 0, tau, 3);
-    wire(&mut g, tau, 0, tdc, 0);
-    wire(&mut g, c_src, 0, delta, 0);
-    wire(&mut g, tdc, 0, delta, 1);
-    wire(&mut g, delta, 0, kexp_gain, 0);
-    wire(&mut g, kexp_gain, 0, adder, 0);
-    wire(&mut g, adder, 0, kstar_gain, 0);
-    wire(&mut g, kstar_gain, 0, w_reg, 0);
-    wire(&mut g, w_reg, 0, out_gain, 0);
-    wire(&mut g, base, 0, lro, 0);
-    wire(&mut g, out_gain, 0, lro, 1);
-
-    // Tap bank: k1 reads w[n] directly, k2.. read the delay line on w.
-    let k1 = g.add(Gain::new("k1", taps[0]));
-    wire(&mut g, w_reg, 0, k1, 0);
-    wire(&mut g, k1, 0, adder, 1);
-    let tdl = g.add(TappedDelayLine::new("w_taps", taps.len() - 1, 0.0));
-    wire(&mut g, w_reg, 0, tdl, 0);
-    for (i, &k) in taps.iter().enumerate().skip(1) {
-        let tap_gain = g.add(Gain::new(format!("k{}", i + 1), k));
-        wire(&mut g, tdl, i - 1, tap_gain, 0);
-        wire(&mut g, tap_gain, 0, adder, i + 1);
-    }
-
-    wire(&mut g, tdc, 0, p_tau, 0);
-    wire(&mut g, delta, 0, p_delta, 0);
-    wire(&mut g, lro, 0, p_lro, 0);
-
-    g.build().expect("bench workload is well-formed")
-}
-
 /// The bank of discrete-loop lanes the batching benchmark advances: all
 /// four controller kinds across CDN depths `M ∈ {0, 1, 2}`. Public so the
-/// criterion harness (`benches/compiled.rs`) times the identical bank.
-pub fn lane_specs(c: i64) -> Vec<(usize, LaneController, Quantization)> {
+/// criterion harness (`benches/engine.rs`) times the identical bank.
+pub fn lane_specs(c: i64) -> Vec<(usize, Controller, Quantization)> {
     let mut lanes = Vec::new();
     for i in 0..4 {
         let m = i % 3;
         lanes.push((
             m,
-            LaneController::int_iir(&IirConfig::paper(), c).expect("paper config"),
+            Controller::int_iir(&IirConfig::paper(), c).expect("paper config"),
             Quantization::Floor,
         ));
         lanes.push((
             m,
-            LaneController::float_iir(&IirConfig::paper(), c as f64).expect("paper config"),
+            Controller::float_iir(&IirConfig::paper(), c as f64).expect("paper config"),
             Quantization::None,
         ));
-        lanes.push((m, LaneController::teatime(c, 1.0), Quantization::Floor));
-        lanes.push((m, LaneController::free(c), Quantization::Floor));
+        lanes.push((m, Controller::teatime(c, 1.0), Quantization::Floor));
+        lanes.push((m, Controller::free(c), Quantization::Floor));
     }
     lanes
 }
@@ -296,23 +202,23 @@ pub fn lane_specs(c: i64) -> Vec<(usize, LaneController, Quantization)> {
 pub fn scaling_specs(
     c: i64,
     lanes: std::ops::Range<usize>,
-) -> Vec<(usize, LaneController, Quantization)> {
+) -> Vec<(usize, Controller, Quantization)> {
     lanes
         .map(|i| {
             let m = i % 3;
             match i % 4 {
                 0 => (
                     m,
-                    LaneController::int_iir(&IirConfig::paper(), c).expect("paper config"),
+                    Controller::int_iir(&IirConfig::paper(), c).expect("paper config"),
                     Quantization::Floor,
                 ),
                 1 => (
                     m,
-                    LaneController::float_iir(&IirConfig::paper(), c as f64).expect("paper config"),
+                    Controller::float_iir(&IirConfig::paper(), c as f64).expect("paper config"),
                     Quantization::None,
                 ),
-                2 => (m, LaneController::teatime(c, 1.0), Quantization::Floor),
-                _ => (m, LaneController::free(c), Quantization::Floor),
+                2 => (m, Controller::teatime(c, 1.0), Quantization::Floor),
+                _ => (m, Controller::free(c), Quantization::Floor),
             }
         })
         .collect()
@@ -356,43 +262,7 @@ fn entry(name: &str, detail: &str, steps: u64, wall_ms: f64) -> BenchEntry {
 pub fn run(params: &PaperParams, quick: bool) -> BenchReport {
     let mut entries = Vec::new();
 
-    // 1. Fig. 7 workload: interpreted vs compiled dtsim. Each rep runs a
-    // freshly built engine so probe traces don't accumulate across reps.
-    let dt_steps: u64 = if quick { 100_000 } else { 1_000_000 };
-    let interp_ms = best_ms(REPS, || {
-        let mut sim = build_fig7_workload(params);
-        time_ms(|| {
-            sim.run(dt_steps).expect("bench workload stays finite");
-        })
-    });
-    let compiled_ms = best_ms(REPS, || {
-        let mut sim = build_fig7_workload(params).compile();
-        time_ms(|| {
-            sim.run(dt_steps).expect("bench workload stays finite");
-        })
-    });
-    let stats = build_fig7_workload(params).compile().schedule_stats();
-    let detail = format!(
-        "Fig. 7 workload ({} blocks, {} connections) for {dt_steps} steps",
-        stats.blocks, stats.connections,
-    );
-    entries.push(entry(
-        "dtsim-interpreted",
-        &format!("{detail} on the boxed-trait interpreter"),
-        dt_steps,
-        interp_ms,
-    ));
-    let mut e = entry(
-        "dtsim-compiled",
-        &format!("{detail} on the enum-dispatch CompiledSim"),
-        dt_steps,
-        compiled_ms,
-    );
-    e.baseline = Some("dtsim-interpreted".to_owned());
-    e.speedup = Some(interp_ms / compiled_ms.max(1e-12));
-    entries.push(e);
-
-    // 2. Discrete-loop bank: sequential DiscreteLoop vs SoA BatchLoop.
+    // 1. Discrete-loop bank: sequential DiscreteLoop vs SoA BatchLoop.
     let c = params.setpoint;
     let loop_steps: usize = if quick { 20_000 } else { 200_000 };
     let specs = lane_specs(c);
@@ -428,7 +298,7 @@ pub fn run(params: &PaperParams, quick: bool) -> BenchReport {
         })
         .collect();
     // Steady-state protocol: the trace is recycled between reps
-    // (`run_recycled`), matching the sequential baseline whose per-lane
+    // (`TraceSink::recycling`), matching the sequential baseline whose per-lane
     // sub-threshold allocations the heap already reuses across reps. A
     // fresh 3 × 25 MB trace per rep would otherwise re-measure the
     // allocator's page-fault + zeroing cycle, not the engine.
@@ -437,7 +307,11 @@ pub fn run(params: &PaperParams, quick: bool) -> BenchReport {
         batch.reset();
         let mut out = BatchTrace::default();
         let ms = time_ms(|| {
-            out = batch.run_recycled(&inputs, loop_steps, std::mem::take(&mut spare));
+            out = batch.run(
+                &inputs,
+                loop_steps,
+                TraceSink::recycling(std::mem::take(&mut spare)),
+            );
             std::hint::black_box(&out);
         });
         spare = out;
@@ -460,7 +334,7 @@ pub fn run(params: &PaperParams, quick: bool) -> BenchReport {
     e.speedup = Some(seq_ms / batch_ms.max(1e-12));
     entries.push(e);
 
-    // 3. Fig. 9 panel: classic cold sweep vs coarse-to-fine warm starts.
+    // 2. Fig. 9 panel: classic cold sweep vs coarse-to-fine warm starts.
     let points = if quick { 5 } else { 9 };
     let (t_clk, te) = (1.0, 37.5);
     let samples = params.samples_for(te) as u64;
@@ -508,7 +382,7 @@ pub fn run(params: &PaperParams, quick: bool) -> BenchReport {
     e.iterations_saved = Some(saved);
     entries.push(e);
 
-    // 4. The same Fig. 9 panel through the result cache: every grid point
+    // 3. The same Fig. 9 panel through the result cache: every grid point
     // a miss (cold store, fresh dir per rep) vs every point a hit (store
     // populated once, reopened per rep so hits pay the disk read + decode,
     // not just the in-memory read-through).
@@ -559,7 +433,7 @@ pub fn run(params: &PaperParams, quick: bool) -> BenchReport {
     e.speedup = Some(cold_ms / warm_ms.max(1e-12));
     entries.push(e);
 
-    // 5. Dispatch policy on a deliberately unbalanced sweep: a few heavy
+    // 4. Dispatch policy on a deliberately unbalanced sweep: a few heavy
     // items parked at the *end* of the grid, where submission-order (FIFO)
     // dispatch strands them on a late worker while longest-job-first
     // starts them immediately.
@@ -625,9 +499,9 @@ pub fn run(params: &PaperParams, quick: bool) -> BenchReport {
     e.speedup = Some(fifo_ms / ljf_ms.max(1e-12));
     entries.push(e);
 
-    // 6. Lane-count scaling: the mixed-scheme bank at B lanes through
-    // three engines — one DiscreteLoop at a time, the scalar SoA loop,
-    // and the blocked lane-block engine — plus the multi-threaded
+    // 5. Lane-count scaling: the mixed-scheme bank at B lanes through
+    // two engines — one DiscreteLoop at a time and the blocked
+    // lane-block engine — plus the multi-threaded
     // lane-chunk dispatcher at 64+ lanes. All lanes share the setpoint
     // and HoDV closures, as sweep workloads do, so the blocked engine's
     // closure deduplication is exercised at every width.
@@ -657,16 +531,6 @@ pub fn run(params: &PaperParams, quick: bool) -> BenchReport {
                 heterogeneous: &zero,
             })
             .collect();
-        let mut soa = BatchLoop::new();
-        for (m, ctrl, q) in scaling_specs(c, 0..b_lanes) {
-            soa.push(m, ctrl, q);
-        }
-        let soa_ms = best_ms(REPS, || {
-            soa.reset();
-            time_ms(|| {
-                std::hint::black_box(soa.run_scalar(&scale_inputs, scale_steps));
-            })
-        });
         let mut blk = BatchLoop::new();
         for (m, ctrl, q) in scaling_specs(c, 0..b_lanes) {
             blk.push(m, ctrl, q);
@@ -677,7 +541,11 @@ pub fn run(params: &PaperParams, quick: bool) -> BenchReport {
             blk.reset();
             let mut out = BatchTrace::default();
             let ms = time_ms(|| {
-                out = blk.run_recycled(&scale_inputs, scale_steps, std::mem::take(&mut blk_spare));
+                out = blk.run(
+                    &scale_inputs,
+                    scale_steps,
+                    TraceSink::recycling(std::mem::take(&mut blk_spare)),
+                );
                 std::hint::black_box(&out);
             });
             blk_spare = out;
@@ -690,12 +558,6 @@ pub fn run(params: &PaperParams, quick: bool) -> BenchReport {
             ),
             lane_steps,
             seq_ms,
-        ));
-        entries.push(entry(
-            &format!("{label}-soa"),
-            &format!("{b_lanes} lanes x {scale_steps} periods on the scalar SoA loop (run_scalar)"),
-            lane_steps,
-            soa_ms,
         ));
         let mut e = entry(
             &format!("{label}-blocked"),
@@ -715,7 +577,7 @@ pub fn run(params: &PaperParams, quick: bool) -> BenchReport {
             let chunk = 16usize;
             let disp_ms = best_ms(REPS, || {
                 time_ms(|| {
-                    std::hint::black_box(run_lane_chunks(b_lanes, chunk, &off, |range| {
+                    let parts = run_chunks(b_lanes, chunk, &off, |range| {
                         let mut part = BatchLoop::new();
                         for (m, ctrl, q) in scaling_specs(c, range.clone()) {
                             part.push(m, ctrl, q);
@@ -727,8 +589,9 @@ pub fn run(params: &PaperParams, quick: bool) -> BenchReport {
                                 heterogeneous: &zero,
                             })
                             .collect();
-                        part.run(&part_inputs, scale_steps)
-                    }));
+                        part.run(&part_inputs, scale_steps, TraceSink::default())
+                    });
+                    std::hint::black_box(BatchTrace::concat(&parts));
                 })
             });
             entries.push(entry(
@@ -743,7 +606,7 @@ pub fn run(params: &PaperParams, quick: bool) -> BenchReport {
         }
     }
 
-    // 7. Summary path & Monte Carlo: the traceless summary engine
+    // 6. Summary path & Monte Carlo: the traceless summary engine
     // against the traced blocked path on the same mixed bank, and the
     // traceless Monte Carlo panel against the per-instance pre-batch
     // harness (one full `System` event-loop run per sampled instance —
@@ -765,7 +628,7 @@ pub fn run(params: &PaperParams, quick: bool) -> BenchReport {
     for (m, ctrl, q) in scaling_specs(c, 0..sum_lanes) {
         traced.push(m, ctrl, q);
     }
-    // Steady-state trace recycling, as in section 2: the traced side is
+    // Steady-state trace recycling, as in section 1: the traced side is
     // charged for stepping + summarizing, not for first-touch faults on
     // a fresh trace allocation.
     let mut traced_spare = BatchTrace::default();
@@ -773,7 +636,11 @@ pub fn run(params: &PaperParams, quick: bool) -> BenchReport {
         traced.reset();
         let mut out = BatchTrace::default();
         let ms = time_ms(|| {
-            out = traced.run_recycled(&sum_inputs, sum_steps, std::mem::take(&mut traced_spare));
+            out = traced.run(
+                &sum_inputs,
+                sum_steps,
+                TraceSink::recycling(std::mem::take(&mut traced_spare)),
+            );
             std::hint::black_box(out.summarize());
         });
         traced_spare = out;
@@ -786,7 +653,7 @@ pub fn run(params: &PaperParams, quick: bool) -> BenchReport {
     let traceless_ms = best_ms(REPS, || {
         traceless.reset();
         time_ms(|| {
-            std::hint::black_box(traceless.run_summaries(&sum_inputs, sum_steps));
+            std::hint::black_box(traceless.run(&sum_inputs, sum_steps, SummarySink::default()));
         })
     });
     let sum_lane_steps = (sum_lanes * sum_steps) as u64;
@@ -801,7 +668,7 @@ pub fn run(params: &PaperParams, quick: bool) -> BenchReport {
     ));
     let mut e = entry(
         "summaries-traceless",
-        "same bank through run_summaries: blocks fold straight into 6-word \
+        "same bank into a summary sink: blocks fold straight into 6-word \
          lane summaries, no trace ever materialized",
         sum_lane_steps,
         traceless_ms,
@@ -881,7 +748,7 @@ pub fn run(params: &PaperParams, quick: bool) -> BenchReport {
     e.speedup = Some(mc_naive_ms / mc_traceless_ms.max(1e-12));
     entries.push(e);
 
-    // 8. Domain-bank scaling: N independent clock domains advanced as N
+    // 7. Domain-bank scaling: N independent clock domains advanced as N
     // sequential DiscreteLoops (the pre-refactor ownership shape: one
     // loop object per domain, each materializing its own trace) versus
     // the same N domains held in one DomainBank and folded through the
@@ -897,7 +764,7 @@ pub fn run(params: &PaperParams, quick: bool) -> BenchReport {
                 for _ in 0..n_domains {
                     let mut dl = DiscreteLoop::new(
                         1,
-                        LaneController::int_iir(&IirConfig::paper(), c).expect("paper config"),
+                        Controller::int_iir(&IirConfig::paper(), c).expect("paper config"),
                         Quantization::Floor,
                     );
                     std::hint::black_box(dl.run(
@@ -922,7 +789,7 @@ pub fn run(params: &PaperParams, quick: bool) -> BenchReport {
         for _ in 0..n_domains {
             dom_bank.push(
                 1,
-                LaneController::int_iir(&IirConfig::paper(), c).expect("paper config"),
+                Controller::int_iir(&IirConfig::paper(), c).expect("paper config"),
                 Quantization::Floor,
             );
         }
@@ -930,7 +797,7 @@ pub fn run(params: &PaperParams, quick: bool) -> BenchReport {
         let bank_ms = best_ms(REPS, || {
             bank_loop.reset();
             time_ms(|| {
-                std::hint::black_box(bank_loop.run_summaries(&dom_inputs, dom_steps));
+                std::hint::black_box(bank_loop.run(&dom_inputs, dom_steps, SummarySink::default()));
             })
         });
         entries.push(entry(
@@ -1113,7 +980,7 @@ pub fn render(report: &BenchReport) -> String {
     let mode = if report.quick { " (quick)" } else { "" };
     format!(
         "Engine benchmarks{mode} — c = {}\n\n{}\nspeedup is baseline wall time over case wall time \
-         (dtsim: interpreted/compiled; loops: sequential/batched; fig9: cold/warm-started).\n",
+         (loops: sequential/batched; fig9: cold/warm-started).\n",
         report.setpoint,
         t.render()
     )
@@ -1123,50 +990,12 @@ pub fn render(report: &BenchReport) -> String {
 mod tests {
     use super::*;
 
-    /// The benchmark graph must behave identically on both engines —
-    /// otherwise the speedup comparison is meaningless.
-    #[test]
-    fn workload_compiled_matches_interpreted_bitwise() {
-        let params = PaperParams::default();
-        let mut interp = build_fig7_workload(&params);
-        let mut compiled = build_fig7_workload(&params).compile();
-        assert_eq!(compiled.boxed_count(), 0, "workload must fully lower");
-        interp.run(3000).expect("interpreted run stays finite");
-        compiled.run(3000).expect("compiled run stays finite");
-        for probe in ["bench_tau", "bench_delta", "bench_lro"] {
-            assert_eq!(
-                interp.trace(probe),
-                compiled.trace(probe),
-                "trace {probe} diverged"
-            );
-        }
-    }
-
-    /// The closed loop must actually regulate: τ is held near the
-    /// set-point despite the HoDV and the mismatch.
-    #[test]
-    fn workload_loop_locks_onto_setpoint() {
-        let params = PaperParams::default();
-        let mut sim = build_fig7_workload(&params).compile();
-        sim.run(4000).expect("clean run");
-        let tau = sim.trace("bench_tau").expect("probe present");
-        let tail = &tau.samples()[2000..];
-        let c = params.setpoint as f64;
-        let worst = tail.iter().map(|t| (t - c).abs()).fold(0.0, f64::max);
-        assert!(
-            worst < 0.5 * c,
-            "loop failed to regulate: worst |tau - c| = {worst}"
-        );
-    }
-
     #[test]
     fn quick_report_is_complete_and_serializable() {
         let params = PaperParams::default();
         let report = run(&params, true);
         assert!(report.quick);
         for name in [
-            "dtsim-interpreted",
-            "dtsim-compiled",
             "loop-sequential",
             "loop-batched",
             "fig9-classic-panel",
@@ -1176,17 +1005,13 @@ mod tests {
             "sweep-fifo",
             "sweep-ljf",
             "lanes-004-sequential",
-            "lanes-004-soa",
             "lanes-004-blocked",
             "lanes-016-sequential",
-            "lanes-016-soa",
             "lanes-016-blocked",
             "lanes-064-sequential",
-            "lanes-064-soa",
             "lanes-064-blocked",
             "lanes-064-dispatch",
             "lanes-256-sequential",
-            "lanes-256-soa",
             "lanes-256-blocked",
             "lanes-256-dispatch",
             "summaries-traced",
@@ -1204,8 +1029,11 @@ mod tests {
             assert!(e.steps > 0, "{name}: no steps");
             assert!(e.steps_per_sec > 0.0, "{name}: zero rate");
         }
-        assert!(report.entry("dtsim-compiled").unwrap().speedup.is_some());
-        assert!(report.entry("fig9-warm-cache").unwrap().speedup.is_some());
+        let warm_cache = report.entry("fig9-warm-cache").unwrap().speedup;
+        assert!(
+            warm_cache.is_some_and(|s| s > 1.0),
+            "warm cache not faster: {warm_cache:?}"
+        );
         assert!(report.entry("sweep-ljf").unwrap().speedup.is_some());
         for (fast, base) in [
             ("summaries-traceless", "summaries-traced"),
@@ -1232,7 +1060,7 @@ mod tests {
             assert!(bank.speedup.is_some(), "bank {domains} must be gated");
         }
         // Dispatch timings deliberately carry no speedup: the ratio would
-        // compare host core counts, not code (see the section 6 comment).
+        // compare host core counts, not code (see the section 5 comment).
         assert!(report
             .entry("lanes-064-dispatch")
             .unwrap()
@@ -1256,7 +1084,7 @@ mod tests {
         let back: BenchReport = serde_json::from_str(&json).expect("round-trips");
         assert_eq!(back, report);
         let text = render(&report);
-        assert!(text.contains("dtsim-compiled"));
+        assert!(text.contains("loop-batched"));
         assert!(text.contains("fig9-warm-panel"));
         assert_eq!(report.engine_rev, crate::cache::engine_fingerprint());
         assert!(report.workers >= 1, "worker pool size must be recorded");
@@ -1285,6 +1113,49 @@ mod tests {
         assert_eq!(report.engine_rev, "");
         assert_eq!(report.git_rev, None);
         assert_eq!(report.entry("dtsim-compiled").unwrap().speedup, Some(2.0));
+    }
+
+    fn committed(name: &str) -> BenchReport {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../..")
+            .join(name);
+        BenchReport::load(&path).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Every committed baseline, old schemas included, still loads.
+    #[test]
+    fn committed_baselines_still_load() {
+        for n in 2..=7 {
+            let report = committed(&format!("BENCH_{n}.json"));
+            assert!(!report.entries.is_empty(), "BENCH_{n}.json has no entries");
+        }
+    }
+
+    /// The headline speedups the README claims hold in the baseline the
+    /// regression gate compares against.
+    #[test]
+    fn committed_baseline_meets_headline_floors() {
+        let report = committed("BENCH_7.json");
+        let speedup = |name: &str| {
+            report
+                .entry(name)
+                .and_then(|e| e.speedup)
+                .unwrap_or_else(|| panic!("{name} has no speedup"))
+        };
+        let mut floors = vec![
+            ("summaries-traceless".to_owned(), 2.0),
+            ("mc-panel-traceless".to_owned(), 8.0),
+        ];
+        for n in ["016", "064", "256"] {
+            floors.push((format!("domains-{n}-bank"), 2.0));
+        }
+        for (name, floor) in floors {
+            let got = speedup(&name);
+            assert!(
+                got >= floor,
+                "{name} speedup {got} below the {floor}x claim"
+            );
+        }
     }
 
     fn speedup_report(pairs: &[(&str, f64)]) -> BenchReport {

@@ -29,8 +29,8 @@
 //! collide with clean-run summaries (different `kind`, and a "clean"
 //! schedule id is itself part of the key).
 
-use adaptive_clock::batch::{BatchLoop, LaneController};
-use adaptive_clock::controller::IirConfig;
+use adaptive_clock::batch::{BatchLoop, TraceSink};
+use adaptive_clock::controller::{Controller, IirConfig};
 use adaptive_clock::loopsim::{constant, LoopInputs};
 use adaptive_clock::resilience::Resilience;
 use adaptive_clock::tdc::Quantization;
@@ -180,8 +180,7 @@ fn compute_cell(ctx: &RunCtx, class: FaultClass, rate: f64, horizon: usize) -> F
     let c = ctx.params.setpoint;
     let schedule = schedule_for(class, rate, horizon);
     let cfg = IirConfig::paper();
-    let iir =
-        || LaneController::int_iir(&cfg, c).expect("paper IIR gains are a valid configuration");
+    let iir = || Controller::int_iir(&cfg, c).expect("paper IIR gains are a valid configuration");
     let mut batch = BatchLoop::new().with_telemetry(ctx.telemetry.clone());
     batch.push_with(
         1,
@@ -199,14 +198,14 @@ fn compute_cell(ctx: &RunCtx, class: FaultClass, rate: f64, horizon: usize) -> F
     );
     batch.push_with(
         1,
-        LaneController::teatime(c, 1.0),
+        Controller::teatime(c, 1.0),
         Quantization::Floor,
         schedule.clone(),
         Resilience::default(),
     );
     batch.push_with(
         1,
-        LaneController::free(c),
+        Controller::free(c),
         Quantization::Floor,
         schedule.clone(),
         Resilience::default(),
@@ -223,7 +222,7 @@ fn compute_cell(ctx: &RunCtx, class: FaultClass, rate: f64, horizon: usize) -> F
             heterogeneous: &zero,
         })
         .collect();
-    let tr = batch.run(&inputs, horizon);
+    let tr = batch.run(&inputs, horizon, TraceSink::default());
 
     let lanes: Vec<LaneOutcome> = SCHEMES
         .iter()

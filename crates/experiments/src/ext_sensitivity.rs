@@ -15,8 +15,8 @@
 //! evidence that the whole simulation tower and the paper's Eq. (4)–(5)
 //! algebra describe the same system.
 
-use adaptive_clock::batch::{BatchLoop, LaneController};
-use adaptive_clock::controller::IirConfig;
+use adaptive_clock::batch::{BatchLoop, BatchTrace, TraceSink};
+use adaptive_clock::controller::{Controller, IirConfig};
 use adaptive_clock::loopsim::{constant, LoopInputs};
 use adaptive_clock::system::{Scheme, SystemBuilder};
 use adaptive_clock::tdc::Quantization;
@@ -125,12 +125,12 @@ fn batched_errors(
     // Settle even the slowest lane, then measure over the second half.
     let slowest = tes.iter().copied().fold(0.0f64, f64::max);
     let steps = 2000 + (12.0 * slowest) as usize;
-    let trace = crate::batchrun::run_lane_chunks(tes.len(), 8, telemetry, |range| {
+    let parts = crate::batchrun::run_chunks(tes.len(), 8, telemetry, |range| {
         let mut batch = BatchLoop::new();
         for _ in range.clone() {
             batch.push(
                 1,
-                LaneController::float_iir(&IirConfig::paper(), c as f64)
+                Controller::float_iir(&IirConfig::paper(), c as f64)
                     .expect("paper config is valid"),
                 Quantization::None,
             );
@@ -152,8 +152,12 @@ fn batched_errors(
                 heterogeneous: &zero,
             })
             .collect();
-        batch.run(&inputs, steps)
+        batch.run(&inputs, steps, TraceSink::default())
     });
+    let trace = {
+        let _recombine = telemetry.scope("batch.recombine");
+        BatchTrace::concat(&parts)
+    };
     (0..tes.len())
         .map(|lane| {
             let lt = trace.lane(lane);

@@ -5,7 +5,7 @@
 //! blocked batch engine (its sampled static mismatch entering through
 //! the heterogeneous input, exactly where the paper's distributed TDC
 //! sensors would observe it), and steps all instances at once through
-//! [`BatchLoop::run_summaries`] — the summary-only path that never
+//! [`BatchLoop::run`] into a [`SummarySink`] — the summary-only path that never
 //! materializes a `BatchTrace`. Per-instance results come back as
 //! 6-word [`LaneSummary`] values and fold into streaming statistics:
 //! mean/σ via [`Welford`], quantiles via the telemetry
@@ -28,15 +28,15 @@
 //! `runner::run_scheme` shape every per-point experiment used before
 //! the batch engine existed).
 
-use adaptive_clock::batch::{BatchLoop, LaneController, LaneSummary};
-use adaptive_clock::controller::IirConfig;
+use adaptive_clock::batch::{BatchInputs, BatchLoop, LaneSummary, SummarySink};
+use adaptive_clock::controller::{Controller, IirConfig};
 use adaptive_clock::loopsim::{constant, DiscreteLoop, LoopInputs};
 use adaptive_clock::tdc::Quantization;
 use clock_telemetry::{QuantileSketch, Telemetry};
 use variation::process::ProcessSpec;
 use variation::spatial::Position;
 
-use crate::batchrun::run_summary_chunks;
+use crate::batchrun::run_chunks;
 
 /// Control schemes a Monte Carlo panel sweeps (the closed-loop line-up
 /// of the paper plus the free-running strawman).
@@ -64,12 +64,12 @@ impl Scheme {
     }
 
     /// Build the lane controller for a set-point.
-    pub fn controller(&self, setpoint: i64) -> LaneController {
+    pub fn controller(&self, setpoint: i64) -> Controller {
         match self {
-            Scheme::IntIir => LaneController::int_iir(&IirConfig::paper(), setpoint)
+            Scheme::IntIir => Controller::int_iir(&IirConfig::paper(), setpoint)
                 .expect("paper IIR gains are a valid configuration"),
-            Scheme::TeaTime => LaneController::teatime(setpoint, 1.0),
-            Scheme::Free => LaneController::free(setpoint),
+            Scheme::TeaTime => Controller::teatime(setpoint, 1.0),
+            Scheme::Free => Controller::free(setpoint),
         }
     }
 }
@@ -134,7 +134,7 @@ impl McPanel {
         let offsets = self.sensed_offsets();
         let setpoint = constant(self.setpoint as f64);
         let hodv = self.hodv();
-        let out = run_summary_chunks(self.instances, self.chunk.max(1), telemetry, |r| {
+        let parts = run_chunks(self.instances, self.chunk.max(1), telemetry, |r| {
             let mut batch = BatchLoop::new();
             for _ in r.clone() {
                 batch.push(
@@ -146,8 +146,17 @@ impl McPanel {
             // The sampled offsets are step-invariant, so they ride the
             // static-μ fast path: no per-lane closure, no μ ring traffic,
             // bit-identical to per-lane `constant(offset)` closures.
-            batch.run_summaries_static(&setpoint, &hodv, &offsets[r], self.steps, self.warmup)
+            let inputs = BatchInputs::StaticMu {
+                setpoint: &setpoint,
+                homogeneous: &hodv,
+                mu: &offsets[r],
+            };
+            batch.run(inputs, self.steps, SummarySink::with_warmup(self.warmup))
         });
+        let out: Vec<LaneSummary> = {
+            let _recombine = telemetry.scope("batch.recombine");
+            parts.into_iter().flatten().collect()
+        };
         telemetry.counter("mc.samples").add(self.instances as u64);
         telemetry
             .counter("mc.batches")
@@ -416,12 +425,17 @@ mod tests {
     #[test]
     fn counters_account_samples_batches_and_lane_steps() {
         let t = Telemetry::enabled();
+        t.enable_tracing();
         let p = panel();
         let _ = p.summaries(Scheme::Free, &t);
         let snap = t.snapshot();
         assert_eq!(snap.counter("mc.samples"), Some(37));
         assert_eq!(snap.counter("mc.batches"), Some(5));
         assert_eq!(snap.counter("mc.summary_lane_steps"), Some(37 * 120));
+        let spans = t.trace_spans();
+        for name in ["batch.dispatch", "batch.recombine"] {
+            assert!(spans.iter().any(|s| s.name == name), "{name} span missing");
+        }
     }
 
     #[test]

@@ -139,7 +139,7 @@ pub static REGISTRY: &[ExperimentDef] = &[
     },
     ExperimentDef {
         id: "bench",
-        description: "engine benchmarks: compiled vs interpreted dtsim, batched loops, warm fig9, result cache, LJF dispatch",
+        description: "engine benchmarks: batched loops, warm fig9, result cache, LJF dispatch, traceless summaries, domain bank",
         steps: "~3M steps",
         runner: Runner::Leaf(run_bench),
     },

@@ -361,7 +361,7 @@ fn metrics_mode_appends_prometheus_exposition() {
 /// (equivalent to this revision having synthetically slowed that case,
 /// so the compare must fail with a non-zero exit). Doctoring, rather
 /// than comparing two live timings, keeps the test immune to load swings
-/// on a busy test host; the committed `BENCH_3.json` is covered by CI's
+/// on a busy test host; the committed `BENCH_7.json` is covered by CI's
 /// release-mode `bench-compare` job and by the compare unit tests.
 #[test]
 fn bench_compare_gates_on_speedup_regressions() {
@@ -403,8 +403,8 @@ fn bench_compare_gates_on_speedup_regressions() {
     let entry = bad_baseline
         .entries
         .iter_mut()
-        .find(|e| e.name == "dtsim-compiled")
-        .expect("compiled entry present");
+        .find(|e| e.name == "loop-batched")
+        .expect("batched entry present");
     entry.speedup = Some(entry.speedup.unwrap_or(1.0) * 50.0);
     let bad_path = tmp_baseline("doctored", &bad_baseline);
     let bad = repro(&["bench", "--quick", "--compare", bad_path.to_str().unwrap()]);

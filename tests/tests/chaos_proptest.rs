@@ -8,8 +8,8 @@
 //! the simulated clock is allowed to violate timing, it is not allowed to
 //! produce meaningless numbers.
 
-use adaptive_clock::batch::{BatchLoop, LaneController};
-use adaptive_clock::controller::IirConfig;
+use adaptive_clock::batch::{BatchLoop, TraceSink};
+use adaptive_clock::controller::{Controller, IirConfig};
 use adaptive_clock::event::Sample;
 use adaptive_clock::loopsim::{constant, DiscreteLoop, LoopInputs};
 use adaptive_clock::resilience::Resilience;
@@ -25,23 +25,23 @@ const SENSORS: usize = 3;
 
 /// The scheme line-up every schedule is run through: unhardened and
 /// hardened integer IIR, the float reference, TEAtime, and a free RO.
-fn lanes() -> Vec<(LaneController, Resilience)> {
+fn lanes() -> Vec<(Controller, Resilience)> {
     let cfg = IirConfig::paper();
     vec![
         (
-            LaneController::int_iir(&cfg, C).expect("paper config"),
+            Controller::int_iir(&cfg, C).expect("paper config"),
             Resilience::default(),
         ),
         (
-            LaneController::int_iir(&cfg, C).expect("paper config"),
+            Controller::int_iir(&cfg, C).expect("paper config"),
             Resilience::hardened(C as f64),
         ),
         (
-            LaneController::float_iir(&cfg, C as f64).expect("paper config"),
+            Controller::float_iir(&cfg, C as f64).expect("paper config"),
             Resilience::hardened(C as f64),
         ),
-        (LaneController::teatime(C, 1.0), Resilience::default()),
-        (LaneController::free(C), Resilience::hardened(C as f64)),
+        (Controller::teatime(C, 1.0), Resilience::default()),
+        (Controller::free(C), Resilience::hardened(C as f64)),
     ]
 }
 
@@ -94,7 +94,7 @@ proptest! {
                 heterogeneous: &zero,
             })
             .collect();
-        let tr = batch.run(&inputs, STEPS);
+        let tr = batch.run(&inputs, STEPS, TraceSink::default());
         for lane in 0..n_lanes {
             let trace = tr.lane(lane);
             for (n, (&tau, &lro)) in trace.tau.iter().zip(&trace.lro).enumerate() {
@@ -133,7 +133,7 @@ proptest! {
             homogeneous: &hodv,
             heterogeneous: &het,
         };
-        let ctrl = LaneController::int_iir(&cfg, C).expect("paper config");
+        let ctrl = Controller::int_iir(&cfg, C).expect("paper config");
         let mut plain = DiscreteLoop::new(1, ctrl.clone(), Quantization::Floor);
         let mut guarded = DiscreteLoop::new(1, ctrl, Quantization::Floor)
             .with_faults(FaultSchedule::new(SENSORS))
@@ -153,7 +153,7 @@ fn faulted_runs_are_deterministic_across_reset() {
     let mut batch = BatchLoop::new();
     batch.push_with(
         1,
-        LaneController::int_iir(&cfg, C).expect("paper config"),
+        Controller::int_iir(&cfg, C).expect("paper config"),
         Quantization::Floor,
         schedule,
         Resilience::hardened(C as f64),
@@ -165,8 +165,8 @@ fn faulted_runs_are_deterministic_across_reset() {
         homogeneous: &zero,
         heterogeneous: &zero,
     }];
-    let first = batch.run(&inputs, STEPS);
+    let first = batch.run(&inputs, STEPS, TraceSink::default());
     batch.reset();
-    let second = batch.run(&inputs, STEPS);
+    let second = batch.run(&inputs, STEPS, TraceSink::default());
     assert_eq!(first.lane(0), second.lane(0), "chaos must be reproducible");
 }
