@@ -19,6 +19,12 @@
 //!
 //! For a constant period `T` and `t_clk = M·T` this reduces exactly to the
 //! discrete loop (cross-validated in the tests).
+//!
+//! [`EventLoop::run`] hands every measured period to a [`Sink`], as
+//! [`crate::batch::BatchLoop::run`] does: a [`TraceSink`] records a
+//! [`RunTrace`] (optionally skipping a warm-up without storing it), a
+//! [`SummarySink`] folds the run into a [`RunSummary`] without recording
+//! it. One loop body serves both, so the two are bit-identical.
 
 use std::collections::VecDeque;
 
@@ -29,6 +35,7 @@ use crate::cdn::Cdn;
 use crate::controller::Controller;
 use crate::error::Error;
 use crate::ro::{RingOscillator, RoBounds};
+use crate::system::{RunSummary, RunTrace};
 use crate::tdc::SensorBank;
 
 /// Cycle-to-cycle period jitter of the generator (RO phase noise).
@@ -201,9 +208,20 @@ impl EventLoop {
     }
 
     /// Simulate until `n_samples` delivered periods have been measured,
-    /// under homogeneous variation `e`. Per-sensor heterogeneous variation
-    /// lives inside the [`SensorBank`].
-    pub fn run<W: Waveform + ?Sized>(&mut self, e: &W, n_samples: usize) -> Vec<Sample> {
+    /// under homogeneous variation `e`, and hand every measured period to
+    /// `sink`: a [`TraceSink`] returns the recorded [`RunTrace`], a
+    /// [`SummarySink`] the folded [`RunSummary`]. Per-sensor heterogeneous
+    /// variation lives inside the [`SensorBank`].
+    ///
+    /// The loop body is shared by every sink, so the loop state — and with
+    /// it every sample, counter and telemetry event — advances identically
+    /// whichever sink is used; only the destination of the samples differs.
+    pub fn run<W: Waveform + ?Sized, S: Sink>(
+        &mut self,
+        e: &W,
+        n_samples: usize,
+        mut sink: S,
+    ) -> S::Output {
         let mut run_scope = self.telemetry.scope("engine.core");
         run_scope.attr("samples", n_samples);
         let observed = self.telemetry.is_enabled();
@@ -212,7 +230,8 @@ impl EventLoop {
         let c_violations = self.telemetry.counter("core.timing_violations");
         let c_saturations = self.telemetry.counter("core.ro_saturations");
         let c_dropouts = self.telemetry.counter("core.sensor_dropouts");
-        let mut samples = Vec::with_capacity(n_samples);
+        sink.begin(self.setpoint, n_samples);
+        let mut recorded = 0usize;
         let mut meas: VecDeque<PendingMeasurement> = VecDeque::new();
         let mut updates: VecDeque<PendingUpdate> = VecDeque::new();
         let bounds = self.ro_bounds();
@@ -221,13 +240,13 @@ impl EventLoop {
         // forever waiting for measurements.
         let max_edges = n_samples * 8 + 1024;
         for edge in 0..max_edges as u64 {
-            if samples.len() >= n_samples {
+            if recorded >= n_samples {
                 break;
             }
             // 1. Process measurements completed by now.
             while meas
                 .front()
-                .is_some_and(|m| m.t_meas <= t && samples.len() < n_samples)
+                .is_some_and(|m| m.t_meas <= t && recorded < n_samples)
             {
                 let m = meas.pop_front().expect("front checked");
                 let tau = if observed {
@@ -273,13 +292,17 @@ impl EventLoop {
                         );
                     }
                 }
-                samples.push(Sample {
-                    time: m.t_meas,
-                    period: m.period,
-                    tau,
-                    delta,
-                    lro: m.lro,
-                });
+                sink.sample(
+                    recorded,
+                    &Sample {
+                        time: m.t_meas,
+                        period: m.period,
+                        tau,
+                        delta,
+                        lro: m.lro,
+                    },
+                );
+                recorded += 1;
                 if let Some(ctrl) = self.controller.as_mut() {
                     let requested = ctrl.step(delta);
                     c_steps.inc();
@@ -340,7 +363,7 @@ impl EventLoop {
             });
             t = t_next;
         }
-        samples
+        sink.finish()
     }
 
     /// Reset controller state (the generator keeps its current length; call
@@ -352,6 +375,164 @@ impl EventLoop {
     }
 }
 
+pub(crate) mod sealed {
+    /// Seals [`Sink`](super::Sink): the engine hooks are an internal
+    /// protocol, so only the sinks defined in this crate exist.
+    pub trait Sealed {}
+}
+
+/// Where an [`EventLoop::run`] sends each measured period, and what the run
+/// returns. The loop body is generic over the sink, so a recorded and a
+/// folded run share one code path — every sample, and therefore every
+/// recorded or summarized bit, is common by construction; only the
+/// destination differs.
+///
+/// The trait is sealed: [`TraceSink`], [`SummarySink`] and the pipeline
+/// scorer ([`crate::pipeline::PipelineSink`]) are the only sinks. The
+/// `#[doc(hidden)]` methods are the engine's side of the protocol and are
+/// not meant to be called directly.
+pub trait Sink: sealed::Sealed {
+    /// What [`EventLoop::run`] returns with this sink.
+    type Output;
+
+    /// Prepare for a run of up to `n_samples` periods against `setpoint`.
+    /// Called once per run, before the first sample.
+    #[doc(hidden)]
+    fn begin(&mut self, setpoint: f64, n_samples: usize);
+
+    /// Consume measured period number `index` (0-based, in order).
+    #[doc(hidden)]
+    fn sample(&mut self, index: usize, sample: &Sample);
+
+    /// Hand back the run's result.
+    #[doc(hidden)]
+    fn finish(self) -> Self::Output;
+}
+
+/// The recording sink: keeps every period from `warmup` on in a
+/// [`RunTrace`]. The warm-up periods are stepped but never stored, so a
+/// post-warm-up trace is recorded once instead of being recorded in full
+/// and then copied by [`RunTrace::skip`] (which it equals exactly).
+#[derive(Debug, Default)]
+pub struct TraceSink {
+    warmup: usize,
+    setpoint: f64,
+    samples: Vec<Sample>,
+}
+
+impl TraceSink {
+    /// A trace sink that records only the periods from `warmup` on.
+    pub fn with_warmup(warmup: usize) -> TraceSink {
+        TraceSink {
+            warmup,
+            ..TraceSink::default()
+        }
+    }
+}
+
+impl sealed::Sealed for TraceSink {}
+
+impl Sink for TraceSink {
+    type Output = RunTrace;
+
+    fn begin(&mut self, setpoint: f64, n_samples: usize) {
+        self.setpoint = setpoint;
+        self.samples = Vec::with_capacity(n_samples.saturating_sub(self.warmup));
+    }
+
+    #[inline]
+    fn sample(&mut self, index: usize, sample: &Sample) {
+        if index >= self.warmup {
+            self.samples.push(*sample);
+        }
+    }
+
+    fn finish(self) -> RunTrace {
+        RunTrace::from_samples(self.setpoint, self.samples)
+    }
+}
+
+/// The traceless sink: folds each period from `warmup` on into the six
+/// [`RunSummary`] fields and drops it — no trace allocation, no per-period
+/// store, for consumers that read a handful of numbers per run (margin
+/// sweeps, figures of merit).
+///
+/// The folds are the ones the [`RunTrace`] statistics use, in the same
+/// order: `max` from 0 over `c − τ` (worst negative error) and `τ − c`
+/// (worst positive), a sample-ordered sum of periods divided by the count
+/// (mean period), and the last `l_RO`. The result is therefore
+/// bit-identical to [`RunSummary::of`] the trace a [`TraceSink`] with the
+/// same warm-up records. A warm-up at or past the run's length leaves an
+/// empty summary (zero samples, zero statistics, NaN `last_lro`), exactly
+/// the summary of an empty trace.
+#[derive(Debug)]
+pub struct SummarySink {
+    warmup: usize,
+    setpoint: f64,
+    samples: u64,
+    period_sum: f64,
+    worst_negative: f64,
+    worst_positive: f64,
+    last_lro: f64,
+}
+
+impl SummarySink {
+    /// A summary sink that folds only the periods from `warmup` on.
+    pub fn with_warmup(warmup: usize) -> SummarySink {
+        SummarySink {
+            warmup,
+            setpoint: 0.0,
+            samples: 0,
+            period_sum: PERIOD_SUM_START,
+            worst_negative: 0.0,
+            worst_positive: 0.0,
+            last_lro: f64::NAN,
+        }
+    }
+}
+
+/// The neutral element the period sums start from — `−0.0`, as
+/// `Sum for f64` uses — shared by [`RunTrace::mean_period`] and
+/// [`SummarySink`] so both sum bit for bit alike.
+pub(crate) const PERIOD_SUM_START: f64 = -0.0;
+
+impl sealed::Sealed for SummarySink {}
+
+impl Sink for SummarySink {
+    type Output = RunSummary;
+
+    fn begin(&mut self, setpoint: f64, _n_samples: usize) {
+        self.setpoint = setpoint;
+    }
+
+    #[inline]
+    fn sample(&mut self, index: usize, sample: &Sample) {
+        if index < self.warmup {
+            return;
+        }
+        self.samples += 1;
+        self.period_sum += sample.period;
+        self.worst_negative = self.worst_negative.max(self.setpoint - sample.tau);
+        self.worst_positive = self.worst_positive.max(sample.tau - self.setpoint);
+        self.last_lro = sample.lro;
+    }
+
+    fn finish(self) -> RunSummary {
+        RunSummary {
+            setpoint: self.setpoint,
+            samples: self.samples,
+            mean_period: if self.samples == 0 {
+                0.0
+            } else {
+                self.period_sum / self.samples as f64
+            },
+            worst_negative_error: self.worst_negative,
+            worst_positive_error: self.worst_positive,
+            last_lro: self.last_lro,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,6 +540,11 @@ mod tests {
     use crate::loopsim::{constant, DiscreteLoop, LoopInputs};
     use crate::tdc::{Quantization, Tdc};
     use variation::sources::{ConstantOffset, Harmonic, NoVariation, SingleEvent};
+
+    /// Every sample of a run, through the recording sink.
+    fn record<W: Waveform>(el: &mut EventLoop, e: &W, n: usize) -> Vec<Sample> {
+        el.run(e, n, TraceSink::default()).samples().to_vec()
+    }
 
     fn ideal_sensors() -> SensorBank {
         SensorBank::new().with(Tdc::ideal(Quantization::None))
@@ -381,7 +567,7 @@ mod tests {
                     .into(),
             ),
         );
-        let samples = el.run(&NoVariation, 200);
+        let samples = record(&mut el, &NoVariation, 200);
         assert_eq!(samples.len(), 200);
         for s in &samples {
             assert!((s.tau - 64.0).abs() < 1e-9, "τ = {}", s.tau);
@@ -403,7 +589,7 @@ mod tests {
         );
         let amp = 12.8;
         let e = Harmonic::new(amp, 64.0 * 50.0, 0.0);
-        let samples = el.run(&e, 4000);
+        let samples = record(&mut el, &e, 4000);
         let worst = samples.iter().map(|s| -s.delta).fold(f64::MAX, f64::min);
         let best = samples.iter().map(|s| -s.delta).fold(f64::MIN, f64::max);
         // τ - c swings the full ±amp
@@ -417,7 +603,7 @@ mod tests {
         let amp = 12.8;
         // slow variation: Te = 200c
         let e = Harmonic::new(amp, 64.0 * 200.0, 0.0);
-        let samples = el.run(&e, 4000);
+        let samples = record(&mut el, &e, 4000);
         let worst = samples.iter().map(|s| s.delta.abs()).fold(0.0f64, f64::max);
         // Eq. 2 with t_clk/Te = 1/200 plus the ~2-period pipeline skew:
         // mismatch ≈ 2·amp·sin(π·3/200) ≈ 1.2; far below the raw amplitude.
@@ -434,7 +620,7 @@ mod tests {
         let mut el = EventLoop::new(64, ro(64), Cdn::new(t_clk).unwrap(), ideal_sensors(), None);
         let amp = 6.4;
         let e = Harmonic::new(amp, te, 0.0);
-        let samples = el.run(&e, 6000);
+        let samples = record(&mut el, &e, 6000);
         let worst = samples
             .iter()
             .skip(100)
@@ -464,7 +650,7 @@ mod tests {
                     .into(),
             ),
         );
-        let samples = el.run(&NoVariation, 1500);
+        let samples = record(&mut el, &NoVariation, 1500);
         let tail = &samples[1200..];
         for s in tail {
             assert!(s.delta.abs() < 0.5, "δ = {} at t = {}", s.delta, s.time);
@@ -494,7 +680,7 @@ mod tests {
                     .into(),
             ),
         );
-        let samples = el.run(&NoVariation, 1500);
+        let samples = record(&mut el, &NoVariation, 1500);
         // Loop nulls the WORST sensor: lro -> 70 so that τ_worst = 64.
         let s = samples.last().unwrap();
         assert!((s.lro - 70.0).abs() < 1.5, "l_RO = {}", s.lro);
@@ -519,7 +705,7 @@ mod tests {
             None,
         );
         let e_wave = Harmonic::new(small_amp, te, 0.0);
-        let ev = el.run(&e_wave, 400);
+        let ev = record(&mut el, &e_wave, 400);
 
         let mut dl = DiscreteLoop::new(
             m,
@@ -604,7 +790,7 @@ mod tests {
                 ),
             )
             .with_jitter(PeriodJitter::new(sigma, 7).unwrap());
-            let samples = el.run(&NoVariation, 4000);
+            let samples = record(&mut el, &NoVariation, 4000);
             samples
                 .iter()
                 .skip(500)
@@ -628,10 +814,10 @@ mod tests {
         let c = 64i64;
         let droop = SingleEvent::new(12.8, 6400.0, 32_000.0);
         let mut short = EventLoop::new(c, ro(c), Cdn::new(6.4).unwrap(), ideal_sensors(), None);
-        let s1 = short.run(&droop, 2000);
+        let s1 = record(&mut short, &droop, 2000);
         let worst_short = s1.iter().map(|s| s.delta.abs()).fold(0.0f64, f64::max);
         let mut long = EventLoop::new(c, ro(c), Cdn::new(6400.0).unwrap(), ideal_sensors(), None);
-        let s2 = long.run(&droop, 2000);
+        let s2 = record(&mut long, &droop, 2000);
         let worst_long = s2.iter().map(|s| s.delta.abs()).fold(0.0f64, f64::max);
         assert!(
             worst_short < 0.3 * worst_long,

@@ -100,7 +100,7 @@ pub mod system;
 pub mod tdc;
 
 pub use error::Error;
-pub use system::{RunTrace, Scheme, SystemBuilder};
+pub use system::{RunSummary, RunTrace, Scheme, SystemBuilder};
 
 /// Numeric-behaviour revision of the simulation engines in this crate.
 ///

@@ -21,6 +21,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::event::{sealed, Sample, Sink};
 use crate::system::RunTrace;
 
 /// The pipeline's timing contract and recovery cost.
@@ -70,34 +71,92 @@ impl PipelineModel {
 
     /// Score a recorded run.
     pub fn evaluate(&self, run: &RunTrace) -> PipelineReport {
-        let mut retired = 0u64;
-        let mut violations = 0u64;
-        let mut elapsed = 0.0f64;
-        let mut replay_left = 0usize;
+        let mut score = Score::default();
         for s in run.samples() {
-            elapsed += s.period;
-            if replay_left > 0 {
-                replay_left -= 1;
-                continue;
-            }
-            if s.tau < self.c_req {
-                violations += 1;
-                replay_left = self.replay_penalty - 1;
-            } else {
-                retired += 1;
-            }
+            score.push(self, s);
         }
+        score.report()
+    }
+
+    /// A sink that scores a run while it runs, from `warmup` on, without
+    /// recording it: `system.run_with(e, n, model.sink(warmup))` equals
+    /// `model.evaluate(&system.run(e, n).skip(warmup))` bit for bit.
+    pub fn sink(self, warmup: usize) -> PipelineSink {
+        PipelineSink {
+            model: self,
+            warmup,
+            score: Score::default(),
+        }
+    }
+}
+
+/// The running state of one scoring pass, folded one period at a time.
+#[derive(Debug, Default)]
+struct Score {
+    retired: u64,
+    violations: u64,
+    periods: u64,
+    elapsed: f64,
+    replay_left: usize,
+}
+
+impl Score {
+    #[inline]
+    fn push(&mut self, model: &PipelineModel, s: &Sample) {
+        self.periods += 1;
+        self.elapsed += s.period;
+        if self.replay_left > 0 {
+            self.replay_left -= 1;
+            return;
+        }
+        if s.tau < model.c_req {
+            self.violations += 1;
+            self.replay_left = model.replay_penalty - 1;
+        } else {
+            self.retired += 1;
+        }
+    }
+
+    fn report(self) -> PipelineReport {
         PipelineReport {
-            retired,
-            violations,
-            periods: run.len() as u64,
-            elapsed,
-            throughput: if elapsed > 0.0 {
-                retired as f64 / elapsed
+            retired: self.retired,
+            violations: self.violations,
+            periods: self.periods,
+            elapsed: self.elapsed,
+            throughput: if self.elapsed > 0.0 {
+                self.retired as f64 / self.elapsed
             } else {
                 0.0
             },
         }
+    }
+}
+
+/// The scoring [`Sink`] of [`PipelineModel::sink`]: a run scored inline
+/// by the same per-period fold as [`PipelineModel::evaluate`].
+#[derive(Debug)]
+pub struct PipelineSink {
+    model: PipelineModel,
+    warmup: usize,
+    score: Score,
+}
+
+impl sealed::Sealed for PipelineSink {}
+
+impl Sink for PipelineSink {
+    type Output = PipelineReport;
+
+    fn begin(&mut self, _setpoint: f64, _n_samples: usize) {}
+
+    #[inline]
+    fn sample(&mut self, index: usize, sample: &Sample) {
+        if index >= self.warmup {
+            self.score.push(&self.model, sample);
+        }
+    }
+
+    fn finish(self) -> PipelineReport {
+        self.score.report()
     }
 }
 
@@ -259,5 +318,27 @@ mod tests {
             t_iir.throughput,
             t_fixed.throughput
         );
+    }
+
+    /// The scoring sink folds the same periods in the same order as
+    /// `evaluate` on the post-warm-up trace, so the reports are identical
+    /// to the bit, violations and replays included.
+    #[test]
+    fn scoring_sink_equals_evaluate_on_the_skipped_trace() {
+        let hodv = Harmonic::new(12.8, 64.0 * 50.0, 0.0);
+        for (c_ctrl, scheme) in [(62, Scheme::iir_paper()), (70, Scheme::Fixed)] {
+            let system = SystemBuilder::new(c_ctrl)
+                .cdn_delay(64.0)
+                .scheme(scheme)
+                .build()
+                .expect("valid");
+            let model = PipelineModel::new(64.0, 6);
+            let traced = model.evaluate(&system.run(&hodv, 3000).skip(500));
+            let folded = system.run_with(&hodv, 3000, model.sink(500));
+            assert!(traced.violations > 0 || c_ctrl == 70, "exercise replays");
+            assert_eq!(folded, traced);
+            assert_eq!(folded.elapsed.to_bits(), traced.elapsed.to_bits());
+            assert_eq!(folded.throughput.to_bits(), traced.throughput.to_bits());
+        }
     }
 }

@@ -14,7 +14,7 @@ use variation::sources::Waveform;
 use crate::cdn::Cdn;
 use crate::controller::{FloatIir, FreeRunning, IirConfig, IntIirControl, TeaTime};
 use crate::error::Error;
-use crate::event::{EventLoop, Generator, PeriodJitter, Sample};
+use crate::event::{EventLoop, Generator, PeriodJitter, Sample, Sink, TraceSink, PERIOD_SUM_START};
 use crate::ro::{Coupling, RingOscillator, RoBounds};
 use crate::tdc::{Quantization, SensorBank, Tdc};
 
@@ -437,13 +437,22 @@ impl System {
     }
 
     /// Run the system from equilibrium for `n_samples` delivered periods
-    /// under homogeneous variation `e`.
+    /// under homogeneous variation `e`, recording every period.
     pub fn run<W: Waveform + ?Sized>(&self, e: &W, n_samples: usize) -> RunTrace {
-        let samples = self.event_loop().run(e, n_samples);
-        RunTrace {
-            setpoint: self.setpoint as f64,
-            samples,
-        }
+        self.run_with(e, n_samples, TraceSink::default())
+    }
+
+    /// [`run`](Self::run) into an explicit [`Sink`]: a
+    /// [`TraceSink::with_warmup`] records only the post-warm-up periods, a
+    /// [`SummarySink`](crate::event::SummarySink) folds the run into a
+    /// [`RunSummary`] without recording it.
+    pub fn run_with<W: Waveform + ?Sized, S: Sink>(
+        &self,
+        e: &W,
+        n_samples: usize,
+        sink: S,
+    ) -> S::Output {
+        self.event_loop().run(e, n_samples, sink)
     }
 }
 
@@ -480,7 +489,9 @@ impl RunTrace {
         self.samples.is_empty()
     }
 
-    /// Drop the first `n` samples (warm-up transient).
+    /// Drop the first `n` samples (warm-up transient). This copies the
+    /// rest; a run that never needs its warm-up can skip recording it with
+    /// [`TraceSink::with_warmup`] instead (same samples, no copy).
     #[must_use]
     pub fn skip(&self, n: usize) -> RunTrace {
         RunTrace {
@@ -528,7 +539,11 @@ impl RunTrace {
         if self.samples.is_empty() {
             return 0.0;
         }
-        self.samples.iter().map(|s| s.period).sum::<f64>() / self.samples.len() as f64
+        let sum = self
+            .samples
+            .iter()
+            .fold(PERIOD_SUM_START, |acc, s| acc + s.period);
+        sum / self.samples.len() as f64
     }
 
     /// Number of timing violations (`τ < c − margin`).
@@ -537,6 +552,102 @@ impl RunTrace {
             .iter()
             .filter(|s| s.tau < self.setpoint - margin)
             .count()
+    }
+}
+
+/// Everything the sweep figures read off a post-warm-up run, reduced to
+/// six floats so a grid point caches in one small record instead of a
+/// multi-thousand-sample trace. Each statistic is computed by the *same*
+/// fold as the [`RunTrace`] methods — whether by [`RunSummary::of`] a
+/// recorded trace or inline by a
+/// [`SummarySink`](crate::event::SummarySink) run — so figures assembled
+/// from summaries are bit-identical to figures assembled from traces.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RunSummary {
+    /// The set-point the run used.
+    pub setpoint: f64,
+    /// Recorded (post-warm-up) sample count.
+    pub samples: u64,
+    /// Mean generated period ([`RunTrace::mean_period`]).
+    pub mean_period: f64,
+    /// Needed safety margin ([`RunTrace::worst_negative_error`]).
+    pub worst_negative_error: f64,
+    /// Performance left on the table ([`RunTrace::worst_positive_error`]).
+    pub worst_positive_error: f64,
+    /// RO length at the last sample (NaN when the run is empty).
+    pub last_lro: f64,
+}
+
+impl RunSummary {
+    /// Flat-record arity (the cache payload schema).
+    pub const FIELDS: usize = 6;
+
+    /// Summarize a recorded run.
+    pub fn of(run: &RunTrace) -> Self {
+        RunSummary {
+            setpoint: run.setpoint(),
+            samples: run.len() as u64,
+            mean_period: run.mean_period(),
+            worst_negative_error: run.worst_negative_error(),
+            worst_positive_error: run.worst_positive_error(),
+            last_lro: run.samples().last().map_or(f64::NAN, |s| s.lro),
+        }
+    }
+
+    /// The summary as a flat cache record.
+    pub fn to_values(self) -> [f64; Self::FIELDS] {
+        [
+            self.setpoint,
+            self.samples as f64,
+            self.mean_period,
+            self.worst_negative_error,
+            self.worst_positive_error,
+            self.last_lro,
+        ]
+    }
+
+    /// Rebuild from [`RunSummary::to_values`]; `None` on any other arity.
+    pub fn from_values(values: &[f64]) -> Option<Self> {
+        let [setpoint, samples, mean_period, worst_negative_error, worst_positive_error, last_lro] =
+            *values
+        else {
+            return None;
+        };
+        Some(RunSummary {
+            setpoint,
+            samples: samples as u64,
+            mean_period,
+            worst_negative_error,
+            worst_positive_error,
+            last_lro,
+        })
+    }
+
+    /// The minimal error-free margin, `max(0, max_n (c − τ[n]))`.
+    pub fn required_margin(&self) -> f64 {
+        self.worst_negative_error
+    }
+
+    /// Mean period once margined: `⟨T⟩ + m*`.
+    pub fn needed_adaptive_period(&self) -> f64 {
+        self.mean_period + self.worst_negative_error
+    }
+
+    /// Fixed-clock period needed for error-free operation: `c + m*`.
+    pub fn needed_fixed_period(&self) -> f64 {
+        self.setpoint + self.worst_negative_error
+    }
+
+    /// The paper's figure of merit `⟨T_clk⟩ / T_fixed` against a
+    /// fixed-clock baseline run.
+    pub fn relative_to(&self, fixed: &RunSummary) -> f64 {
+        self.needed_adaptive_period() / fixed.needed_fixed_period()
+    }
+
+    /// Figure of merit under an externally-imposed margin (the free RO's
+    /// design margin in Fig. 9).
+    pub fn relative_with_margin(&self, margin: f64, fixed: &RunSummary) -> f64 {
+        (self.mean_period + margin) / fixed.needed_fixed_period()
     }
 }
 

@@ -6,27 +6,23 @@
 //! 1. **batched vs sequential discrete loops** — a bank of Fig. 4
 //!    recurrences advanced one [`DiscreteLoop`] at a time versus all lanes
 //!    in lock-step through the SoA [`BatchLoop`] engine;
-//! 2. **warm-started vs classic Fig. 9 panel** — [`fig9::run_panel`]
-//!    against the coarse-to-fine [`fig9::run_panel_fast`], with the
-//!    warm-up samples saved by the warm starts read back off the
-//!    `margin_search.iterations_saved` telemetry counter;
-//! 3. **cold vs warm result cache** — the same Fig. 9 panel through
+//! 2. **cold vs warm result cache** — a Fig. 9 panel through
 //!    [`fig9::run_panel`] with a [`RunCtx`] cache attached, against an
 //!    empty and a fully-populated on-disk store;
-//! 4. **FIFO vs longest-job-first dispatch** — a synthetic sweep with a
+//! 3. **FIFO vs longest-job-first dispatch** — a synthetic sweep with a
 //!    few heavy items parked at the end of the grid, scheduled in submission
 //!    order versus by descending cost hint;
-//! 5. **lane-count scaling** — the mixed-scheme lane bank at
+//! 4. **lane-count scaling** — the mixed-scheme lane bank at
 //!    B ∈ {4, 16, 64, 256}: sequential `DiscreteLoop` runs vs the blocked
 //!    lane-block engine, plus the multi-threaded lane-chunk dispatcher at
 //!    64+ lanes;
-//! 6. **traceless summaries & Monte Carlo** — the summary-only block
+//! 5. **traceless summaries & Monte Carlo** — the summary-only block
 //!    path (a [`SummarySink`] run) against the traced blocked
 //!    engine on the same bank, and the traceless
 //!    [`McPanel`] against the per-instance
 //!    pre-batch harness (one `System` event-loop run per sampled
 //!    instance, the `runner::run_scheme` shape);
-//! 7. **domain-bank scaling** — N uniform IIR clock domains at
+//! 6. **domain-bank scaling** — N uniform IIR clock domains at
 //!    N ∈ {16, 64, 256}: one `DiscreteLoop` object per domain (the
 //!    pre-bank ownership shape) versus the same domains as a single
 //!    [`DomainBank`](adaptive_clock::bank::DomainBank) behind the
@@ -36,6 +32,7 @@
 //! and the committed `BENCH_*.json` trajectory files can track the numbers
 //! across revisions.
 
+use std::fmt;
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
@@ -61,7 +58,7 @@ use crate::sweep::{parallel_map, parallel_map_planned, Plan};
 /// One timed benchmark case.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchEntry {
-    /// Case id (`"dtsim-compiled"`, `"fig9-warm-panel"`, …).
+    /// Case id (`"loop-batched"`, `"fig9-warm-cache"`, …).
     pub name: String,
     /// What was run, in words.
     pub detail: String,
@@ -75,9 +72,6 @@ pub struct BenchEntry {
     pub baseline: Option<String>,
     /// `baseline wall_ms / this wall_ms` (> 1 means this case is faster).
     pub speedup: Option<f64>,
-    /// Warm-up iterations the warm-started sweep skipped (from the
-    /// `margin_search.iterations_saved` telemetry counter).
-    pub iterations_saved: Option<u64>,
 }
 
 /// A full benchmark run. The `workers`/`engine_rev`/`git_rev` fields make
@@ -253,7 +247,6 @@ fn entry(name: &str, detail: &str, steps: u64, wall_ms: f64) -> BenchEntry {
         steps_per_sec: steps as f64 / (wall_ms / 1e3).max(1e-12),
         baseline: None,
         speedup: None,
-        iterations_saved: None,
     }
 }
 
@@ -334,58 +327,13 @@ pub fn run(params: &PaperParams, quick: bool) -> BenchReport {
     e.speedup = Some(seq_ms / batch_ms.max(1e-12));
     entries.push(e);
 
-    // 2. Fig. 9 panel: classic cold sweep vs coarse-to-fine warm starts.
-    let points = if quick { 5 } else { 9 };
-    let (t_clk, te) = (1.0, 37.5);
-    let samples = params.samples_for(te) as u64;
-    let classic_steps = 4 * points as u64 * samples;
-    let bare_ctx = RunCtx::new(*params);
-    let classic_ms = best_ms(REPS, || {
-        time_ms(|| {
-            std::hint::black_box(fig9::run_panel(&bare_ctx, t_clk, te, points));
-        })
-    });
-    // Both panels are *timed* with telemetry disabled so the comparison is
-    // engine-vs-engine, not event-emission overhead; the saved-iterations
-    // counter comes from one untimed observed run afterwards.
-    let fast_ms = best_ms(REPS, || {
-        time_ms(|| {
-            std::hint::black_box(fig9::run_panel_fast(&bare_ctx, t_clk, te, points));
-        })
-    });
-    let telemetry = Telemetry::enabled();
-    let observed_ctx = RunCtx::new(*params).with_telemetry(telemetry.clone());
-    std::hint::black_box(fig9::run_panel_fast(&observed_ctx, t_clk, te, points));
-    let saved = telemetry
-        .snapshot()
-        .counter("margin_search.iterations_saved")
-        .unwrap_or(0);
-    let fast_steps = classic_steps.saturating_sub(saved);
-    entries.push(entry(
-        "fig9-classic-panel",
-        &format!("Fig. 9 panel (t_clk = {t_clk}c, Te = {te}c, {points} mu points), cold runs"),
-        classic_steps,
-        classic_ms,
-    ));
-    let mut e = entry(
-        "fig9-warm-panel",
-        &format!(
-            "same panel, every {}-th mu cold, the rest warm-started from the \
-             neighbouring settled length",
-            fig9::COARSE_STRIDE
-        ),
-        fast_steps,
-        fast_ms,
-    );
-    e.baseline = Some("fig9-classic-panel".to_owned());
-    e.speedup = Some(classic_ms / fast_ms.max(1e-12));
-    e.iterations_saved = Some(saved);
-    entries.push(e);
-
-    // 3. The same Fig. 9 panel through the result cache: every grid point
+    // 2. A Fig. 9 panel through the result cache: every grid point
     // a miss (cold store, fresh dir per rep) vs every point a hit (store
     // populated once, reopened per rep so hits pay the disk read + decode,
     // not just the in-memory read-through).
+    let points = if quick { 5 } else { 9 };
+    let (t_clk, te) = (1.0, 37.5);
+    let panel_steps = 4 * points as u64 * params.samples_for(te) as u64;
     let cache_root = std::env::temp_dir().join(format!("repro-bench-cache-{}", std::process::id()));
     let off = Telemetry::disabled();
     let mut rep = 0u32;
@@ -420,20 +368,20 @@ pub fn run(params: &PaperParams, quick: bool) -> BenchReport {
             "Fig. 9 panel (t_clk = {t_clk}c, Te = {te}c, {points} mu points) \
              against an empty result cache (every point computes + writes)"
         ),
-        classic_steps,
+        panel_steps,
         cold_ms,
     ));
     let mut e = entry(
         "fig9-warm-cache",
         "same panel against the populated cache (every point a hit)",
-        classic_steps,
+        panel_steps,
         warm_ms,
     );
     e.baseline = Some("fig9-cold-cache".to_owned());
     e.speedup = Some(cold_ms / warm_ms.max(1e-12));
     entries.push(e);
 
-    // 4. Dispatch policy on a deliberately unbalanced sweep: a few heavy
+    // 3. Dispatch policy on a deliberately unbalanced sweep: a few heavy
     // items parked at the *end* of the grid, where submission-order (FIFO)
     // dispatch strands them on a late worker while longest-job-first
     // starts them immediately.
@@ -475,8 +423,9 @@ pub fn run(params: &PaperParams, quick: bool) -> BenchReport {
         })
     });
     // On a single-core host both policies are bound by total work and tie;
-    // the LJF advantage appears once workers > 1, so record the pool size.
-    let workers = std::thread::available_parallelism().map_or(1, usize::from);
+    // the LJF advantage appears once workers > 1, so record the pool size
+    // the sweeps actually ran with (`--threads` honoured).
+    let workers = crate::sweep::pool_size();
     entries.push(entry(
         "sweep-fifo",
         &format!(
@@ -499,7 +448,7 @@ pub fn run(params: &PaperParams, quick: bool) -> BenchReport {
     e.speedup = Some(fifo_ms / ljf_ms.max(1e-12));
     entries.push(e);
 
-    // 5. Lane-count scaling: the mixed-scheme bank at B lanes through
+    // 4. Lane-count scaling: the mixed-scheme bank at B lanes through
     // two engines — one DiscreteLoop at a time and the blocked
     // lane-block engine — plus the multi-threaded
     // lane-chunk dispatcher at 64+ lanes. All lanes share the setpoint
@@ -606,7 +555,7 @@ pub fn run(params: &PaperParams, quick: bool) -> BenchReport {
         }
     }
 
-    // 6. Summary path & Monte Carlo: the traceless summary engine
+    // 5. Summary path & Monte Carlo: the traceless summary engine
     // against the traced blocked path on the same mixed bank, and the
     // traceless Monte Carlo panel against the per-instance pre-batch
     // harness (one full `System` event-loop run per sampled instance —
@@ -748,7 +697,7 @@ pub fn run(params: &PaperParams, quick: bool) -> BenchReport {
     e.speedup = Some(mc_naive_ms / mc_traceless_ms.max(1e-12));
     entries.push(e);
 
-    // 7. Domain-bank scaling: N independent clock domains advanced as N
+    // 6. Domain-bank scaling: N independent clock domains advanced as N
     // sequential DiscreteLoops (the pre-refactor ownership shape: one
     // loop object per domain, each materializing its own trace) versus
     // the same N domains held in one DomainBank and folded through the
@@ -875,12 +824,57 @@ impl CompareReport {
 /// optimisation genuinely stopped working.
 pub const DEFAULT_COMPARE_NOISE: f64 = 0.25;
 
+/// Why [`compare`] refused to compare two reports.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CompareError {
+    /// The baseline was taken with a different sweep worker pool than the
+    /// current run. The parallel cases (dispatch policy, lane chunks)
+    /// scale with the pool, so their speedups would compare machines, not
+    /// code.
+    WorkerMismatch {
+        /// Worker pool size recorded in the baseline.
+        baseline: u64,
+        /// Worker pool size of the current run.
+        current: u64,
+    },
+}
+
+impl fmt::Display for CompareError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CompareError::WorkerMismatch { baseline, current } => write!(
+                f,
+                "baseline was taken with {baseline} sweep workers but this run used \
+                 {current}; rerun with --threads {baseline} to compare"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for CompareError {}
+
 /// Compare the optimisation speedups of `current` against a stored
 /// `baseline`. Raw wall times are deliberately ignored — they track host
 /// speed, not code quality — so only the dimensionless optimised-vs-naive
 /// ratios are held to account. An entry regresses when its speedup drops
 /// by more than `noise` relative to the baseline.
-pub fn compare(current: &BenchReport, baseline: &BenchReport, noise: f64) -> CompareReport {
+///
+/// # Errors
+///
+/// [`CompareError::WorkerMismatch`] when both reports record a worker
+/// pool size and the sizes differ. A baseline without one (`workers` 0,
+/// written before the field existed) is compared as is.
+pub fn compare(
+    current: &BenchReport,
+    baseline: &BenchReport,
+    noise: f64,
+) -> Result<CompareReport, CompareError> {
+    if baseline.workers != 0 && current.workers != 0 && baseline.workers != current.workers {
+        return Err(CompareError::WorkerMismatch {
+            baseline: baseline.workers,
+            current: current.workers,
+        });
+    }
     let mut entries = Vec::new();
     let mut missing = Vec::new();
     for base in &baseline.entries {
@@ -901,11 +895,11 @@ pub fn compare(current: &BenchReport, baseline: &BenchReport, noise: f64) -> Com
             None => missing.push(base.name.clone()),
         }
     }
-    CompareReport {
+    Ok(CompareReport {
         noise,
         entries,
         missing,
-    }
+    })
 }
 
 /// Render a [`CompareReport`] as an ASCII table with a verdict line.
@@ -963,7 +957,6 @@ pub fn render(report: &BenchReport) -> String {
         "wall ms".to_owned(),
         "steps/s".to_owned(),
         "speedup".to_owned(),
-        "iters saved".to_owned(),
     ]);
     for e in &report.entries {
         t.row(vec![
@@ -973,14 +966,12 @@ pub fn render(report: &BenchReport) -> String {
             format!("{:.3e}", e.steps_per_sec),
             e.speedup
                 .map_or_else(|| "-".to_owned(), |s| format!("{s:.2}x")),
-            e.iterations_saved
-                .map_or_else(|| "-".to_owned(), |n| n.to_string()),
         ]);
     }
     let mode = if report.quick { " (quick)" } else { "" };
     format!(
         "Engine benchmarks{mode} — c = {}\n\n{}\nspeedup is baseline wall time over case wall time \
-         (loops: sequential/batched; fig9: cold/warm-started).\n",
+         (loops: sequential/batched; fig9: cold/warm cache).\n",
         report.setpoint,
         t.render()
     )
@@ -998,8 +989,6 @@ mod tests {
         for name in [
             "loop-sequential",
             "loop-batched",
-            "fig9-classic-panel",
-            "fig9-warm-panel",
             "fig9-cold-cache",
             "fig9-warm-cache",
             "sweep-fifo",
@@ -1060,7 +1049,7 @@ mod tests {
             assert!(bank.speedup.is_some(), "bank {domains} must be gated");
         }
         // Dispatch timings deliberately carry no speedup: the ratio would
-        // compare host core counts, not code (see the section 5 comment).
+        // compare host core counts, not code (see the section 4 comment).
         assert!(report
             .entry("lanes-064-dispatch")
             .unwrap()
@@ -1071,21 +1060,12 @@ mod tests {
             .unwrap()
             .speedup
             .is_none());
-        assert!(
-            report
-                .entry("fig9-warm-panel")
-                .unwrap()
-                .iterations_saved
-                .unwrap_or(0)
-                > 0,
-            "warm panel must bank saved iterations"
-        );
         let json = report.to_json().expect("plain data serializes");
         let back: BenchReport = serde_json::from_str(&json).expect("round-trips");
         assert_eq!(back, report);
         let text = render(&report);
         assert!(text.contains("loop-batched"));
-        assert!(text.contains("fig9-warm-panel"));
+        assert!(text.contains("fig9-warm-cache"));
         assert_eq!(report.engine_rev, crate::cache::engine_fingerprint());
         assert!(report.workers >= 1, "worker pool size must be recorded");
     }
@@ -1125,7 +1105,7 @@ mod tests {
     /// Every committed baseline, old schemas included, still loads.
     #[test]
     fn committed_baselines_still_load() {
-        for n in 2..=7 {
+        for n in 2..=8 {
             let report = committed(&format!("BENCH_{n}.json"));
             assert!(!report.entries.is_empty(), "BENCH_{n}.json has no entries");
         }
@@ -1135,7 +1115,7 @@ mod tests {
     /// regression gate compares against.
     #[test]
     fn committed_baseline_meets_headline_floors() {
-        let report = committed("BENCH_7.json");
+        let report = committed("BENCH_8.json");
         let speedup = |name: &str| {
             report
                 .entry(name)
@@ -1175,7 +1155,6 @@ mod tests {
                     steps_per_sec: 1000.0,
                     baseline: Some("base".to_owned()),
                     speedup: Some(speedup),
-                    iterations_saved: None,
                 })
                 .collect(),
         }
@@ -1186,7 +1165,7 @@ mod tests {
         let baseline = speedup_report(&[("a", 2.0), ("b", 3.0), ("c", 1.5)]);
         // a: tiny wobble, b: catastrophic loss, c: improvement.
         let current = speedup_report(&[("a", 1.9), ("b", 1.0), ("c", 2.0)]);
-        let cmp = compare(&current, &baseline, DEFAULT_COMPARE_NOISE);
+        let cmp = compare(&current, &baseline, DEFAULT_COMPARE_NOISE).expect("same pool");
         assert!(cmp.regressed());
         let by_name = |n: &str| cmp.entries.iter().find(|e| e.name == n).unwrap();
         assert!(!by_name("a").regressed, "5% wobble is noise");
@@ -1200,11 +1179,40 @@ mod tests {
     #[test]
     fn compare_passes_identical_reports_and_catches_missing_cases() {
         let baseline = speedup_report(&[("a", 2.0), ("b", 3.0)]);
-        let same = compare(&baseline, &baseline, DEFAULT_COMPARE_NOISE);
+        let same = compare(&baseline, &baseline, DEFAULT_COMPARE_NOISE).expect("same pool");
         assert!(!same.regressed(), "a report never regresses against itself");
         let current = speedup_report(&[("a", 2.0)]);
-        let cmp = compare(&current, &baseline, DEFAULT_COMPARE_NOISE);
+        let cmp = compare(&current, &baseline, DEFAULT_COMPARE_NOISE).expect("same pool");
         assert_eq!(cmp.missing, vec!["b".to_owned()]);
         assert!(cmp.regressed(), "a vanished case counts as a regression");
+    }
+
+    /// A baseline taken with a different worker pool is refused with both
+    /// counts named, not compared; an unknown pool (0) still compares.
+    #[test]
+    fn compare_refuses_a_baseline_from_another_worker_pool() {
+        let baseline = speedup_report(&[("a", 2.0)]);
+        let mut current = speedup_report(&[("a", 2.0)]);
+        current.workers = 2;
+        let err = compare(&current, &baseline, DEFAULT_COMPARE_NOISE)
+            .expect_err("4-worker baseline vs 2-worker run");
+        assert_eq!(
+            err,
+            CompareError::WorkerMismatch {
+                baseline: 4,
+                current: 2
+            }
+        );
+        let text = err.to_string();
+        assert!(
+            text.contains("4 sweep workers") && text.contains("used 2"),
+            "{text}"
+        );
+        assert!(text.contains("--threads 4"), "{text}");
+        let unknown = BenchReport {
+            workers: 0,
+            ..baseline.clone()
+        };
+        assert!(compare(&current, &unknown, DEFAULT_COMPARE_NOISE).is_ok());
     }
 }

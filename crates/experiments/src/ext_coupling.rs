@@ -9,9 +9,9 @@
 //! reports the disagreement — the quantitative justification for the
 //! paper's simpler model.
 
+use adaptive_clock::event::SummarySink;
 use adaptive_clock::ro::Coupling;
 use adaptive_clock::system::{Scheme, SystemBuilder};
-use clock_metrics::margin;
 use variation::sources::Harmonic;
 
 use crate::cache::CacheKeyExt as _;
@@ -51,16 +51,19 @@ fn margin_with(
 ) -> f64 {
     let c = params.setpoint;
     let hodv = Harmonic::new(params.amplitude(), te_over_c * c as f64, 0.0);
-    let run = SystemBuilder::new(c)
+    SystemBuilder::new(c)
         .cdn_delay(c as f64)
         .scheme(scheme)
         .coupling(coupling)
         .single_sensor_mu(mu_over_c * c as f64)
         .build()
         .expect("paper operating points are valid")
-        .run(&hodv, params.samples_for(te_over_c))
-        .skip(params.warmup);
-    margin::required_margin(&run)
+        .run_with(
+            &hodv,
+            params.samples_for(te_over_c),
+            SummarySink::with_warmup(params.warmup),
+        )
+        .required_margin()
 }
 
 /// Run the ablation over schemes × {Te} × {μ}. The result cache is

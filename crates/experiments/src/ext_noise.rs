@@ -8,8 +8,8 @@
 //! regimes, so this experiment checks which fraction of the fixed clock's
 //! margin survives in the mix.
 
+use adaptive_clock::event::SummarySink;
 use adaptive_clock::system::{Scheme, SystemBuilder};
-use clock_metrics::margin;
 use variation::sources::Composite;
 use variation::stochastic::{OuProcess, SsnBursts, SsnConfig};
 
@@ -79,12 +79,12 @@ pub fn run(ctx: &RunCtx, seeds: &[u64]) -> ExperimentResult {
         },
         |&seed| {
             let profile = broadband_profile(params, seed, horizon);
+            let fold = || SummarySink::with_warmup(params.warmup);
             let fixed = SystemBuilder::new(c)
                 .scheme(Scheme::Fixed)
                 .build()
                 .expect("valid configuration")
-                .run(&profile, samples)
-                .skip(params.warmup);
+                .run_with(&profile, samples, fold());
             schemes
                 .iter()
                 .map(|scheme| {
@@ -93,9 +93,8 @@ pub fn run(ctx: &RunCtx, seeds: &[u64]) -> ExperimentResult {
                         .scheme(scheme.clone())
                         .build()
                         .expect("valid configuration")
-                        .run(&profile, samples)
-                        .skip(params.warmup);
-                    let ratio = margin::relative_adaptive_period(&adaptive, &fixed);
+                        .run_with(&profile, samples, fold());
+                    let ratio = adaptive.relative_to(&fixed);
                     ctx.cache.put_f64s(point_key(scheme, seed), &[ratio]);
                     ratio
                 })

@@ -17,6 +17,7 @@
 
 use adaptive_clock::batch::{BatchLoop, BatchTrace, TraceSink};
 use adaptive_clock::controller::{Controller, IirConfig};
+use adaptive_clock::event::SummarySink;
 use adaptive_clock::loopsim::{constant, LoopInputs};
 use adaptive_clock::system::{Scheme, SystemBuilder};
 use adaptive_clock::tdc::Quantization;
@@ -79,13 +80,17 @@ pub fn run(ctx: &RunCtx, points: usize) -> ExperimentResult {
                 .build()
                 .expect("valid configuration");
             let hodv = Harmonic::new(amp, te * c as f64, 0.0);
-            let run = system
-                .run(&hodv, params.samples_for(te))
-                .skip(params.warmup);
-            let y = run
-                .timing_errors()
-                .iter()
-                .fold(0.0f64, |a, e| a.max(e.abs()));
+            // max |τ − c| = max(worst negative, worst positive error): both
+            // folds start at 0 and take exact copies of the same
+            // differences, so the envelope is the trace fold's to the bit.
+            let summary = system.run_with(
+                &hodv,
+                params.samples_for(te),
+                SummarySink::with_warmup(params.warmup),
+            );
+            let y = summary
+                .worst_negative_error
+                .max(summary.worst_positive_error);
             ctx.cache.put_f64s(te_key(te), &[y]);
             y
         },

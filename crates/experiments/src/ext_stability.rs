@@ -11,6 +11,7 @@ use adaptive_clock::controller::IirConfig;
 use zdomain::{closedloop, margins, TransferFunction};
 
 use crate::render::{fmt, Table};
+use crate::sweep::parallel_map;
 
 /// One row of the stability map.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,12 +86,10 @@ pub fn analyze(label: &str, config: &IirConfig, max_m: usize) -> StabilityRow {
     }
 }
 
-/// Run the full map.
+/// Run the full map, one gain set per sweep worker (the rows are
+/// independent, so the map is the same at any worker count).
 pub fn run(max_m: usize) -> Vec<StabilityRow> {
-    candidates()
-        .iter()
-        .map(|(label, cfg)| analyze(label, cfg, max_m))
-        .collect()
+    parallel_map(&candidates(), |(label, cfg)| analyze(label, cfg, max_m))
 }
 
 /// Render the map.

@@ -58,8 +58,9 @@ pub fn throughput_curve(
                 .scheme(scheme.clone())
                 .build()
                 .expect("valid configuration");
-            let run = system.run(&hodv, SAMPLES).skip(WARMUP);
-            let y = model.evaluate(&run).relative_throughput(c_req as f64);
+            let y = system
+                .run_with(&hodv, SAMPLES, model.sink(WARMUP))
+                .relative_throughput(c_req as f64);
             ctx.cache.put_f64s(point_key(c_ctrl), &[y]);
             y
         },

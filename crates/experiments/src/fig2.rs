@@ -5,11 +5,13 @@
 //! (sweeping Eq. 1 over the actual waveforms); the run asserts both agree,
 //! which is exactly the property the paper's figure illustrates.
 
+use clock_telemetry::Telemetry;
 use variation::analysis;
 use variation::sources::{Harmonic, SingleEvent};
 
 use crate::render::{ascii_chart, fmt, Table};
 use crate::results::{ExperimentResult, Series};
+use crate::sweep::{parallel_map_planned, Plan};
 
 /// Generate the Fig. 2 curves over `x = t_clk/T_ν ∈ [0, x_max]`.
 pub fn run(x_max: f64, points: usize) -> ExperimentResult {
@@ -18,12 +20,7 @@ pub fn run(x_max: f64, points: usize) -> ExperimentResult {
     let harmonic: Vec<f64> = pts.iter().map(|p| p.harmonic).collect();
     let single: Vec<f64> = pts.iter().map(|p| p.single_event).collect();
 
-    // Empirical counterparts from the actual waveforms (unit amplitude,
-    // unit variation period/duration).
-    let h_wave = Harmonic::new(1.0, 1.0, 0.0);
-    let s_wave = SingleEvent::new(1.0, 1.0, 10.0);
-    let emp_h = analysis::empirical_worst_case_curve(&h_wave, &x, 0.0, 10.0, 0.002);
-    let emp_s = analysis::empirical_worst_case_curve(&s_wave, &x, 0.0, 30.0, 0.002);
+    let (emp_h, emp_s) = empirical_curves(&x);
 
     ExperimentResult::new(
         "fig2",
@@ -34,6 +31,45 @@ pub fn run(x_max: f64, points: usize) -> ExperimentResult {
     .with_series(Series::new("Single event HoDV", x.clone(), single))
     .with_series(Series::new("Harmonic (empirical)", x.clone(), emp_h))
     .with_series(Series::new("Single event (empirical)", x, emp_s))
+}
+
+/// Delays per parallel task of [`empirical_curves`]. Fixed, not derived
+/// from the worker count, so the task split is the same on every host.
+const DELAY_CHUNK: usize = 32;
+
+/// The empirical counterparts of both curves, from the actual waveforms
+/// (unit amplitude, unit variation period/duration), Eq. 1 swept over
+/// `0 ≤ t ≤ 10` (harmonic) and `0 ≤ t ≤ 30` (single event).
+///
+/// Each delay's worst case is an independent fold over the same time grid,
+/// so the delay grid is cut into [`DELAY_CHUNK`]-sized pieces that run
+/// across the sweep workers; every entry is bit-identical to the one-call
+/// [`analysis::empirical_worst_case_curve`] at any worker count.
+fn empirical_curves(delays: &[f64]) -> (Vec<f64>, Vec<f64>) {
+    let h_wave = Harmonic::new(1.0, 1.0, 0.0);
+    let s_wave = SingleEvent::new(1.0, 1.0, 10.0);
+    const DT: f64 = 0.002;
+    // (single event?, delay chunk); harmonic chunks first.
+    let tasks: Vec<(bool, &[f64])> = [false, true]
+        .into_iter()
+        .flat_map(|single| delays.chunks(DELAY_CHUNK).map(move |c| (single, c)))
+        .collect();
+    let parts = parallel_map_planned(
+        &tasks,
+        // Cost hint: time-grid points × delays (the single event sweeps a
+        // three times longer window).
+        |&(single, chunk)| Plan::Compute(if single { 3 } else { 1 } * chunk.len() as u64),
+        |&(single, chunk)| {
+            if single {
+                analysis::empirical_worst_case_curve(&s_wave, chunk, 0.0, 30.0, DT)
+            } else {
+                analysis::empirical_worst_case_curve(&h_wave, chunk, 0.0, 10.0, DT)
+            }
+        },
+        &Telemetry::disabled(),
+    );
+    let (h, s) = parts.split_at(parts.len() / 2);
+    (h.concat(), s.concat())
 }
 
 /// Render the figure as a chart plus the zero-mismatch-island table.
@@ -99,6 +135,23 @@ mod tests {
                 s.y[k],
                 es.y[k]
             );
+        }
+    }
+
+    /// The chunked, parallel empirical curves equal the one-call curves to
+    /// the bit, for grids that are and are not a multiple of the chunk.
+    #[test]
+    fn chunked_empirical_curves_equal_the_one_call_curves() {
+        let h_wave = Harmonic::new(1.0, 1.0, 0.0);
+        let s_wave = SingleEvent::new(1.0, 1.0, 10.0);
+        for n in [1, DELAY_CHUNK, 2 * DELAY_CHUNK + 5] {
+            let x: Vec<f64> = (0..n).map(|k| 4.0 * k as f64 / n as f64).collect();
+            let (h, s) = empirical_curves(&x);
+            let bits = |v: &[f64]| v.iter().map(|y| y.to_bits()).collect::<Vec<_>>();
+            let whole_h = analysis::empirical_worst_case_curve(&h_wave, &x, 0.0, 10.0, 0.002);
+            let whole_s = analysis::empirical_worst_case_curve(&s_wave, &x, 0.0, 30.0, 0.002);
+            assert_eq!(bits(&h), bits(&whole_h), "harmonic, {n} delays");
+            assert_eq!(bits(&s), bits(&whole_s), "single event, {n} delays");
         }
     }
 

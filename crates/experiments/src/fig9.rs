@@ -17,11 +17,8 @@ use clock_telemetry::Event;
 
 use crate::render::{fmt, Table};
 use crate::results::{ExperimentResult, Series};
-use crate::runner::{
-    run_scheme, run_scheme_warm, settled_length, summary_compute, summary_probe, OperatingPoint,
-    RunCtx, RunSummary,
-};
-use crate::sweep::{linear_grid, parallel_map, parallel_map_planned};
+use crate::runner::{summary_compute, summary_probe, OperatingPoint, RunCtx, RunSummary};
+use crate::sweep::{linear_grid, parallel_map_planned};
 use adaptive_clock::system::Scheme;
 
 /// The grid of CDN delays, in multiples of `c`.
@@ -101,119 +98,6 @@ fn run_panels(ctx: &RunCtx, panels: &[(f64, f64)], points: usize) -> Vec<Experim
             assemble_panel(ctx, t_clk_over_c, te_over_c, &mus, &labelled)
         })
         .collect()
-}
-
-/// Every `COARSE_STRIDE`-th μ point of a fast panel is run cold; the
-/// points in between are warm-started from their nearest cold neighbour.
-pub const COARSE_STRIDE: usize = 4;
-
-/// Warm-started variant of [`run_panel`]: coarse-to-fine over the μ grid.
-///
-/// Wave 1 runs every [`COARSE_STRIDE`]-th μ (plus the last) cold, with the
-/// full `params.warmup`. Wave 2 runs the remaining points with the RO
-/// seeded at the nearest coarse neighbour's settled length
-/// ([`settled_length`]) and a quarter of the warm-up, since the loop starts
-/// within a few stages of its operating point. The measurement window
-/// keeps its classic length, so the produced curves match [`run_panel`] to
-/// well under a percent while simulating substantially fewer samples.
-/// Warm-up samples saved by the warm starts accumulate on the
-/// `margin_search.iterations_saved` counter of `ctx.telemetry`.
-pub fn run_panel_fast(
-    ctx: &RunCtx,
-    t_clk_over_c: f64,
-    te_over_c: f64,
-    points: usize,
-) -> ExperimentResult {
-    let params = &ctx.params;
-    let mus = linear_grid(-0.2, 0.2, points);
-    let warmup_fast = (params.warmup / 4).max(64).min(params.warmup);
-    let schemes = panel_schemes();
-    let coarse: Vec<usize> = (0..mus.len())
-        .filter(|&i| i % COARSE_STRIDE == 0 || i + 1 == mus.len())
-        .collect();
-    let fine: Vec<usize> = (0..mus.len()).filter(|i| !coarse.contains(i)).collect();
-
-    // Wave 1: cold anchor runs on the coarse sub-grid.
-    struct Task {
-        scheme: Scheme,
-        mu: f64,
-    }
-    let mut cold_tasks = Vec::new();
-    for scheme in &schemes {
-        for &i in &coarse {
-            cold_tasks.push(Task {
-                scheme: scheme.clone(),
-                mu: mus[i],
-            });
-        }
-    }
-    let cold_runs = parallel_map(&cold_tasks, |t| {
-        run_scheme(
-            ctx,
-            t.scheme.clone(),
-            OperatingPoint::new(t_clk_over_c, te_over_c).with_mu(t.mu),
-        )
-    });
-
-    // Wave 2: the remaining points, each warm-started from the settled RO
-    // length of its nearest coarse neighbour (closed-loop RO schemes only —
-    // the free RO's length and the fixed clock are set at design time).
-    struct WarmTask {
-        scheme: Scheme,
-        mu: f64,
-        init: Option<i64>,
-    }
-    let mut warm_tasks = Vec::new();
-    for scheme in &schemes {
-        let warmable = matches!(scheme.label(), "IIR RO" | "TEAtime RO");
-        for &i in &fine {
-            let nearest = coarse
-                .iter()
-                .copied()
-                .min_by_key(|&j| j.abs_diff(i))
-                .expect("coarse grid is non-empty");
-            let init = if warmable {
-                cold_tasks
-                    .iter()
-                    .zip(&cold_runs)
-                    .find(|(t, _)| t.scheme.label() == scheme.label() && t.mu == mus[nearest])
-                    .and_then(|(_, r)| settled_length(r))
-            } else {
-                None
-            };
-            warm_tasks.push(WarmTask {
-                scheme: scheme.clone(),
-                mu: mus[i],
-                init,
-            });
-        }
-    }
-    let warm_runs = parallel_map(&warm_tasks, |t| {
-        run_scheme_warm(
-            ctx,
-            t.scheme.clone(),
-            OperatingPoint::new(t_clk_over_c, te_over_c).with_mu(t.mu),
-            t.init,
-            warmup_fast,
-        )
-    });
-    let saved = params.warmup.saturating_sub(warmup_fast) * warm_tasks.len();
-    ctx.telemetry
-        .counter("margin_search.iterations_saved")
-        .add(saved as u64);
-
-    let labelled: Vec<(&'static str, f64, RunSummary)> = cold_tasks
-        .iter()
-        .zip(&cold_runs)
-        .map(|(t, r)| (t.scheme.label(), t.mu, RunSummary::of(r)))
-        .chain(
-            warm_tasks
-                .iter()
-                .zip(&warm_runs)
-                .map(|(t, r)| (t.scheme.label(), t.mu, RunSummary::of(r))),
-        )
-        .collect();
-    assemble_panel(ctx, t_clk_over_c, te_over_c, &mus, &labelled)
 }
 
 /// Turn a panel's complete `(scheme, μ) → run summary` grid into the three
@@ -417,31 +301,6 @@ mod tests {
             "IIR compensated period must be flat: spread {} (raw {lo}..{hi})",
             chi - clo
         );
-    }
-
-    #[test]
-    fn fast_panel_matches_classic_and_banks_saved_iterations() {
-        let telemetry = Telemetry::enabled();
-        let classic = run_panel(&ctx(), 1.0, 37.5, 5);
-        let fast = run_panel_fast(&ctx().with_telemetry(telemetry.clone()), 1.0, 37.5, 5);
-        assert_eq!(fast.series.len(), classic.series.len());
-        for s in &classic.series {
-            let f = fast.series_named(&s.label).expect("same series line-up");
-            assert_eq!(f.x, s.x);
-            for ((&mu, &a), &b) in s.x.iter().zip(&s.y).zip(&f.y) {
-                assert!(
-                    (a - b).abs() < 0.02,
-                    "{} at mu={mu}: classic {a} vs fast {b}",
-                    s.label
-                );
-            }
-        }
-        let saved = telemetry
-            .snapshot()
-            .counter("margin_search.iterations_saved")
-            .unwrap_or(0);
-        // 3 warm μ points × 4 schemes, each saving warmup − warmup/4 samples.
-        assert!(saved > 0, "warm starts must bank saved warm-up iterations");
     }
 
     #[test]

@@ -331,6 +331,14 @@ fn run_constraints(_inv: &Invocation<'_>) -> bool {
 /// `--compare <baseline.json>` the fresh speedups are then checked against
 /// the stored baseline, and a regression fails the run.
 fn run_bench(inv: &Invocation<'_>) -> bool {
+    // Load the baseline first, so a bad path fails before the timed run.
+    let baseline = match inv.compare.map(bench::BenchReport::load).transpose() {
+        Ok(b) => b,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return false;
+        }
+    };
     let report = bench::run(&inv.ctx.params, inv.quick);
     if let Some(path) = inv.json_path {
         let payload = report.to_json().expect("plain data serializes");
@@ -345,15 +353,14 @@ fn run_bench(inv: &Invocation<'_>) -> bool {
     } else {
         println!("{}", bench::render(&report));
     }
-    if let Some(path) = inv.compare {
-        let baseline = match bench::BenchReport::load(path) {
-            Ok(b) => b,
+    if let (Some(path), Some(baseline)) = (inv.compare, baseline) {
+        let cmp = match bench::compare(&report, &baseline, inv.noise) {
+            Ok(cmp) => cmp,
             Err(e) => {
-                eprintln!("error: {e}");
+                eprintln!("error: cannot compare against {path}: {e}");
                 return false;
             }
         };
-        let cmp = bench::compare(&report, &baseline, inv.noise);
         println!("{}", bench::render_compare(&cmp, &baseline));
         if cmp.regressed() {
             eprintln!("error: benchmark speedups regressed against {path}");

@@ -4,9 +4,10 @@
 //! trace, and the declarative [`SweepSpec`] pipeline Fig.-8-style panels
 //! are built from.
 
-use adaptive_clock::system::{Scheme, SystemBuilder};
+use adaptive_clock::event::{SummarySink, TraceSink};
+pub use adaptive_clock::system::RunSummary;
+use adaptive_clock::system::{Scheme, System, SystemBuilder};
 use adaptive_clock::RunTrace;
-use clock_metrics::margin;
 use clock_rescache::Key;
 use clock_telemetry::{Event, Telemetry};
 use variation::sources::Harmonic;
@@ -123,10 +124,9 @@ pub fn adaptive_schemes() -> Vec<Scheme> {
     ]
 }
 
-/// Run `scheme` at the operating point and return the post-warm-up trace.
-/// The underlying event loop reports its counters and
-/// violation/saturation/update events through `ctx.telemetry`.
-pub fn run_scheme(ctx: &RunCtx, scheme: Scheme, point: OperatingPoint) -> RunTrace {
+/// The validated system, HoDV waveform and sample budget of `scheme` at
+/// the operating point, with `ctx.telemetry` attached to the event loop.
+fn system_at(ctx: &RunCtx, scheme: Scheme, point: OperatingPoint) -> (System, Harmonic, usize) {
     let c = ctx.params.setpoint;
     let hodv = Harmonic::new(ctx.params.amplitude(), point.te_over_c * c as f64, 0.0);
     let system = SystemBuilder::new(c)
@@ -136,155 +136,25 @@ pub fn run_scheme(ctx: &RunCtx, scheme: Scheme, point: OperatingPoint) -> RunTra
         .telemetry(ctx.telemetry.clone())
         .build()
         .expect("paper operating points are valid configurations");
-    let samples = ctx.params.samples_for(point.te_over_c);
-    system.run(&hodv, samples).skip(ctx.params.warmup)
+    (system, hodv, ctx.params.samples_for(point.te_over_c))
 }
 
-/// [`run_scheme`] with a warm start: the RO begins at `initial_length`
-/// (when given) and only `warmup` samples are discarded instead of the
-/// full `ctx.params.warmup`.
-///
-/// The measurement window keeps its classic length
-/// (`params.samples_for(…) − params.warmup`), so the statistics stay
-/// comparable with a cold run; only the discarded transient shrinks. Sweeps
-/// seed `initial_length` from [`settled_length`] of a neighbouring grid
-/// point, which puts the loop within a few stages of its operating point
-/// from sample zero.
-pub fn run_scheme_warm(
-    ctx: &RunCtx,
-    scheme: Scheme,
-    point: OperatingPoint,
-    initial_length: Option<i64>,
-    warmup: usize,
-) -> RunTrace {
-    let c = ctx.params.setpoint;
-    let hodv = Harmonic::new(ctx.params.amplitude(), point.te_over_c * c as f64, 0.0);
-    let mut builder = SystemBuilder::new(c)
-        .cdn_delay(point.t_clk_over_c * c as f64)
-        .scheme(scheme)
-        .single_sensor_mu(point.mu_over_c * c as f64)
-        .telemetry(ctx.telemetry.clone());
-    if let Some(length) = initial_length {
-        builder = builder.initial_length(length);
-    }
-    let system = builder
-        .build()
-        .expect("paper operating points are valid configurations");
-    let window = ctx
-        .params
-        .samples_for(point.te_over_c)
-        .saturating_sub(ctx.params.warmup);
-    system.run(&hodv, warmup + window).skip(warmup)
+/// Run `scheme` at the operating point and return the post-warm-up trace
+/// (the warm-up is stepped but never recorded).
+/// The underlying event loop reports its counters and
+/// violation/saturation/update events through `ctx.telemetry`.
+pub fn run_scheme(ctx: &RunCtx, scheme: Scheme, point: OperatingPoint) -> RunTrace {
+    let (system, hodv, samples) = system_at(ctx, scheme, point);
+    system.run_with(&hodv, samples, TraceSink::with_warmup(ctx.params.warmup))
 }
 
-/// The RO length a run settled to, read off its last sample — the seed for
-/// warm-starting the neighbouring grid point via [`run_scheme_warm`].
-pub fn settled_length(run: &RunTrace) -> Option<i64> {
-    run.samples().last().map(|s| s.lro.round() as i64)
-}
-
-/// Everything the sweep figures read off a post-warm-up run, reduced to
-/// six floats so a grid point caches in one small record instead of a
-/// multi-thousand-sample trace. Each statistic is computed by the *same*
-/// fold as the `RunTrace` methods, so figures assembled from summaries are
-/// bit-identical to figures assembled from traces.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RunSummary {
-    /// The set-point the run used.
-    pub setpoint: f64,
-    /// Recorded (post-warm-up) sample count.
-    pub samples: u64,
-    /// Mean generated period ([`RunTrace::mean_period`]).
-    pub mean_period: f64,
-    /// Needed safety margin ([`RunTrace::worst_negative_error`]).
-    pub worst_negative_error: f64,
-    /// Performance left on the table ([`RunTrace::worst_positive_error`]).
-    pub worst_positive_error: f64,
-    /// RO length at the last sample (NaN when the run is empty) — the
-    /// warm-start seed.
-    pub last_lro: f64,
-}
-
-impl RunSummary {
-    /// Flat-record arity (the cache payload schema).
-    pub const FIELDS: usize = 6;
-
-    /// Summarize a run.
-    pub fn of(run: &RunTrace) -> Self {
-        RunSummary {
-            setpoint: run.setpoint(),
-            samples: run.len() as u64,
-            mean_period: run.mean_period(),
-            worst_negative_error: run.worst_negative_error(),
-            worst_positive_error: run.worst_positive_error(),
-            last_lro: run.samples().last().map_or(f64::NAN, |s| s.lro),
-        }
-    }
-
-    /// The summary as a flat cache record.
-    pub fn to_values(self) -> [f64; Self::FIELDS] {
-        [
-            self.setpoint,
-            self.samples as f64,
-            self.mean_period,
-            self.worst_negative_error,
-            self.worst_positive_error,
-            self.last_lro,
-        ]
-    }
-
-    /// Rebuild from [`RunSummary::to_values`]; `None` on any other arity.
-    pub fn from_values(values: &[f64]) -> Option<Self> {
-        let [setpoint, samples, mean_period, worst_negative_error, worst_positive_error, last_lro] =
-            *values
-        else {
-            return None;
-        };
-        Some(RunSummary {
-            setpoint,
-            samples: samples as u64,
-            mean_period,
-            worst_negative_error,
-            worst_positive_error,
-            last_lro,
-        })
-    }
-
-    /// The minimal error-free margin, `max(0, max_n (c − τ[n]))`.
-    pub fn required_margin(&self) -> f64 {
-        self.worst_negative_error
-    }
-
-    /// Mean period once margined: `⟨T⟩ + m*` (cf.
-    /// [`margin::adaptive_needed_period`]).
-    pub fn needed_adaptive_period(&self) -> f64 {
-        self.mean_period + self.worst_negative_error
-    }
-
-    /// Fixed-clock period needed for error-free operation (cf.
-    /// [`margin::needed_fixed_period`]).
-    pub fn needed_fixed_period(&self) -> f64 {
-        self.setpoint + self.worst_negative_error
-    }
-
-    /// The paper's figure of merit against a fixed-clock baseline run (cf.
-    /// [`margin::relative_adaptive_period`]).
-    pub fn relative_to(&self, fixed: &RunSummary) -> f64 {
-        self.needed_adaptive_period() / fixed.needed_fixed_period()
-    }
-
-    /// Figure of merit under an externally-imposed margin (the free RO's
-    /// design margin in Fig. 9).
-    pub fn relative_with_margin(&self, margin: f64, fixed: &RunSummary) -> f64 {
-        (self.mean_period + margin) / fixed.needed_fixed_period()
-    }
-
-    /// The settled RO length, when the run recorded anything.
-    pub fn settled_length(&self) -> Option<i64> {
-        self.last_lro
-            .is_finite()
-            .then(|| self.last_lro.round() as i64)
-    }
+/// [`run_scheme`] folded straight into its [`RunSummary`] by a
+/// [`SummarySink`], without recording the trace: bit-identical to
+/// `RunSummary::of(&run_scheme(ctx, scheme, point))`, with the same
+/// telemetry.
+fn summarize_scheme(ctx: &RunCtx, scheme: Scheme, point: OperatingPoint) -> RunSummary {
+    let (system, hodv, samples) = system_at(ctx, scheme, point);
+    system.run_with(&hodv, samples, SummarySink::with_warmup(ctx.params.warmup))
 }
 
 /// The content key of one `(params, scheme, operating point)` standard run
@@ -318,8 +188,7 @@ pub fn summary_probe(ctx: &RunCtx, scheme: &Scheme, point: OperatingPoint) -> Pl
 
 /// Run the point for real, summarize, and backfill the cache.
 pub fn summary_compute(ctx: &RunCtx, scheme: &Scheme, point: OperatingPoint) -> RunSummary {
-    let run = run_scheme(ctx, scheme.clone(), point);
-    let summary = RunSummary::of(&run);
+    let summary = summarize_scheme(ctx, scheme.clone(), point);
     ctx.cache.put_f64s(
         summary_key(&ctx.params, scheme, point),
         &summary.to_values(),
@@ -332,9 +201,9 @@ pub fn summary_compute(ctx: &RunCtx, scheme: &Scheme, point: OperatingPoint) -> 
 /// waveform and mismatch. Instrumentation is attached to the adaptive run
 /// only (the baseline stays unobserved so events are not doubled).
 pub fn relative_period(ctx: &RunCtx, scheme: Scheme, point: OperatingPoint) -> f64 {
-    let adaptive = run_scheme(ctx, scheme, point);
-    let fixed = run_scheme(&ctx.unobserved(), Scheme::Fixed, point);
-    margin::relative_adaptive_period(&adaptive, &fixed)
+    let adaptive = summarize_scheme(ctx, scheme, point);
+    let fixed = summarize_scheme(&ctx.unobserved(), Scheme::Fixed, point);
+    adaptive.relative_to(&fixed)
 }
 
 /// The declarative description of one Fig.-8-style sweep panel: a grid of
@@ -471,28 +340,36 @@ mod tests {
         assert!((m - 12.8).abs() < 1.2, "fixed margin {m}");
     }
 
+    /// A point's post-warm-up trace (recorded once, warm-up never stored)
+    /// is the full run with the warm-up skipped, and its traceless summary
+    /// is that trace summarized: every sample and every summary field bit
+    /// for bit, for every scheme, at friendly and hostile points.
     #[test]
-    fn warm_run_reproduces_cold_statistics_with_quarter_warmup() {
+    fn point_runs_equal_the_skipped_full_trace() {
         let ctx = RunCtx::new(PaperParams::default());
-        let point = OperatingPoint::new(1.0, 50.0);
-        let cold = run_scheme(&ctx, Scheme::iir_paper(), point);
-        let seed = settled_length(&cold).expect("cold run has samples");
-        let warm = run_scheme_warm(
-            &ctx,
+        for scheme in [
+            Scheme::Fixed,
+            Scheme::FreeRo { extra_length: 0 },
+            Scheme::TeaTime,
             Scheme::iir_paper(),
-            point,
-            Some(seed),
-            ctx.params.warmup / 4,
-        );
-        assert_eq!(warm.len(), cold.len(), "window length must be preserved");
-        assert!(
-            (warm.mean_period() - cold.mean_period()).abs() < 0.5,
-            "warm mean {} vs cold {}",
-            warm.mean_period(),
-            cold.mean_period()
-        );
-        let dm = (margin::required_margin(&warm) - margin::required_margin(&cold)).abs();
-        assert!(dm < 1.5, "margins differ by {dm}");
+        ] {
+            for point in [
+                OperatingPoint::new(1.0, 50.0),
+                OperatingPoint::new(0.75, 25.0).with_mu(-0.2),
+                OperatingPoint::new(1.25, 37.5).with_mu(0.15),
+            ] {
+                let (system, hodv, samples) = system_at(&ctx, scheme.clone(), point);
+                let skipped = system.run(&hodv, samples).skip(ctx.params.warmup);
+                let what = format!("{} at {point:?}", scheme.label());
+                assert_eq!(run_scheme(&ctx, scheme.clone(), point), skipped, "{what}");
+                let bits = |s: RunSummary| s.to_values().map(f64::to_bits);
+                assert_eq!(
+                    bits(summarize_scheme(&ctx, scheme.clone(), point)),
+                    bits(RunSummary::of(&skipped)),
+                    "{what}"
+                );
+            }
+        }
     }
 
     fn small_spec() -> SweepSpec<'static, fn(f64) -> OperatingPoint> {

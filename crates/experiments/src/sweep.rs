@@ -74,14 +74,22 @@ pub fn thread_override() -> Option<usize> {
     }
 }
 
-/// Workers to spawn for `pending` dispatchable items.
-fn worker_count(pending: usize) -> usize {
-    let base = thread_override().unwrap_or_else(|| {
+/// The sweep worker pool size: the [`set_threads`] override when one is
+/// set, otherwise `available_parallelism`. A sweep runs at most this many
+/// workers (fewer when it has fewer pending items), the calling thread
+/// being one of them.
+pub(crate) fn pool_size() -> usize {
+    thread_override().unwrap_or_else(|| {
         std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1)
-    });
-    base.min(pending).max(1)
+    })
+}
+
+/// Workers to run, the calling thread included, for `pending`
+/// dispatchable items.
+fn worker_count(pending: usize) -> usize {
+    pool_size().min(pending).max(1)
 }
 
 /// Format one progress line: completed points, rate and ETA after `secs`
@@ -407,62 +415,63 @@ where
     // claimed, and the payload (stashed once) propagates after the scope.
     let abort = AtomicBool::new(false);
     let cancel_slot: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-    // Workers run on their own threads, so the thread-local span nesting
-    // breaks there: capture the enclosing span here and parent each
-    // worker's span explicitly.
+    // Spawned workers run on their own threads, so the thread-local span
+    // nesting breaks there: capture the enclosing span here and parent
+    // each worker's span explicitly.
     let dispatch_parent = telemetry.current_span();
     let (tx, rx) = mpsc::channel::<(usize, Result<R, String>)>();
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let tx = tx.clone();
-            let cursor = &cursor;
-            let order = &order;
-            let drained_at_us = &drained_at_us;
-            let abort = &abort;
-            let cancel_slot = &cancel_slot;
-            let f = &f;
-            let telemetry = &telemetry;
-            scope.spawn(move || {
-                let mut worker_scope = telemetry.scope_under(dispatch_parent, "sweep.worker");
-                worker_scope.attr("worker", w);
-                let mut claimed = 0usize;
-                'claim: loop {
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= p {
-                        let _ = drained_at_us.compare_exchange(
-                            u64::MAX,
-                            started.elapsed().as_micros() as u64,
-                            Ordering::Relaxed,
-                            Ordering::Relaxed,
-                        );
-                        break;
-                    }
-                    let end = (start + chunk).min(p);
-                    claimed += end - start;
-                    for &i in &order[start..end] {
-                        let result = match catch_unwind(AssertUnwindSafe(|| f(&items[i]))) {
-                            Ok(r) => Ok(r),
-                            Err(payload) if is_cancel(&*payload) => {
-                                let mut slot = cancel_slot.lock().expect("cancel slot lock");
-                                slot.get_or_insert(payload);
-                                abort.store(true, Ordering::Relaxed);
-                                break 'claim;
-                            }
-                            Err(payload) => Err(panic_message(&*payload)),
-                        };
-                        tx.send((i, result)).expect("receiver outlives workers");
-                    }
+    // One claim loop, run by `workers − 1` spawned threads and by the
+    // calling thread as worker 0, so a sweep adds one thread fewer than it
+    // has workers (every thread that allocates can cost the process a
+    // malloc arena). `between` runs after each of the worker's items.
+    let claim =
+        |w: usize, tx: &mpsc::Sender<(usize, Result<R, String>)>, between: &mut dyn FnMut()| {
+            let mut worker_scope = telemetry.scope_under(dispatch_parent, "sweep.worker");
+            worker_scope.attr("worker", w);
+            let mut claimed = 0usize;
+            'claim: loop {
+                if abort.load(Ordering::Relaxed) {
+                    break;
                 }
-                worker_scope.attr("items", claimed);
-            });
+                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+                if start >= p {
+                    let _ = drained_at_us.compare_exchange(
+                        u64::MAX,
+                        started.elapsed().as_micros() as u64,
+                        Ordering::Relaxed,
+                        Ordering::Relaxed,
+                    );
+                    break;
+                }
+                let end = (start + chunk).min(p);
+                claimed += end - start;
+                for &i in &order[start..end] {
+                    let result = match catch_unwind(AssertUnwindSafe(|| f(&items[i]))) {
+                        Ok(r) => Ok(r),
+                        Err(payload) if is_cancel(&*payload) => {
+                            let mut slot = cancel_slot.lock().expect("cancel slot lock");
+                            slot.get_or_insert(payload);
+                            abort.store(true, Ordering::Relaxed);
+                            break 'claim;
+                        }
+                        Err(payload) => Err(panic_message(&*payload)),
+                    };
+                    tx.send((i, result)).expect("receiver outlives workers");
+                    between();
+                }
+            }
+            worker_scope.attr("items", claimed);
+        };
+    std::thread::scope(|scope| {
+        for w in 1..workers {
+            let tx = tx.clone();
+            let claim = &claim;
+            scope.spawn(move || claim(w, &tx, &mut || {}));
         }
-        drop(tx);
-        // The single collector thread also owns the progress line, so
-        // ticks are serialized without extra locking.
-        for (i, r) in rx.iter() {
+        // The calling thread is also the single collector and owns the
+        // progress line, so ticks are serialized without extra locking; it
+        // drains finished results between its own items.
+        let mut collect = |(i, r): (usize, Result<R, String>)| {
             match r {
                 Ok(r) => out[i] = Some(r),
                 Err(msg) => errors.push((i, msg)),
@@ -470,6 +479,15 @@ where
             if let Some(m) = meter.as_mut() {
                 m.tick();
             }
+        };
+        claim(0, &tx, &mut || {
+            while let Ok(done) = rx.try_recv() {
+                collect(done);
+            }
+        });
+        drop(tx);
+        for done in rx.iter() {
+            collect(done);
         }
     });
     if telemetry.is_enabled() {
@@ -861,6 +879,30 @@ mod tests {
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, i as u64 + 7);
         }
+    }
+
+    /// A two-worker sweep runs on the calling thread plus one spawned
+    /// thread: the caller claims items too, so a sweep adds one thread
+    /// fewer than it has workers.
+    #[test]
+    fn calling_thread_is_one_of_the_workers() {
+        let _guard = THREAD_OVERRIDE_LOCK.lock().unwrap();
+        set_threads(Some(2));
+        let caller = std::thread::current().id();
+        // Items 0 and 1 meet at a barrier (one item per claim at this
+        // size), so two distinct threads each hold one of them.
+        let barrier = std::sync::Barrier::new(2);
+        let items: Vec<u64> = (0..16).collect();
+        let ran_on = parallel_map(&items, |&x| {
+            if x < 2 {
+                barrier.wait();
+            }
+            std::thread::current().id()
+        });
+        set_threads(None);
+        let threads: std::collections::HashSet<_> = ran_on.iter().copied().collect();
+        assert_eq!(threads.len(), 2, "two workers run on two threads");
+        assert!(threads.contains(&caller), "the calling thread is a worker");
     }
 
     #[test]

@@ -361,7 +361,7 @@ fn metrics_mode_appends_prometheus_exposition() {
 /// (equivalent to this revision having synthetically slowed that case,
 /// so the compare must fail with a non-zero exit). Doctoring, rather
 /// than comparing two live timings, keeps the test immune to load swings
-/// on a busy test host; the committed `BENCH_7.json` is covered by CI's
+/// on a busy test host; the committed `BENCH_8.json` is covered by CI's
 /// release-mode `bench-compare` job and by the compare unit tests.
 #[test]
 fn bench_compare_gates_on_speedup_regressions() {
