@@ -1,6 +1,5 @@
 //! Microbenchmarks of the simulation substrates.
 
-use adaptive_clock::batch::{BatchLoop, TraceSink};
 use adaptive_clock::controller::{FloatIir, IirConfig, IntIirControl, TeaTime};
 use adaptive_clock::loopsim::{constant, DiscreteLoop, LoopInputs};
 use adaptive_clock::system::{Scheme, SystemBuilder};
@@ -8,8 +7,6 @@ use adaptive_clock::tdc::Quantization;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dtsim::blocks::{Constant, Probe, Sum, UnitDelay};
 use dtsim::GraphBuilder;
-use experiments::bench::{lane_specs, scaling_specs};
-use experiments::config::PaperParams;
 use std::hint::black_box;
 use variation::sources::Harmonic;
 use zdomain::{jury_stable, polynomial_roots, Polynomial};
@@ -58,59 +55,6 @@ fn bench_discrete_loop(c: &mut Criterion) {
             ))
         })
     });
-    g.finish();
-}
-
-/// The SoA [`BatchLoop`] against one-lane-at-a-time [`DiscreteLoop`] runs
-/// on the `repro bench` lane bank, plus a 64-lane bank that forms full
-/// lane blocks.
-fn bench_loop_batching(c: &mut Criterion) {
-    let params = PaperParams::default();
-    let setpoint = params.setpoint;
-    let steps = 10_000usize;
-    let lanes = lane_specs(setpoint).len();
-    let cs = constant(setpoint as f64);
-    let zero = constant(0.0);
-    let amp = params.amplitude();
-    let e_fn = move |n: i64| amp * (std::f64::consts::TAU * n as f64 / 37.5).sin();
-    let inputs = |lanes: usize| -> Vec<LoopInputs<'_>> {
-        (0..lanes)
-            .map(|_| LoopInputs {
-                setpoint: &cs,
-                homogeneous: &e_fn,
-                heterogeneous: &zero,
-            })
-            .collect()
-    };
-
-    let mut g = c.benchmark_group("loop-batching");
-    g.throughput(Throughput::Elements((lanes * steps) as u64));
-    g.bench_function("sequential-lanes", |b| {
-        let input = &inputs(1)[0];
-        b.iter(|| {
-            for (m, ctrl, q) in lane_specs(setpoint) {
-                black_box(DiscreteLoop::new(m, ctrl, q).run(input, steps));
-            }
-        })
-    });
-    for (name, specs) in [
-        ("batched-lanes", lane_specs(setpoint)),
-        ("blocked-64", scaling_specs(setpoint, 0..64)),
-    ] {
-        let mut batch = BatchLoop::new();
-        let n = specs.len();
-        for (m, ctrl, q) in specs {
-            batch.push(m, ctrl, q);
-        }
-        let inputs = inputs(n);
-        g.throughput(Throughput::Elements((n * steps) as u64));
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                batch.reset();
-                black_box(batch.run(&inputs, steps, TraceSink::default()))
-            })
-        });
-    }
     g.finish();
 }
 
@@ -189,7 +133,6 @@ criterion_group!(
     engine,
     bench_event_loop,
     bench_discrete_loop,
-    bench_loop_batching,
     bench_dtsim_graph,
     bench_controllers,
     bench_zdomain

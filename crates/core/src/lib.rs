@@ -86,7 +86,6 @@ pub mod bank;
 pub mod batch;
 pub mod cdn;
 pub mod controller;
-pub mod domains;
 pub mod dtmodel;
 mod error;
 pub mod event;

@@ -33,6 +33,7 @@ use crate::tdc::Quantization;
 
 /// Input sequences of the discrete loop. Functions are queried with signed
 /// indices; return the pre-start value for negative arguments.
+#[derive(Clone, Copy)]
 pub struct LoopInputs<'a> {
     /// Set-point sequence `c[n]`.
     pub setpoint: &'a dyn Fn(i64) -> f64,

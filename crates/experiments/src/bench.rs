@@ -1,38 +1,34 @@
 //! Machine-readable performance benchmarks for the simulation engines.
 //!
-//! Head-to-head comparisons, each reported as steps/second and wall
-//! milliseconds:
+//! [`run`] times one table of cases, each reported as steps/second and
+//! wall milliseconds; a case that names a `baseline` row also reports its
+//! speedup over it:
 //!
-//! 1. **batched vs sequential discrete loops** — a bank of Fig. 4
-//!    recurrences advanced one [`DiscreteLoop`] at a time versus all lanes
-//!    in lock-step through the SoA [`BatchLoop`] engine;
-//! 2. **cold vs warm result cache** — a Fig. 9 panel through
-//!    [`fig9::run_panel`] with a [`RunCtx`] cache attached, against an
-//!    empty and a fully-populated on-disk store;
-//! 3. **FIFO vs longest-job-first dispatch** — a synthetic sweep with a
-//!    few heavy items parked at the end of the grid, scheduled in submission
-//!    order versus by descending cost hint;
-//! 4. **lane-count scaling** — the mixed-scheme lane bank at
-//!    B ∈ {4, 16, 64, 256}: sequential `DiscreteLoop` runs vs the blocked
-//!    lane-block engine, plus the multi-threaded lane-chunk dispatcher at
-//!    64+ lanes;
-//! 5. **traceless summaries & Monte Carlo** — the summary-only block
-//!    path (a [`SummarySink`] run) against the traced blocked
-//!    engine on the same bank, and the traceless
-//!    [`McPanel`] against the per-instance
-//!    pre-batch harness (one `System` event-loop run per sampled
-//!    instance, the `runner::run_scheme` shape);
-//! 6. **domain-bank scaling** — N uniform IIR clock domains at
-//!    N ∈ {16, 64, 256}: one `DiscreteLoop` object per domain (the
-//!    pre-bank ownership shape) versus the same domains as a single
-//!    [`DomainBank`](adaptive_clock::bank::DomainBank) behind the
-//!    traceless summary path — the shape the mesh and yield layers run.
+//! - **batched vs sequential discrete loops** (`loop-*`, `lanes-*`) — a
+//!   bank of Fig. 4 recurrences advanced one [`DiscreteLoop`] at a time
+//!   versus all lanes through the blocked [`BatchLoop`] engine, at
+//!   B ∈ {16 (the `loop-*` bank), 4, 16, 64, 256} lanes, plus the
+//!   multi-threaded lane-chunk dispatcher at 64+ lanes;
+//! - **cold vs warm result cache** (`fig9-*`) — a Fig. 9 panel through
+//!   [`fig9::run_panel`] with a [`RunCtx`] cache attached, against an
+//!   empty and a fully-populated on-disk store;
+//! - **FIFO vs longest-job-first dispatch** (`sweep-*`) — a synthetic
+//!   sweep with a few heavy items parked at the end of the grid;
+//! - **traced vs traceless** (`summaries-*`, `mc-panel-*`) — the blocked
+//!   engine into a [`SummarySink`] against the recycled trace on the same
+//!   bank, and the traceless [`McPanel`] against one `System` event-loop
+//!   run per sampled instance (the `runner::run_scheme` shape);
+//! - **domain-bank scaling** (`domains-*`) — N uniform IIR clock domains
+//!   at N ∈ {16, 64, 256}: one `DiscreteLoop` per domain versus the same
+//!   domains as one bank behind the traceless summary path.
 //!
-//! `repro bench --json BENCH.json` writes the whole report as JSON, so CI
-//! and the committed `BENCH_*.json` trajectory files can track the numbers
-//! across revisions.
+//! Adding a case is adding one row to [`run`]'s table. `repro bench --json
+//! BENCH.json` writes the whole report as JSON, so CI and the committed
+//! `BENCH_*.json` trajectory files can track the numbers across revisions.
 
 use std::fmt;
+use std::hint::black_box;
+use std::ops::Range;
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
@@ -166,487 +162,161 @@ pub fn git_revision() -> Option<String> {
     (!rev.is_empty()).then_some(rev)
 }
 
-/// The bank of discrete-loop lanes the batching benchmark advances: all
-/// four controller kinds across CDN depths `M ∈ {0, 1, 2}`. Public so the
-/// criterion harness (`benches/engine.rs`) times the identical bank.
-pub fn lane_specs(c: i64) -> Vec<(usize, Controller, Quantization)> {
-    let mut lanes = Vec::new();
-    for i in 0..4 {
-        let m = i % 3;
-        lanes.push((
-            m,
-            Controller::int_iir(&IirConfig::paper(), c).expect("paper config"),
-            Quantization::Floor,
-        ));
-        lanes.push((
-            m,
-            Controller::float_iir(&IirConfig::paper(), c as f64).expect("paper config"),
-            Quantization::None,
-        ));
-        lanes.push((m, Controller::teatime(c, 1.0), Quantization::Floor));
-        lanes.push((m, Controller::free(c), Quantization::Floor));
-    }
-    lanes
+/// One lane of a benchmark bank: CDN depth `M`, controller, quantization.
+type Spec = (usize, Controller, Quantization);
+
+/// Lane `k` of a mixed-scheme bank at CDN depth `m`: the integer IIR,
+/// float IIR, TEAtime and free controllers cycle with `k`.
+fn lane(c: i64, k: usize, m: usize) -> Spec {
+    let iir = IirConfig::paper();
+    let (ctrl, q) = match k % 4 {
+        0 => (Controller::int_iir(&iir, c), Quantization::Floor),
+        1 => (Controller::float_iir(&iir, c as f64), Quantization::None),
+        2 => (Ok(Controller::teatime(c, 1.0)), Quantization::Floor),
+        _ => (Ok(Controller::free(c)), Quantization::Floor),
+    };
+    (m, ctrl.expect("paper config"), q)
 }
 
-/// Lane specs for the scaling section and the lane-chunk dispatcher: the
-/// same four-scheme × CDN-depth pattern as [`lane_specs`], cycled over an
-/// arbitrary half-open lane range so a dispatcher chunk can rebuild
-/// exactly its share of the bank.
-pub fn scaling_specs(
-    c: i64,
-    lanes: std::ops::Range<usize>,
-) -> Vec<(usize, Controller, Quantization)> {
-    lanes
-        .map(|i| {
-            let m = i % 3;
-            match i % 4 {
-                0 => (
-                    m,
-                    Controller::int_iir(&IirConfig::paper(), c).expect("paper config"),
-                    Quantization::Floor,
-                ),
-                1 => (
-                    m,
-                    Controller::float_iir(&IirConfig::paper(), c as f64).expect("paper config"),
-                    Quantization::None,
-                ),
-                2 => (m, Controller::teatime(c, 1.0), Quantization::Floor),
-                _ => (m, Controller::free(c), Quantization::Floor),
-            }
-        })
-        .collect()
+/// The `loop-*` bank: the four controllers at each CDN depth `M = 0, 1, 2, 0`.
+fn lane_specs(c: i64) -> Vec<Spec> {
+    (0..16).map(|k| lane(c, k, k / 4 % 3)).collect()
 }
 
-fn time_ms(f: impl FnOnce()) -> f64 {
+/// The mixed bank over a lane range at depth `M = k mod 3`, so a dispatcher
+/// chunk can rebuild exactly its share of the bank.
+fn scaling_specs(c: i64, lanes: Range<usize>) -> Vec<Spec> {
+    lanes.map(|k| lane(c, k, k % 3)).collect()
+}
+
+/// Wall milliseconds of `f`, its result dropped inside the timing.
+fn time_ms<T>(f: impl FnOnce() -> T) -> f64 {
     let t0 = Instant::now();
-    f();
+    black_box(f());
     t0.elapsed().as_secs_f64() * 1e3
 }
 
-/// Repetitions per timed case: wall-clock noise on a shared box easily
-/// exceeds the engine differences, so every case is timed `REPS` times and
-/// the minimum (the least-disturbed run) is reported. Best-of-3 was
-/// measured to still invert orderings on this hardware, and best-of-7 is
-/// stable for compute-bound cases — but the memory-heavy long-horizon
-/// cases show a right-skewed per-rep distribution (a measured 15-rep
-/// spread of 33–85 ms for the same workload) whose minimum best-of-7
-/// frequently misses. Best-of-15 pins the minima of both kinds.
+/// Repetitions per row, the least disturbed reported: best-of-7 missed the
+/// minimum of memory-heavy rows, whose per-rep spread is right-skewed.
 const REPS: usize = 15;
+
+/// One timed repetition of a row, returning its wall milliseconds.
+type Rep<'a> = Box<dyn FnMut() -> f64 + 'a>;
+
+/// One row of the bench table. `setup` builds the row's bank, inputs or
+/// cache directory just before the row is timed and returns its timed
+/// repetition; `baseline` names the earlier row its speedup is taken over.
+struct Row<'a> {
+    name: String,
+    baseline: Option<String>,
+    detail: String,
+    steps: u64,
+    setup: Box<dyn FnOnce() -> Rep<'a> + 'a>,
+}
+
+impl<'a> Row<'a> {
+    fn new(name: &str, detail: &str, steps: u64, setup: impl FnOnce() -> Rep<'a> + 'a) -> Self {
+        Row {
+            name: name.to_owned(),
+            baseline: None,
+            detail: detail.to_owned(),
+            steps,
+            setup: Box::new(setup),
+        }
+    }
+
+    /// Take this row's speedup over the earlier row `baseline`.
+    fn against(mut self, baseline: &str) -> Self {
+        self.baseline = Some(baseline.to_owned());
+        self
+    }
+}
 
 fn best_ms(reps: usize, mut run_once: impl FnMut() -> f64) -> f64 {
     (0..reps).map(|_| run_once()).fold(f64::INFINITY, f64::min)
 }
 
-fn entry(name: &str, detail: &str, steps: u64, wall_ms: f64) -> BenchEntry {
-    BenchEntry {
-        name: name.to_owned(),
-        detail: detail.to_owned(),
-        steps,
-        wall_ms,
-        steps_per_sec: steps as f64 / (wall_ms / 1e3).max(1e-12),
-        baseline: None,
-        speedup: None,
+/// A repetition that times `f` and nothing else.
+fn timed<'a, T>(mut f: impl FnMut() -> T + 'a) -> Rep<'a> {
+    Box::new(move || time_ms(&mut f))
+}
+
+/// The lanes of `specs()` run one [`DiscreteLoop`] at a time, the specs
+/// built inside the timing as a per-loop caller builds them.
+fn sequential<'a>(specs: impl Fn() -> Vec<Spec> + 'a, input: LoopInputs<'a>, n: usize) -> Rep<'a> {
+    timed(move || {
+        for (m, ctrl, q) in specs() {
+            black_box(DiscreteLoop::new(m, ctrl, q).run(&input, n));
+        }
+    })
+}
+
+/// Where a [`blocked`] bank's periods go.
+enum Drain {
+    Trace,
+    TraceSummarized,
+    Summary,
+}
+
+/// The lanes of `specs` as one [`BatchLoop`], `reset` before each rep.
+/// Traces are recycled between reps (`TraceSink::recycling`), as the heap
+/// already reuses the sequential baselines' per-lane allocations: a fresh
+/// multi-MB trace per rep would time the allocator's page faults.
+fn blocked<'a>(specs: Vec<Spec>, input: LoopInputs<'a>, n: usize, drain: Drain) -> Rep<'a> {
+    let inputs = vec![input; specs.len()];
+    let mut bank = BatchLoop::new();
+    for (m, ctrl, q) in specs {
+        bank.push(m, ctrl, q);
     }
+    let mut spare = BatchTrace::default();
+    Box::new(move || {
+        bank.reset();
+        if matches!(drain, Drain::Summary) {
+            return time_ms(|| bank.run(&inputs, n, SummarySink::default()));
+        }
+        let mut out = BatchTrace::default();
+        let sink = TraceSink::recycling(std::mem::take(&mut spare));
+        let ms = time_ms(|| {
+            out = bank.run(&inputs, n, sink);
+            if matches!(drain, Drain::TraceSummarized) {
+                black_box(out.summarize());
+            }
+            black_box(&out);
+        });
+        spare = out;
+        ms
+    })
 }
 
 /// Run the full benchmark suite. `quick` shrinks every workload by roughly
 /// an order of magnitude for CI smoke runs; the comparisons stay the same.
 pub fn run(params: &PaperParams, quick: bool) -> BenchReport {
-    let mut entries = Vec::new();
-
-    // 1. Discrete-loop bank: sequential DiscreteLoop vs SoA BatchLoop.
-    let c = params.setpoint;
-    let loop_steps: usize = if quick { 20_000 } else { 200_000 };
-    let specs = lane_specs(c);
-    let n_lanes = specs.len();
-    let cs = constant(c as f64);
-    let zero = constant(0.0);
+    let pick = |quick_size: usize, full_size: usize| if quick { quick_size } else { full_size };
+    let (c, workers) = (params.setpoint, crate::sweep::pool_size());
+    let off = &Telemetry::disabled();
+    let (cs, zero) = (&constant(c as f64), &constant(0.0));
     let amp = params.amplitude();
-    let e_fn = move |n: i64| amp * (std::f64::consts::TAU * n as f64 / 37.5).sin();
-    let seq_ms = best_ms(REPS, || {
-        time_ms(|| {
-            for (m, ctrl, q) in lane_specs(c) {
-                let mut dl = DiscreteLoop::new(m, ctrl, q);
-                std::hint::black_box(dl.run(
-                    &LoopInputs {
-                        setpoint: &cs,
-                        homogeneous: &e_fn,
-                        heterogeneous: &zero,
-                    },
-                    loop_steps,
-                ));
-            }
-        })
-    });
-    let mut batch = BatchLoop::new();
-    for (m, ctrl, q) in specs {
-        batch.push(m, ctrl, q);
-    }
-    let inputs: Vec<LoopInputs<'_>> = (0..n_lanes)
-        .map(|_| LoopInputs {
-            setpoint: &cs,
-            homogeneous: &e_fn,
-            heterogeneous: &zero,
-        })
-        .collect();
-    // Steady-state protocol: the trace is recycled between reps
-    // (`TraceSink::recycling`), matching the sequential baseline whose per-lane
-    // sub-threshold allocations the heap already reuses across reps. A
-    // fresh 3 × 25 MB trace per rep would otherwise re-measure the
-    // allocator's page-fault + zeroing cycle, not the engine.
-    let mut spare = BatchTrace::default();
-    let batch_ms = best_ms(REPS, || {
-        batch.reset();
-        let mut out = BatchTrace::default();
-        let ms = time_ms(|| {
-            out = batch.run(
-                &inputs,
-                loop_steps,
-                TraceSink::recycling(std::mem::take(&mut spare)),
-            );
-            std::hint::black_box(&out);
-        });
-        spare = out;
-        ms
-    });
-    let lane_steps = (n_lanes * loop_steps) as u64;
-    entries.push(entry(
-        "loop-sequential",
-        &format!("{n_lanes} Fig. 4 lanes x {loop_steps} periods, one DiscreteLoop at a time"),
-        lane_steps,
-        seq_ms,
-    ));
-    let mut e = entry(
-        "loop-batched",
-        &format!("{n_lanes} Fig. 4 lanes x {loop_steps} periods in SoA lock-step"),
-        lane_steps,
-        batch_ms,
-    );
-    e.baseline = Some("loop-sequential".to_owned());
-    e.speedup = Some(seq_ms / batch_ms.max(1e-12));
-    entries.push(e);
-
-    // 2. A Fig. 9 panel through the result cache: every grid point
-    // a miss (cold store, fresh dir per rep) vs every point a hit (store
-    // populated once, reopened per rep so hits pay the disk read + decode,
-    // not just the in-memory read-through).
-    let points = if quick { 5 } else { 9 };
-    let (t_clk, te) = (1.0, 37.5);
-    let panel_steps = 4 * points as u64 * params.samples_for(te) as u64;
-    let cache_root = std::env::temp_dir().join(format!("repro-bench-cache-{}", std::process::id()));
-    let off = Telemetry::disabled();
-    let mut rep = 0u32;
-    let cold_ms = best_ms(REPS, || {
-        rep += 1;
-        let dir = cache_root.join(format!("cold-{rep}"));
-        let cache = SweepCache::persistent(&dir, &off).expect("temp cache dir");
-        let ctx = RunCtx::new(*params).with_cache(cache);
-        let ms = time_ms(|| {
-            std::hint::black_box(fig9::run_panel(&ctx, t_clk, te, points));
-        });
-        let _ = std::fs::remove_dir_all(&dir);
-        ms
-    });
-    let warm_dir = cache_root.join("warm");
-    {
-        let cache = SweepCache::persistent(&warm_dir, &off).expect("temp cache dir");
-        let ctx = RunCtx::new(*params).with_cache(cache);
-        std::hint::black_box(fig9::run_panel(&ctx, t_clk, te, points));
-    }
-    let warm_ms = best_ms(REPS, || {
-        let cache = SweepCache::persistent(&warm_dir, &off).expect("temp cache dir");
-        let ctx = RunCtx::new(*params).with_cache(cache);
-        time_ms(|| {
-            std::hint::black_box(fig9::run_panel(&ctx, t_clk, te, points));
-        })
-    });
-    let _ = std::fs::remove_dir_all(&cache_root);
-    entries.push(entry(
-        "fig9-cold-cache",
-        &format!(
-            "Fig. 9 panel (t_clk = {t_clk}c, Te = {te}c, {points} mu points) \
-             against an empty result cache (every point computes + writes)"
-        ),
-        panel_steps,
-        cold_ms,
-    ));
-    let mut e = entry(
-        "fig9-warm-cache",
-        "same panel against the populated cache (every point a hit)",
-        panel_steps,
-        warm_ms,
-    );
-    e.baseline = Some("fig9-cold-cache".to_owned());
-    e.speedup = Some(cold_ms / warm_ms.max(1e-12));
-    entries.push(e);
-
-    // 3. Dispatch policy on a deliberately unbalanced sweep: a few heavy
-    // items parked at the *end* of the grid, where submission-order (FIFO)
-    // dispatch strands them on a late worker while longest-job-first
-    // starts them immediately.
-    let n_items = 48usize;
-    let heavy_iters: u64 = if quick { 1_000_000 } else { 4_000_000 };
-    let light_iters: u64 = heavy_iters / 16;
-    let costs: Vec<u64> = (0..n_items)
-        .map(|i| {
-            if i >= n_items - 4 {
-                heavy_iters
-            } else {
-                light_iters
-            }
-        })
-        .collect();
-    let spin = |iters: u64| {
-        let mut acc = 0f64;
-        for k in 0..iters {
-            acc += (k as f64).sqrt();
-        }
-        std::hint::black_box(acc)
+    let e_fn = &move |n: i64| amp * (std::f64::consts::TAU * n as f64 / 37.5).sin();
+    // Every lane shares the input closures, as sweep workloads do, so the
+    // blocked engine's closure deduplication is exercised at every width.
+    let shared = move || LoopInputs {
+        setpoint: cs,
+        homogeneous: e_fn,
+        heterogeneous: zero,
     };
-    let total_iters: u64 = costs.iter().sum();
-    let fifo_ms = best_ms(REPS, || {
-        // `parallel_map` gives every item a uniform cost hint, so the
-        // stable sort leaves the submission order intact: chunked FIFO.
-        time_ms(|| {
-            std::hint::black_box(parallel_map(&costs, |&it| spin(it)));
-        })
-    });
-    let ljf_ms = best_ms(REPS, || {
-        time_ms(|| {
-            std::hint::black_box(parallel_map_planned(
-                &costs,
-                |&it| Plan::<f64>::Compute(it),
-                |&it| spin(it),
-                &off,
-            ));
-        })
-    });
-    // On a single-core host both policies are bound by total work and tie;
-    // the LJF advantage appears once workers > 1, so record the pool size
-    // the sweeps actually ran with (`--threads` honoured).
-    let workers = crate::sweep::pool_size();
-    entries.push(entry(
-        "sweep-fifo",
-        &format!(
-            "{n_items}-item sweep, 4 heavy tail items ({heavy_iters} vs {light_iters} \
-             spin iterations), submission-order dispatch, {workers} workers"
-        ),
-        total_iters,
-        fifo_ms,
-    ));
-    let mut e = entry(
-        "sweep-ljf",
-        &format!(
-            "same sweep, longest-job-first dispatch from per-item cost hints, \
-             {workers} workers"
-        ),
-        total_iters,
-        ljf_ms,
-    );
-    e.baseline = Some("sweep-fifo".to_owned());
-    e.speedup = Some(fifo_ms / ljf_ms.max(1e-12));
-    entries.push(e);
-
-    // 4. Lane-count scaling: the mixed-scheme bank at B lanes through
-    // two engines — one DiscreteLoop at a time and the blocked
-    // lane-block engine — plus the multi-threaded
-    // lane-chunk dispatcher at 64+ lanes. All lanes share the setpoint
-    // and HoDV closures, as sweep workloads do, so the blocked engine's
-    // closure deduplication is exercised at every width.
-    let scale_steps: usize = if quick { 2_000 } else { 25_000 };
-    for b_lanes in [4usize, 16, 64, 256] {
-        let label = format!("lanes-{b_lanes:03}");
-        let lane_steps = (b_lanes * scale_steps) as u64;
-        let seq_ms = best_ms(REPS, || {
-            time_ms(|| {
-                for (m, ctrl, q) in scaling_specs(c, 0..b_lanes) {
-                    let mut dl = DiscreteLoop::new(m, ctrl, q);
-                    std::hint::black_box(dl.run(
-                        &LoopInputs {
-                            setpoint: &cs,
-                            homogeneous: &e_fn,
-                            heterogeneous: &zero,
-                        },
-                        scale_steps,
-                    ));
-                }
-            })
-        });
-        let scale_inputs: Vec<LoopInputs<'_>> = (0..b_lanes)
-            .map(|_| LoopInputs {
-                setpoint: &cs,
-                homogeneous: &e_fn,
-                heterogeneous: &zero,
-            })
-            .collect();
-        let mut blk = BatchLoop::new();
-        for (m, ctrl, q) in scaling_specs(c, 0..b_lanes) {
-            blk.push(m, ctrl, q);
-        }
-        // Same steady-state trace recycling as loop-batched above.
-        let mut blk_spare = BatchTrace::default();
-        let blk_ms = best_ms(REPS, || {
-            blk.reset();
-            let mut out = BatchTrace::default();
-            let ms = time_ms(|| {
-                out = blk.run(
-                    &scale_inputs,
-                    scale_steps,
-                    TraceSink::recycling(std::mem::take(&mut blk_spare)),
-                );
-                std::hint::black_box(&out);
-            });
-            blk_spare = out;
-            ms
-        });
-        entries.push(entry(
-            &format!("{label}-sequential"),
-            &format!(
-                "{b_lanes} mixed-scheme lanes x {scale_steps} periods, one DiscreteLoop at a time"
-            ),
-            lane_steps,
-            seq_ms,
-        ));
-        let mut e = entry(
-            &format!("{label}-blocked"),
-            &format!("{b_lanes} lanes x {scale_steps} periods on the blocked lane-block engine"),
-            lane_steps,
-            blk_ms,
-        );
-        e.baseline = Some(format!("{label}-sequential"));
-        e.speedup = Some(seq_ms / blk_ms.max(1e-12));
-        entries.push(e);
-        if b_lanes >= 64 {
-            // The dispatcher splits the same bank into 16-lane chunks over
-            // the sweep worker pool. No speedup field on purpose: the
-            // ratio against the single-thread engine depends on the host's
-            // core count, which would make the CI regression gate compare
-            // machines instead of code.
-            let chunk = 16usize;
-            let disp_ms = best_ms(REPS, || {
-                time_ms(|| {
-                    let parts = run_chunks(b_lanes, chunk, &off, |range| {
-                        let mut part = BatchLoop::new();
-                        for (m, ctrl, q) in scaling_specs(c, range.clone()) {
-                            part.push(m, ctrl, q);
-                        }
-                        let part_inputs: Vec<LoopInputs<'_>> = range
-                            .map(|_| LoopInputs {
-                                setpoint: &cs,
-                                homogeneous: &e_fn,
-                                heterogeneous: &zero,
-                            })
-                            .collect();
-                        part.run(&part_inputs, scale_steps, TraceSink::default())
-                    });
-                    std::hint::black_box(BatchTrace::concat(&parts));
-                })
-            });
-            entries.push(entry(
-                &format!("{label}-dispatch"),
-                &format!(
-                    "{b_lanes} lanes x {scale_steps} periods, blocked engine in \
-                     {chunk}-lane chunks across {workers} workers"
-                ),
-                lane_steps,
-                disp_ms,
-            ));
-        }
-    }
-
-    // 5. Summary path & Monte Carlo: the traceless summary engine
-    // against the traced blocked path on the same mixed bank, and the
-    // traceless Monte Carlo panel against the per-instance pre-batch
-    // harness (one full `System` event-loop run per sampled instance —
-    // how `runner::run_scheme` runs every per-point experiment, and how
-    // a panel had to be run before the batch engine existed).
-    // Quick keeps the horizon long enough that the traced side's trace
-    // still streams past cache; a short trace would sit cache-resident
-    // and compress the measured ratio away from the full-run baseline.
-    let sum_steps: usize = if quick { 6_000 } else { 12_000 };
-    let sum_lanes = 256usize;
-    let sum_inputs: Vec<LoopInputs<'_>> = (0..sum_lanes)
-        .map(|_| LoopInputs {
-            setpoint: &cs,
-            homogeneous: &e_fn,
-            heterogeneous: &zero,
-        })
-        .collect();
-    let mut traced = BatchLoop::new();
-    for (m, ctrl, q) in scaling_specs(c, 0..sum_lanes) {
-        traced.push(m, ctrl, q);
-    }
-    // Steady-state trace recycling, as in section 1: the traced side is
-    // charged for stepping + summarizing, not for first-touch faults on
-    // a fresh trace allocation.
-    let mut traced_spare = BatchTrace::default();
-    let traced_ms = best_ms(REPS, || {
-        traced.reset();
-        let mut out = BatchTrace::default();
-        let ms = time_ms(|| {
-            out = traced.run(
-                &sum_inputs,
-                sum_steps,
-                TraceSink::recycling(std::mem::take(&mut traced_spare)),
-            );
-            std::hint::black_box(out.summarize());
-        });
-        traced_spare = out;
-        ms
-    });
-    let mut traceless = BatchLoop::new();
-    for (m, ctrl, q) in scaling_specs(c, 0..sum_lanes) {
-        traceless.push(m, ctrl, q);
-    }
-    let traceless_ms = best_ms(REPS, || {
-        traceless.reset();
-        time_ms(|| {
-            std::hint::black_box(traceless.run(&sum_inputs, sum_steps, SummarySink::default()));
-        })
-    });
-    let sum_lane_steps = (sum_lanes * sum_steps) as u64;
-    entries.push(entry(
-        "summaries-traced",
-        &format!(
-            "{sum_lanes} mixed-scheme lanes x {sum_steps} periods through the \
-             blocked engine, trace recycled between reps, then summarized"
-        ),
-        sum_lane_steps,
-        traced_ms,
-    ));
-    let mut e = entry(
-        "summaries-traceless",
-        "same bank into a summary sink: blocks fold straight into 6-word \
-         lane summaries, no trace ever materialized",
-        sum_lane_steps,
-        traceless_ms,
-    );
-    e.baseline = Some("summaries-traced".to_owned());
-    e.speedup = Some(traced_ms / traceless_ms.max(1e-12));
-    entries.push(e);
-
-    // The Monte Carlo panel: the classic open-loop statistical-timing
-    // shape — sampled process instances, margins folded over the
-    // post-lock-in window. The adaptive-scheme panels (IIR, TEAtime) run
-    // the same path; the free-running panel is the headline because the
-    // controller arithmetic there is negligible on *both* sides, so the
-    // ratio isolates the engine, not the filter.
-    // Quick mode trims instances, not steps: per-run setup (system
-    // build, event-loop allocations, block packing) amortizes over the
-    // horizon, so shortening runs would shift the measured ratio away
-    // from the committed full-panel baseline instead of just its noise.
-    let (mc_instances, mc_steps, mc_warmup) = if quick {
-        (256, 2_000, 500)
-    } else {
-        (1024, 2_000, 500)
-    };
-    let panel = McPanel {
+    let input = shared();
+    // What the rows borrow is declared before the table, so it outlives it.
+    let pid = std::process::id();
+    let cache_root = &std::env::temp_dir().join(format!("repro-bench-cache-{pid}"));
+    let heavy = pick(1_000_000, 4_000_000) as u64;
+    let light = heavy / 16;
+    let costs = &[vec![light; 44], vec![heavy; 4]].concat();
+    let panel = &McPanel {
         spec: ProcessSpec::paper(),
         seed: 0x0BE5_0BE5,
-        instances: mc_instances,
-        steps: mc_steps,
-        warmup: mc_warmup,
+        instances: pick(256, 1024),
+        steps: 2_000,
+        warmup: 500,
         chunk: 128,
         sensors: 4,
         setpoint: c,
@@ -654,124 +324,195 @@ pub fn run(params: &PaperParams, quick: bool) -> BenchReport {
         amplitude: params.amplitude(),
         te_periods: 200.0,
     };
-    let mc_offsets = panel.sensed_offsets();
-    let wave = Harmonic::new(panel.amplitude, panel.te_periods * c as f64, 0.0);
-    let mc_naive_ms = best_ms(REPS, || {
-        time_ms(|| {
-            for &o in &mc_offsets {
-                let system = SystemBuilder::new(c)
+    let mut rows = Vec::new();
+
+    let n = pick(20_000, 200_000);
+    let (steps, what) = (16 * n as u64, format!("16 Fig. 4 lanes x {n} periods"));
+    let detail = format!("{what}, one DiscreteLoop at a time");
+    let setup = move || sequential(move || lane_specs(c), input, n);
+    rows.push(Row::new("loop-sequential", &detail, steps, setup));
+    let setup = move || blocked(lane_specs(c), input, n, Drain::Trace);
+    let detail = format!("{what} in SoA lock-step");
+    rows.push(Row::new("loop-batched", &detail, steps, setup).against("loop-sequential"));
+
+    // A Fig. 9 panel through the result cache: every grid point a miss (a
+    // fresh cold store per rep) vs every point a hit (a store populated
+    // once, reopened per rep so hits pay the disk read + decode).
+    let (t_clk, te, points) = (1.0, 37.5, pick(5, 9));
+    let open = move |dir: &std::path::Path| {
+        let cache = SweepCache::persistent(dir, off).expect("temp cache dir");
+        RunCtx::new(*params).with_cache(cache)
+    };
+    let fig9_panel = move |ctx: &RunCtx| fig9::run_panel(ctx, t_clk, te, points);
+    let steps = 4 * points as u64 * params.samples_for(te) as u64;
+    let detail = format!(
+        "Fig. 9 panel (t_clk = {t_clk}c, Te = {te}c, {points} mu points) \
+         against an empty result cache (every point computes + writes)"
+    );
+    let mut rep = 0u32;
+    let setup = move || -> Rep<'_> {
+        Box::new(move || {
+            rep += 1;
+            let dir = cache_root.join(format!("cold-{rep}"));
+            let ctx = open(&dir);
+            let ms = time_ms(|| fig9_panel(&ctx));
+            let _ = std::fs::remove_dir_all(&dir);
+            ms
+        })
+    };
+    rows.push(Row::new("fig9-cold-cache", &detail, steps, setup));
+    let detail = "same panel against the populated cache (every point a hit)";
+    let setup = move || -> Rep<'_> {
+        let dir = cache_root.join("warm");
+        black_box(fig9_panel(&open(&dir)));
+        Box::new(move || {
+            let ctx = open(&dir);
+            time_ms(|| fig9_panel(&ctx))
+        })
+    };
+    rows.push(Row::new("fig9-warm-cache", detail, steps, setup).against("fig9-cold-cache"));
+
+    // Dispatch policy on an unbalanced sweep: the heavy items are parked at
+    // the *end* of the grid, where submission-order (FIFO) dispatch strands
+    // them on a late worker while longest-job-first starts them at once.
+    let spin = |&iters: &u64| black_box((0..iters).fold(0f64, |acc, k| acc + (k as f64).sqrt()));
+    let steps = costs.iter().sum();
+    let detail = format!(
+        "48-item sweep, 4 heavy tail items ({heavy} vs {light} spin iterations), \
+         submission-order dispatch, {workers} workers"
+    );
+    // `parallel_map` gives every item a uniform cost hint, so the stable
+    // sort leaves the submission order intact: chunked FIFO.
+    let setup = move || timed(move || parallel_map(costs, spin));
+    rows.push(Row::new("sweep-fifo", &detail, steps, setup));
+    let detail = format!(
+        "same sweep, longest-job-first dispatch from per-item cost hints, {workers} workers"
+    );
+    let plan = |&it: &u64| Plan::<f64>::Compute(it);
+    let setup = move || timed(move || parallel_map_planned(costs, plan, spin, off));
+    rows.push(Row::new("sweep-ljf", &detail, steps, setup).against("sweep-fifo"));
+
+    // Lane-count scaling on the mixed-scheme bank, and at 64+ lanes the
+    // same bank in 16-lane chunks over the sweep worker pool. The chunked
+    // row has no baseline on purpose: its ratio to the one-thread engine
+    // depends on the host's core count, so a gate on it would compare
+    // machines, not code.
+    let n = pick(2_000, 25_000);
+    for b in [4usize, 16, 64, 256] {
+        let (seq, steps) = (format!("lanes-{b:03}-sequential"), (b * n) as u64);
+        let detail = format!("{b} mixed-scheme lanes x {n} periods, one DiscreteLoop at a time");
+        let setup = move || sequential(move || scaling_specs(c, 0..b), input, n);
+        rows.push(Row::new(&seq, &detail, steps, setup));
+        let detail = format!("{b} lanes x {n} periods on the blocked lane-block engine");
+        let setup = move || blocked(scaling_specs(c, 0..b), input, n, Drain::Trace);
+        rows.push(Row::new(&format!("lanes-{b:03}-blocked"), &detail, steps, setup).against(&seq));
+        if b >= 64 {
+            let detail = format!(
+                "{b} lanes x {n} periods, blocked engine in 16-lane chunks across {workers} workers"
+            );
+            let chunk = move |lanes: Range<usize>| {
+                let inputs: Vec<_> = lanes.clone().map(|_| shared()).collect();
+                let mut part = BatchLoop::new();
+                for (m, ctrl, q) in scaling_specs(c, lanes) {
+                    part.push(m, ctrl, q);
+                }
+                part.run(&inputs, n, TraceSink::default())
+            };
+            let setup = move || timed(move || BatchTrace::concat(&run_chunks(b, 16, off, chunk)));
+            let dispatch = format!("lanes-{b:03}-dispatch");
+            rows.push(Row::new(&dispatch, &detail, steps, setup));
+        }
+    }
+
+    // The traceless summary path against the traced one on the same bank.
+    // Quick keeps the horizon long enough that the trace still streams
+    // past cache; a cache-resident trace would compress the ratio.
+    let n = pick(6_000, 12_000);
+    let steps = 256 * n as u64;
+    let detail = format!(
+        "256 mixed-scheme lanes x {n} periods through the blocked engine, \
+         trace recycled between reps, then summarized"
+    );
+    let setup = move || blocked(scaling_specs(c, 0..256), input, n, Drain::TraceSummarized);
+    rows.push(Row::new("summaries-traced", &detail, steps, setup));
+    let detail = "same bank into a summary sink: blocks fold straight into 6-word \
+                  lane summaries, no trace ever materialized";
+    let setup = move || blocked(scaling_specs(c, 0..256), input, n, Drain::Summary);
+    rows.push(Row::new("summaries-traceless", detail, steps, setup).against("summaries-traced"));
+
+    // The Monte Carlo panel: sampled process instances, margins folded over
+    // the post-lock-in window, against one `System` event-loop run per
+    // instance (the `runner::run_scheme` shape). The free-running panel is
+    // the headline because its controller arithmetic is negligible on
+    // *both* sides, so the ratio isolates the engine. Quick trims
+    // instances, not steps: per-run setup amortizes over the horizon.
+    let (instances, periods) = (panel.instances, panel.steps);
+    let steps = (instances * periods) as u64;
+    let detail = format!(
+        "{instances}-instance Monte Carlo margin panel x {periods} periods, one scalar \
+         System event-loop run per instance (the pre-batch per-point harness), \
+         trace materialized then summarized"
+    );
+    let setup = move || {
+        let offsets = panel.sensed_offsets();
+        let wave = Harmonic::new(panel.amplitude, panel.te_periods * c as f64, 0.0);
+        timed(move || {
+            for &o in &offsets {
+                let run = SystemBuilder::new(c)
                     .cdn_delay(c as f64)
                     .scheme(SystemScheme::FreeRo { extra_length: 0 })
                     .single_sensor_mu(o)
                     .build()
-                    .expect("bench system configuration is valid");
-                let run = system.run(&wave, panel.steps).skip(panel.warmup);
-                std::hint::black_box(RunSummary::of(&run));
+                    .expect("bench system configuration is valid")
+                    .run(&wave, periods);
+                black_box(RunSummary::of(&run.skip(panel.warmup)));
             }
         })
-    });
-    let mc_traceless_ms = best_ms(REPS, || {
-        time_ms(|| {
-            std::hint::black_box(panel.summaries(McScheme::Free, &off));
-        })
-    });
-    let mc_lane_steps = (panel.instances * panel.steps) as u64;
-    entries.push(entry(
-        "mc-panel-naive",
-        &format!(
-            "{mc_instances}-instance Monte Carlo margin panel x {mc_steps} periods, \
-             one scalar System event-loop run per instance (the pre-batch \
-             per-point harness), trace materialized then summarized"
-        ),
-        mc_lane_steps,
-        mc_naive_ms,
-    ));
-    let mut e = entry(
-        "mc-panel-traceless",
-        "same panel through McPanel::summaries: instances batched into \
-         128-lane chunks on the traceless static-mu block path",
-        mc_lane_steps,
-        mc_traceless_ms,
-    );
-    e.baseline = Some("mc-panel-naive".to_owned());
-    e.speedup = Some(mc_naive_ms / mc_traceless_ms.max(1e-12));
-    entries.push(e);
+    };
+    rows.push(Row::new("mc-panel-naive", &detail, steps, setup));
+    let detail = "same panel through McPanel::summaries: instances batched into \
+                  128-lane chunks on the traceless static-mu block path";
+    let setup = move || timed(move || panel.summaries(McScheme::Free, off));
+    rows.push(Row::new("mc-panel-traceless", detail, steps, setup).against("mc-panel-naive"));
 
-    // 6. Domain-bank scaling: N independent clock domains advanced as N
-    // sequential DiscreteLoops (the pre-refactor ownership shape: one
-    // loop object per domain, each materializing its own trace) versus
-    // the same N domains held in one DomainBank and folded through the
-    // traceless summary path. Uniform IIR domains so the blocked engine
-    // sees full lane blocks, and shared input closures so deduplication
-    // is exercised — both match how the mesh and yield layers build banks.
-    let dom_steps: usize = if quick { 2_000 } else { 25_000 };
-    for n_domains in [16usize, 64, 256] {
-        let label = format!("domains-{n_domains:03}");
-        let dom_lane_steps = (n_domains * dom_steps) as u64;
-        let perloop_ms = best_ms(REPS, || {
-            time_ms(|| {
-                for _ in 0..n_domains {
-                    let mut dl = DiscreteLoop::new(
-                        1,
-                        Controller::int_iir(&IirConfig::paper(), c).expect("paper config"),
-                        Quantization::Floor,
-                    );
-                    std::hint::black_box(dl.run(
-                        &LoopInputs {
-                            setpoint: &cs,
-                            homogeneous: &e_fn,
-                            heterogeneous: &zero,
-                        },
-                        dom_steps,
-                    ));
-                }
-            })
-        });
-        let dom_inputs: Vec<LoopInputs<'_>> = (0..n_domains)
-            .map(|_| LoopInputs {
-                setpoint: &cs,
-                homogeneous: &e_fn,
-                heterogeneous: &zero,
-            })
-            .collect();
-        let mut dom_bank = adaptive_clock::bank::DomainBank::new();
-        for _ in 0..n_domains {
-            dom_bank.push(
-                1,
-                Controller::int_iir(&IirConfig::paper(), c).expect("paper config"),
-                Quantization::Floor,
-            );
-        }
-        let mut bank_loop = BatchLoop::from_bank(dom_bank);
-        let bank_ms = best_ms(REPS, || {
-            bank_loop.reset();
-            time_ms(|| {
-                std::hint::black_box(bank_loop.run(&dom_inputs, dom_steps, SummarySink::default()));
-            })
-        });
-        entries.push(entry(
-            &format!("{label}-perloop"),
-            &format!(
-                "{n_domains} uniform IIR domains x {dom_steps} periods, one DiscreteLoop \
-                 object per domain, each trace materialized"
-            ),
-            dom_lane_steps,
-            perloop_ms,
-        ));
-        let mut e = entry(
-            &format!("{label}-bank"),
-            &format!(
-                "{n_domains} domains x {dom_steps} periods as one DomainBank through \
-                 the traceless summary path"
-            ),
-            dom_lane_steps,
-            bank_ms,
+    // Domain-bank scaling: N uniform IIR domains as N DiscreteLoops (one
+    // loop object per domain, each with its own trace) vs one bank through
+    // the traceless summary path, the shape the mesh and yield layers build.
+    let n = pick(2_000, 25_000);
+    for d in [16usize, 64, 256] {
+        let (per, steps) = (format!("domains-{d:03}-perloop"), (d * n) as u64);
+        let uniform = move || (0..d).map(|_| lane(c, 0, 1)).collect::<Vec<_>>();
+        let detail = format!(
+            "{d} uniform IIR domains x {n} periods, one DiscreteLoop \
+             object per domain, each trace materialized"
         );
-        e.baseline = Some(format!("{label}-perloop"));
-        e.speedup = Some(perloop_ms / bank_ms.max(1e-12));
-        entries.push(e);
+        let setup = move || sequential(uniform, input, n);
+        rows.push(Row::new(&per, &detail, steps, setup));
+        let detail = format!(
+            "{d} domains x {n} periods as one DomainBank through the traceless summary path"
+        );
+        let setup = move || blocked(uniform(), input, n, Drain::Summary);
+        rows.push(Row::new(&format!("domains-{d:03}-bank"), &detail, steps, setup).against(&per));
     }
 
+    // One loop times every row; a speedup is its baseline's wall over its own.
+    let mut entries: Vec<BenchEntry> = Vec::with_capacity(rows.len());
+    for r in rows {
+        let wall_ms = best_ms(REPS, (r.setup)());
+        let base = entries
+            .iter()
+            .find(|e| Some(&e.name) == r.baseline.as_ref());
+        entries.push(BenchEntry {
+            name: r.name,
+            detail: r.detail,
+            steps: r.steps,
+            wall_ms,
+            steps_per_sec: r.steps as f64 / (wall_ms / 1e3).max(1e-12),
+            baseline: r.baseline,
+            speedup: base.map(|b| b.wall_ms / wall_ms.max(1e-12)),
+        });
+    }
+    let _ = std::fs::remove_dir_all(cache_root);
     BenchReport {
         quick,
         setpoint: params.setpoint,
@@ -837,6 +578,16 @@ pub enum CompareError {
         /// Worker pool size of the current run.
         current: u64,
     },
+    /// One report ran the `--quick` workloads and the other the full ones.
+    /// Quick runs shrink the workloads, and the parallel cases' ratios
+    /// shrink with them (a quick sweep is over before the helper threads
+    /// have all started), so the speedups would compare workload sizes.
+    ModeMismatch {
+        /// `quick` flag of the baseline.
+        baseline: bool,
+        /// `quick` flag of the current run.
+        current: bool,
+    },
 }
 
 impl fmt::Display for CompareError {
@@ -847,6 +598,15 @@ impl fmt::Display for CompareError {
                 "baseline was taken with {baseline} sweep workers but this run used \
                  {current}; rerun with --threads {baseline} to compare"
             ),
+            CompareError::ModeMismatch { baseline, current } => {
+                let mode = |quick: bool| if quick { "--quick" } else { "full" };
+                write!(
+                    f,
+                    "baseline is a {} bench but this run is {}; compare like with like",
+                    mode(*baseline),
+                    mode(*current)
+                )
+            }
         }
     }
 }
@@ -864,11 +624,19 @@ impl std::error::Error for CompareError {}
 /// [`CompareError::WorkerMismatch`] when both reports record a worker
 /// pool size and the sizes differ. A baseline without one (`workers` 0,
 /// written before the field existed) is compared as is.
+/// [`CompareError::ModeMismatch`] when one report is `--quick` and the
+/// other is not.
 pub fn compare(
     current: &BenchReport,
     baseline: &BenchReport,
     noise: f64,
 ) -> Result<CompareReport, CompareError> {
+    if baseline.quick != current.quick {
+        return Err(CompareError::ModeMismatch {
+            baseline: baseline.quick,
+            current: current.quick,
+        });
+    }
     if baseline.workers != 0 && current.workers != 0 && baseline.workers != current.workers {
         return Err(CompareError::WorkerMismatch {
             baseline: baseline.workers,
@@ -1060,6 +828,23 @@ mod tests {
             .unwrap()
             .speedup
             .is_none());
+        // The table's pairing: every baseline is an earlier entry, every
+        // speedup is that entry's wall time over this one's, and entries
+        // without a baseline carry no speedup.
+        for (i, e) in report.entries.iter().enumerate() {
+            let base = e.baseline.as_ref().map(|b| {
+                report.entries[..i]
+                    .iter()
+                    .find(|earlier| &earlier.name == b)
+                    .unwrap_or_else(|| panic!("{}: baseline {b} is not an earlier entry", e.name))
+            });
+            assert_eq!(
+                e.speedup,
+                base.map(|b| b.wall_ms / e.wall_ms.max(1e-12)),
+                "{}: speedup must pair with its baseline",
+                e.name
+            );
+        }
         let json = report.to_json().expect("plain data serializes");
         let back: BenchReport = serde_json::from_str(&json).expect("round-trips");
         assert_eq!(back, report);
@@ -1214,5 +999,31 @@ mod tests {
             ..baseline.clone()
         };
         assert!(compare(&current, &unknown, DEFAULT_COMPARE_NOISE).is_ok());
+    }
+
+    /// A `--quick` run is refused against a full baseline, with both modes
+    /// named; quick against quick compares.
+    #[test]
+    fn compare_refuses_a_quick_run_against_a_full_baseline() {
+        let baseline = speedup_report(&[("a", 2.0)]);
+        let current = BenchReport {
+            quick: true,
+            ..baseline.clone()
+        };
+        let err = compare(&current, &baseline, DEFAULT_COMPARE_NOISE)
+            .expect_err("quick run vs full baseline");
+        assert_eq!(
+            err,
+            CompareError::ModeMismatch {
+                baseline: false,
+                current: true
+            }
+        );
+        let text = err.to_string();
+        assert!(
+            text.contains("baseline is a full bench") && text.contains("this run is --quick"),
+            "{text}"
+        );
+        assert!(compare(&current, &current, DEFAULT_COMPARE_NOISE).is_ok());
     }
 }

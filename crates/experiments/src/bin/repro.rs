@@ -12,7 +12,7 @@
 //! repro --threads 4 fig8          # cap the sweep worker pool
 //! repro fig9 --quick --profile    # wall-time attribution tree after the run
 //! repro fig9 --trace t.json       # Chrome-trace-format span export
-//! repro bench --compare BENCH_3.json  # fail on benchmark speedup regression
+//! repro --threads 2 bench --compare BENCH_8.json  # fail on speedup regression
 //! repro metrics fig7              # Prometheus-style exposition after the run
 //! repro serve --addr 127.0.0.1:7077  # long-running experiment service
 //! repro submit fig8 --quick --watch  # submit a job, stream its events
@@ -46,14 +46,18 @@ fn usage() -> &'static str {
      [--cache <dir> | --no-cache] [--threads <n>] [--c <stages>] [--amp <frac>] \
      [--profile] [--trace <out.json>] [metrics] <experiment>\n\
      paper artifacts: table1, fig2, fig7, fig8, fig9, worked-examples, constraints\n\
-     benchmarks:      bench (compiled vs interpreted, batched lanes, warm-started fig9;\n\
+     benchmarks:      bench (batched vs sequential lanes, cold vs warm cache, sweep dispatch,\n\
+                      traceless summaries and Monte Carlo, domain bank;\n\
                       --quick shrinks the workloads, --json <file> writes the report,\n\
-                      --compare <baseline.json> fails on speedup regression, --noise <frac>\n\
+                      --compare <baseline.json> fails on speedup regression against a\n\
+                      baseline of the same mode and worker pool, --noise <frac>\n\
                       widens/narrows the regression threshold)\n\
      extensions:      ext-sensitivity, ext-throughput, ext-noise, ext-stability, ext-lock, ext-coupling\n\
      chaos:           ext-faults (fault class × rate × scheme; standalone — not part of the bundles)\n\
      monte carlo:     ext-yield (seeded process panels -> margin quantiles + timing yield vs deployed\n\
                       margin, per scheme; standalone — not part of the bundles)\n\
+     clock mesh:      ext-mesh (GALS meshes under domain failure, Byzantine neighbour and power\n\
+                      events; standalone — not part of the bundles)\n\
      bundles:         all (paper artifacts), extensions, everything\n\
      discovery:       --list prints every id with a description and step budget\n\
      caching:         --cache <dir> reuses grid-point results across runs (env: REPRO_CACHE;\n\

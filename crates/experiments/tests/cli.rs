@@ -309,35 +309,46 @@ fn profile_attribution_covers_the_wall_clock() {
 }
 
 /// `--trace` must write a Chrome-trace-format document that a JSON parser
-/// accepts, with complete (`ph == "X"`) events.
+/// accepts, with complete (`ph == "X"`) events, for an analytic leaf
+/// (`fig2`) and for a sweep whose spans come from the worker pool
+/// (`fig9 --quick`).
 #[test]
 fn trace_flag_writes_chrome_trace_json() {
-    let path = std::env::temp_dir().join(format!("repro-cli-trace-{}.json", std::process::id()));
-    let out = repro(&["fig2", "--trace", path.to_str().unwrap()]);
-    assert!(out.status.success(), "stderr: {}", stderr(&out));
-    assert!(
-        stdout(&out).contains("chrome trace written to"),
-        "trace destination must be announced"
-    );
-    let raw = std::fs::read_to_string(&path).expect("trace file written");
-    std::fs::remove_file(&path).ok();
-    let doc: serde::Value = serde_json::from_str(&raw).expect("trace is valid JSON");
-    let events = doc
-        .as_object()
-        .and_then(|o| o.iter().find(|(k, _)| k == "traceEvents"))
-        .and_then(|(_, v)| v.as_array())
-        .expect("traceEvents array present");
-    assert!(!events.is_empty(), "the root span is always recorded");
-    for ev in events {
-        let ph = ev
-            .as_object()
-            .and_then(|f| f.iter().find(|(k, _)| k == "ph"))
-            .map(|(_, v)| v.clone());
-        assert_eq!(
-            ph,
-            Some(serde::Value::Str("X".to_owned())),
-            "complete events only:\n{raw}"
+    for args in [&["fig2"][..], &["fig9", "--quick"]] {
+        let path = std::env::temp_dir().join(format!(
+            "repro-cli-trace-{}-{}.json",
+            args[0],
+            std::process::id()
+        ));
+        let out = repro(&[args, &["--trace", path.to_str().unwrap()]].concat());
+        assert!(out.status.success(), "{args:?} stderr: {}", stderr(&out));
+        assert!(
+            stdout(&out).contains("chrome trace written to"),
+            "{args:?}: trace destination must be announced"
         );
+        let raw = std::fs::read_to_string(&path).expect("trace file written");
+        std::fs::remove_file(&path).ok();
+        let doc: serde::Value = serde_json::from_str(&raw).expect("trace is valid JSON");
+        let events = doc
+            .as_object()
+            .and_then(|o| o.iter().find(|(k, _)| k == "traceEvents"))
+            .and_then(|(_, v)| v.as_array())
+            .expect("traceEvents array present");
+        assert!(
+            !events.is_empty(),
+            "{args:?}: the root span is always recorded"
+        );
+        for ev in events {
+            let ph = ev
+                .as_object()
+                .and_then(|f| f.iter().find(|(k, _)| k == "ph"))
+                .map(|(_, v)| v.clone());
+            assert_eq!(
+                ph,
+                Some(serde::Value::Str("X".to_owned())),
+                "{args:?}: complete events only:\n{raw}"
+            );
+        }
     }
 }
 

@@ -2,11 +2,11 @@
 //! pipeline error model, the AIMD set-point tuner, generator jitter and
 //! multi-domain partitioning — all driven through public APIs only.
 
-use adaptive_clock::domains::{Domain, MultiDomain};
+use adaptive_clock::event::SummarySink;
 use adaptive_clock::pipeline::PipelineModel;
 use adaptive_clock::setpoint::{SetPointTuner, TunerConfig};
 use adaptive_clock::system::{Scheme, SystemBuilder};
-use variation::sources::Harmonic;
+use variation::sources::{Harmonic, NoVariation};
 
 /// The tuner, fed by the pipeline model's violation verdicts on real runs,
 /// converges to a set-point that clears the true requirement with small
@@ -111,22 +111,65 @@ fn finer_partitioning_reduces_worst_margin() {
             horizon: 2.0e6,
         },
     );
-    let build = |t_clk: f64| {
+    // Every domain sees the same droop train, so identical tiles need the
+    // same margin and one tile stands for the finer partitioning.
+    let margin = |t_clk: f64| {
         SystemBuilder::new(64)
             .cdn_delay(t_clk)
             .scheme(Scheme::iir_paper())
             .build()
             .expect("valid")
+            .run_with(&droop_train, 10_000, SummarySink::with_warmup(500))
+            .worst_negative_error
     };
-    let coarse = MultiDomain::new().with(Domain::new("mono", build(4.0 * c)));
-    let fine = MultiDomain::new()
-        .with(Domain::new("t0", build(0.25 * c)))
-        .with(Domain::new("t1", build(0.25 * c)));
-    let mc = coarse.run(&droop_train, 10_000, 500).worst_margin();
-    let mf = fine.run(&droop_train, 10_000, 500).worst_margin();
+    let mc = margin(4.0 * c);
+    let mf = margin(0.25 * c);
     assert!(
         mf < 0.75 * mc,
         "fine partitioning margin {mf} vs monolithic {mc}"
+    );
+}
+
+/// A fast HoDV (Te = 8c) is survivable in a small domain (t_clk = c/4) and
+/// ruinous in a large one (t_clk = 4c = Te/2, the Eq. 2 worst case).
+#[test]
+fn small_domain_tolerates_faster_variation() {
+    let e = Harmonic::new(6.4, 8.0 * 64.0, 0.0);
+    let margin = |t_clk: f64| {
+        SystemBuilder::new(64)
+            .cdn_delay(t_clk)
+            .scheme(Scheme::FreeRo { extra_length: 0 })
+            .build()
+            .expect("valid")
+            .run_with(&e, 6000, SummarySink::with_warmup(500))
+            .worst_negative_error
+    };
+    let (small, large) = (margin(16.0), margin(256.0));
+    assert!(
+        small < 0.6 * large,
+        "small domain margin {small} vs large {large}"
+    );
+}
+
+/// Two IIR domains with different static sensor mismatches settle at mean
+/// periods ≈ 8 stages apart: the asynchrony inter-domain links absorb.
+#[test]
+fn period_spread_reflects_domain_conditions() {
+    let mean_period = |mu: f64| {
+        SystemBuilder::new(64)
+            .cdn_delay(64.0)
+            .scheme(Scheme::iir_paper())
+            .single_sensor_mu(mu)
+            .build()
+            .expect("valid")
+            .run_with(&NoVariation, 3000, SummarySink::with_warmup(1500))
+            .mean_period
+    };
+    // the hot domain stretches its RO by ~8 stages
+    let spread = (mean_period(-8.0) - mean_period(0.0)).abs();
+    assert!(
+        (spread - 8.0).abs() < 1.5,
+        "expected ≈ 8 stages of spread, got {spread}"
     );
 }
 
@@ -166,7 +209,7 @@ fn migrating_hotspot_defeats_free_ro_but_not_iir() {
             .sensors(sensors.clone())
             .build()
             .expect("valid")
-            .run(&variation::sources::NoVariation, 16_000)
+            .run(&NoVariation, 16_000)
             .skip(2000)
     };
     let free = run_for(Scheme::FreeRo { extra_length: 0 });
