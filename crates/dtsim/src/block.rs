@@ -1,28 +1,13 @@
 /// Per-step execution context handed to every block.
 ///
-/// The engine advances `step` by one and `time` by `dt` on every call to
-/// [`crate::Simulation::step`]. Blocks that model time-dependent sources
-/// (e.g. sine waves) should read `time` rather than counting steps so that
-/// variable-step drivers behave correctly.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The engine advances `step` and `time` by one on every call to
+/// [`crate::Simulation::step`]; one step is one clock period.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StepContext {
     /// Zero-based index of the current step.
     pub step: u64,
     /// Simulation time at the beginning of the current step.
     pub time: f64,
-    /// Duration of the current step.
-    pub dt: f64,
-}
-
-impl StepContext {
-    /// Context for the first step of a fixed-step simulation.
-    pub fn initial(dt: f64) -> Self {
-        StepContext {
-            step: 0,
-            time: 0.0,
-            dt,
-        }
-    }
 }
 
 /// A simulation block: a node in the signal-flow graph.
@@ -68,14 +53,5 @@ pub trait Block {
     /// Non-recording blocks return `None` (the default).
     fn trace(&self) -> Option<&crate::Trace> {
         None
-    }
-
-    /// For externally-driven blocks (e.g. [`blocks::Inport`]): accept a
-    /// value pushed from outside the simulation. Returns `true` if the
-    /// block consumed it (the default implementation refuses).
-    ///
-    /// [`blocks::Inport`]: crate::blocks::Inport
-    fn set_value(&mut self, _value: f64) -> bool {
-        false
     }
 }

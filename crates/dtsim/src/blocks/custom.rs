@@ -1,66 +1,13 @@
-//! Closure-backed blocks for ad-hoc logic.
+//! Closure-backed block for ad-hoc logic.
 
 use crate::block::{Block, StepContext};
 
-/// Closure signature of a stateless [`FnBlock`]: `(inputs, outputs)`.
-pub type IoFn = Box<dyn FnMut(&[f64], &mut [f64])>;
 /// Output-phase closure of a [`StatefulFnBlock`]: `(state, inputs, outputs)`.
 pub type OutFn<S> = Box<dyn FnMut(&S, &[f64], &mut [f64])>;
 /// Update-phase closure of a [`StatefulFnBlock`]: `(state, inputs)`.
 pub type UpdateFn<S> = Box<dyn FnMut(&mut S, &[f64])>;
 /// Reset closure of a [`StatefulFnBlock`].
 pub type ResetFn<S> = Box<dyn FnMut(&mut S)>;
-
-/// Stateless block computing outputs from inputs with a closure.
-pub struct FnBlock {
-    name: String,
-    n_in: usize,
-    n_out: usize,
-    f: IoFn,
-}
-
-impl std::fmt::Debug for FnBlock {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FnBlock")
-            .field("name", &self.name)
-            .field("n_in", &self.n_in)
-            .field("n_out", &self.n_out)
-            .finish_non_exhaustive()
-    }
-}
-
-impl FnBlock {
-    /// A feedthrough block with `n_in` inputs and `n_out` outputs computed by
-    /// `f(inputs, outputs)`.
-    pub fn new(
-        name: impl Into<String>,
-        n_in: usize,
-        n_out: usize,
-        f: impl FnMut(&[f64], &mut [f64]) + 'static,
-    ) -> Self {
-        FnBlock {
-            name: name.into(),
-            n_in,
-            n_out,
-            f: Box::new(f),
-        }
-    }
-}
-
-impl Block for FnBlock {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn num_inputs(&self) -> usize {
-        self.n_in
-    }
-    fn num_outputs(&self) -> usize {
-        self.n_out
-    }
-    fn output(&mut self, _ctx: &StepContext, inputs: &[f64], outputs: &mut [f64]) {
-        (self.f)(inputs, outputs);
-    }
-}
 
 /// Stateful block with explicit two-phase closures over a state value.
 ///
@@ -161,11 +108,19 @@ mod tests {
     use crate::GraphBuilder;
 
     #[test]
-    fn fn_block_combines_inputs() {
+    fn feedthrough_block_combines_current_inputs() {
         let mut g = GraphBuilder::new();
         let a = g.add(FunctionSource::new("a", |t| t));
         let b = g.add(FunctionSource::new("b", |t| 10.0 * t));
-        let f = g.add(FnBlock::new("f", 2, 1, |i, o| o[0] = i[0] + i[1]));
+        let f = g.add(StatefulFnBlock::new(
+            "f",
+            2,
+            1,
+            true,
+            (),
+            |_, i, o| o[0] = i[0] + i[1],
+            |_, _| {},
+        ));
         let p = g.add(Probe::new("p"));
         g.connect(a, 0, f, 0).unwrap();
         g.connect(b, 0, f, 1).unwrap();

@@ -1,5 +1,5 @@
-//! Delay blocks — the only state-bearing primitives, and the only blocks
-//! allowed to break feedback loops (`direct_feedthrough() == false`).
+//! Delay blocks: state-bearing primitives that break feedback loops
+//! (`direct_feedthrough() == false`).
 
 use std::collections::VecDeque;
 
@@ -78,11 +78,6 @@ impl DelayN {
             depth,
         }
     }
-
-    /// The configured delay depth `N`.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
 }
 
 impl Block for DelayN {
@@ -109,78 +104,6 @@ impl Block for DelayN {
         self.line.clear();
         self.line
             .extend(std::iter::repeat_n(self.initial, self.depth));
-    }
-}
-
-/// Delay whose (possibly fractional) depth is set by a second input.
-///
-/// `y[n] = u[n - d[n]]` with linear interpolation between taps for
-/// non-integer `d[n]`. The requested delay is clamped into
-/// `[0, max_depth]`. A delay of zero reproduces the input sampled on the
-/// *previous* step (the block never has direct feedthrough, so the loop can
-/// stay well-formed even at zero requested delay).
-///
-/// This models the paper's CDN when `M[n] = t_clk / T_clk[n]` varies with
-/// the instantaneous clock period.
-#[derive(Debug, Clone)]
-pub struct VariableDelay {
-    name: String,
-    initial: f64,
-    /// history[0] is the most recent sample (u[n-1] during the output phase).
-    history: VecDeque<f64>,
-    max_depth: usize,
-}
-
-impl VariableDelay {
-    /// A variable delay holding up to `max_depth` past samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_depth == 0`.
-    pub fn new(name: impl Into<String>, max_depth: usize, initial: f64) -> Self {
-        assert!(max_depth > 0, "VariableDelay max_depth must be at least 1");
-        VariableDelay {
-            name: name.into(),
-            initial,
-            history: VecDeque::from(vec![initial; max_depth + 1]),
-            max_depth,
-        }
-    }
-}
-
-impl Block for VariableDelay {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    /// Port 0: signal input. Port 1: requested delay (in steps).
-    fn num_inputs(&self) -> usize {
-        2
-    }
-    fn num_outputs(&self) -> usize {
-        1
-    }
-    fn direct_feedthrough(&self) -> bool {
-        false
-    }
-    fn output(&mut self, _ctx: &StepContext, inputs: &[f64], outputs: &mut [f64]) {
-        // inputs here are the values latched on the previous update phase;
-        // the delay request is re-read from the latched value too.
-        let d = inputs[1].clamp(0.0, self.max_depth as f64);
-        let lo = d.floor() as usize;
-        let hi = (lo + 1).min(self.max_depth);
-        let frac = d - lo as f64;
-        let a = self.history[lo];
-        let b = self.history[hi];
-        outputs[0] = a + frac * (b - a);
-    }
-    fn update(&mut self, _ctx: &StepContext, inputs: &[f64]) {
-        self.history.pop_back();
-        self.history.push_front(inputs[0]);
-    }
-    fn reset(&mut self) {
-        self.history.clear();
-        self.history
-            .extend(std::iter::repeat_n(self.initial, self.max_depth + 1));
     }
 }
 
@@ -247,7 +170,7 @@ impl Block for TappedDelayLine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blocks::{Constant, FunctionSource, Probe};
+    use crate::blocks::{FunctionSource, Probe};
     use crate::GraphBuilder;
 
     #[test]
@@ -281,62 +204,6 @@ mod tests {
     #[should_panic(expected = "depth must be at least 1")]
     fn delay_n_rejects_zero_depth() {
         let _ = DelayN::new("d", 0, 0.0);
-    }
-
-    #[test]
-    fn variable_delay_integer_depths() {
-        let mut g = GraphBuilder::new();
-        let src = g.add(FunctionSource::new("src", |t| t));
-        let depth = g.add(Constant::new("depth", 2.0));
-        let d = g.add(VariableDelay::new("d", 8, 0.0));
-        let p = g.add(Probe::new("p"));
-        g.connect(src, 0, d, 0).unwrap();
-        g.connect(depth, 0, d, 1).unwrap();
-        g.connect(d, 0, p, 0).unwrap();
-        let mut sim = g.build().unwrap();
-        sim.run(6).unwrap();
-        // y[n] = u[n-1-2] with history latched one step behind:
-        // history[k] = u[n-1-k]; depth=2 reads u[n-3].
-        assert_eq!(
-            sim.trace("p").unwrap().samples(),
-            &[0.0, 0.0, 0.0, 0.0, 1.0, 2.0]
-        );
-    }
-
-    #[test]
-    fn variable_delay_interpolates_fractional_depth() {
-        let mut g = GraphBuilder::new();
-        let src = g.add(FunctionSource::new("src", |t| t));
-        let depth = g.add(Constant::new("depth", 1.5));
-        let d = g.add(VariableDelay::new("d", 8, 0.0));
-        let p = g.add(Probe::new("p"));
-        g.connect(src, 0, d, 0).unwrap();
-        g.connect(depth, 0, d, 1).unwrap();
-        g.connect(d, 0, p, 0).unwrap();
-        let mut sim = g.build().unwrap();
-        sim.run(6).unwrap();
-        // at n=5: history = [u4, u3, u2, ...] = [4,3,2]; d=1.5 → (3+2)/2 = 2.5
-        let s = sim.trace("p").unwrap().samples().to_vec();
-        assert!((s[5] - 2.5).abs() < 1e-12, "got {s:?}");
-    }
-
-    #[test]
-    fn variable_delay_clamps_request() {
-        let mut g = GraphBuilder::new();
-        let src = g.add(FunctionSource::new("src", |t| t));
-        let depth = g.add(Constant::new("depth", 100.0));
-        let d = g.add(VariableDelay::new("d", 2, -5.0));
-        let p = g.add(Probe::new("p"));
-        g.connect(src, 0, d, 0).unwrap();
-        g.connect(depth, 0, d, 1).unwrap();
-        g.connect(d, 0, p, 0).unwrap();
-        let mut sim = g.build().unwrap();
-        sim.run(5).unwrap();
-        // clamped to max_depth=2 → u[n-3]
-        assert_eq!(
-            sim.trace("p").unwrap().samples(),
-            &[-5.0, -5.0, -5.0, 0.0, 1.0]
-        );
     }
 
     #[test]

@@ -1,29 +1,17 @@
-//! Built-in block library.
+//! The block library the reproduction's diagrams are built from.
 //!
 //! All blocks operate on scalar `f64` signals. Blocks whose output does not
-//! depend on the current step's input (delays) report
+//! depend on the current step's input (sources and delays) report
 //! `direct_feedthrough() == false` and may be used to break feedback loops.
 
 mod arith;
 mod custom;
 mod delay;
-mod fault;
-mod filter;
-mod io;
-mod logic;
-mod nonlinear;
 mod sinks;
 mod sources;
 
-pub use arith::{
-    Abs, Gain, Max, Min, Negate, Offset, Product, Quantizer, Rounding, Saturate, Sign, Sum,
-};
-pub use custom::{FnBlock, StatefulFnBlock};
-pub use delay::{DelayN, TappedDelayLine, UnitDelay, VariableDelay};
-pub use fault::FaultPort;
-pub use filter::{FirFilter, IirFilter, Integrator};
-pub use io::{Inport, Subsystem};
-pub use logic::{Comparator, Counter, SampleHold, Switch};
-pub use nonlinear::{DeadZone, RateLimiter, Relay};
-pub use sinks::{Probe, Terminator};
-pub use sources::{Constant, FunctionSource, Pulse, Ramp, Sine, Step, TriangularPulse};
+pub use arith::{Gain, Sum};
+pub use custom::StatefulFnBlock;
+pub use delay::{DelayN, TappedDelayLine, UnitDelay};
+pub use sinks::Probe;
+pub use sources::{Constant, FunctionSource};

@@ -1,4 +1,4 @@
-//! Sink blocks.
+//! Sink block.
 
 use crate::block::{Block, StepContext};
 use crate::trace::Trace;
@@ -19,7 +19,7 @@ impl Probe {
     pub fn new(name: impl Into<String>) -> Self {
         Probe {
             name: name.into(),
-            trace: Trace::new(),
+            trace: Trace::default(),
         }
     }
 }
@@ -46,32 +46,6 @@ impl Block for Probe {
     }
 }
 
-/// Swallows a signal (for outputs that must be connected nowhere).
-#[derive(Debug, Clone)]
-pub struct Terminator {
-    name: String,
-}
-
-impl Terminator {
-    /// A sink that ignores its input.
-    pub fn new(name: impl Into<String>) -> Self {
-        Terminator { name: name.into() }
-    }
-}
-
-impl Block for Terminator {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn num_inputs(&self) -> usize {
-        1
-    }
-    fn num_outputs(&self) -> usize {
-        0
-    }
-    fn output(&mut self, _ctx: &StepContext, _inputs: &[f64], _outputs: &mut [f64]) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,17 +61,9 @@ mod tests {
         let mut sim = g.build().unwrap();
         sim.run(3).unwrap();
         let tr = sim.trace("p").unwrap();
-        assert_eq!(tr.times(), &[0.0, 1.0, 2.0]);
-        assert_eq!(tr.samples(), &[0.0, 2.0, 4.0]);
-    }
-
-    #[test]
-    fn terminator_accepts_anything() {
-        let mut g = GraphBuilder::new();
-        let src = g.add(FunctionSource::new("src", |t| t));
-        let t = g.add(Terminator::new("t"));
-        g.connect(src, 0, t, 0).unwrap();
-        let mut sim = g.build().unwrap();
-        assert!(sim.run(10).is_ok());
+        assert_eq!(
+            tr.iter().collect::<Vec<_>>(),
+            vec![(0.0, 0.0), (1.0, 2.0), (2.0, 4.0)]
+        );
     }
 }

@@ -8,22 +8,6 @@ use crate::sim::{Connection, Simulation};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlockId(pub(crate) usize);
 
-/// A (block, port) pair identifying one end of a connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PortRef {
-    /// The block the port belongs to.
-    pub block: BlockId,
-    /// Zero-based port index.
-    pub port: usize,
-}
-
-impl PortRef {
-    /// Create a port reference.
-    pub fn new(block: BlockId, port: usize) -> Self {
-        PortRef { block, port }
-    }
-}
-
 /// Incrementally builds a block-diagram and validates it into a
 /// [`Simulation`].
 ///

@@ -2,9 +2,17 @@
 //!
 //! This crate is a from-scratch substitute for the discrete-time subset of
 //! MATLAB/Simulink that the SOCC 2012 adaptive-clock paper used as its
-//! evaluation substrate. A model is a directed graph of [`Block`]s connected
-//! through scalar signal ports. Execution follows the classic two-phase
-//! synchronous semantics:
+//! evaluation substrate. It holds what the reproduction's two reference
+//! diagrams (`adaptive_clock::dtmodel`: the Fig. 4 loop and the Fig. 5 IIR)
+//! are built from, and nothing else: the graph builder, one step loop, and
+//! nine blocks — [`blocks::Constant`], [`blocks::FunctionSource`],
+//! [`blocks::Gain`], [`blocks::Sum`], [`blocks::UnitDelay`],
+//! [`blocks::DelayN`], [`blocks::TappedDelayLine`],
+//! [`blocks::StatefulFnBlock`] and [`blocks::Probe`].
+//!
+//! A model is a directed graph of [`Block`]s connected through scalar
+//! signal ports. Execution follows the classic two-phase synchronous
+//! semantics, one clock period per step:
 //!
 //! 1. **Output phase** — every block computes its outputs from its inputs
 //!    and its *current* state, in an order that respects direct-feedthrough
@@ -55,7 +63,7 @@ mod trace;
 
 pub use block::{Block, StepContext};
 pub use error::Error;
-pub use graph::{BlockId, GraphBuilder, PortRef};
+pub use graph::{BlockId, GraphBuilder};
 
 /// Numeric-behaviour revision of the interpreter, the crate's one engine.
 ///
@@ -63,5 +71,5 @@ pub use graph::{BlockId, GraphBuilder, PortRef};
 /// change alters the numbers an identical graph produces, so stale cached
 /// results become misses. See `adaptive_clock::ENGINE_REV` for the policy.
 pub const ENGINE_REV: u32 = 1;
-pub use sim::{BlockCost, ScheduleStats, SimReport, Simulation};
+pub use sim::Simulation;
 pub use trace::Trace;

@@ -1,7 +1,6 @@
 /// A recorded time series: one `(time, value)` pair per simulation step.
 ///
-/// Produced by [`blocks::Probe`](crate::blocks::Probe) and by the
-/// higher-level harnesses in downstream crates.
+/// Produced by [`blocks::Probe`](crate::blocks::Probe).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     times: Vec<f64>,
@@ -9,21 +8,8 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Create an empty trace.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Create an empty trace with reserved capacity.
-    pub fn with_capacity(n: usize) -> Self {
-        Trace {
-            times: Vec::with_capacity(n),
-            samples: Vec::with_capacity(n),
-        }
-    }
-
     /// Append one sample.
-    pub fn push(&mut self, time: f64, value: f64) {
+    pub(crate) fn push(&mut self, time: f64, value: f64) {
         self.times.push(time);
         self.samples.push(value);
     }
@@ -31,11 +17,6 @@ impl Trace {
     /// Recorded sample values in order.
     pub fn samples(&self) -> &[f64] {
         &self.samples
-    }
-
-    /// Recorded sample times in order.
-    pub fn times(&self) -> &[f64] {
-        &self.times
     }
 
     /// Number of samples recorded.
@@ -54,69 +35,9 @@ impl Trace {
     }
 
     /// Discard all samples.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.times.clear();
         self.samples.clear();
-    }
-
-    /// Minimum sample value, or `None` if empty.
-    pub fn min(&self) -> Option<f64> {
-        self.samples.iter().copied().reduce(f64::min)
-    }
-
-    /// Maximum sample value, or `None` if empty.
-    pub fn max(&self) -> Option<f64> {
-        self.samples.iter().copied().reduce(f64::max)
-    }
-
-    /// Arithmetic mean of the sample values, or `None` if empty.
-    pub fn mean(&self) -> Option<f64> {
-        if self.samples.is_empty() {
-            None
-        } else {
-            Some(self.samples.iter().sum::<f64>() / self.samples.len() as f64)
-        }
-    }
-
-    /// Sub-trace restricted to samples with index in `[start, end)`.
-    pub fn slice(&self, start: usize, end: usize) -> Trace {
-        let end = end.min(self.len());
-        let start = start.min(end);
-        Trace {
-            times: self.times[start..end].to_vec(),
-            samples: self.samples[start..end].to_vec(),
-        }
-    }
-
-    /// Write the trace as two-column CSV (`time,value`) with a header row.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the writer.
-    pub fn write_csv<W: std::io::Write>(&self, mut w: W) -> std::io::Result<()> {
-        writeln!(w, "time,value")?;
-        for (t, v) in self.iter() {
-            writeln!(w, "{t},{v}")?;
-        }
-        Ok(())
-    }
-}
-
-impl FromIterator<(f64, f64)> for Trace {
-    fn from_iter<T: IntoIterator<Item = (f64, f64)>>(iter: T) -> Self {
-        let mut t = Trace::new();
-        for (time, v) in iter {
-            t.push(time, v);
-        }
-        t
-    }
-}
-
-impl Extend<(f64, f64)> for Trace {
-    fn extend<T: IntoIterator<Item = (f64, f64)>>(&mut self, iter: T) {
-        for (time, v) in iter {
-            self.push(time, v);
-        }
     }
 }
 
@@ -125,89 +46,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stats_on_simple_trace() {
-        let t: Trace = [(0.0, 1.0), (1.0, 3.0), (2.0, -2.0)].into_iter().collect();
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.min(), Some(-2.0));
-        assert_eq!(t.max(), Some(3.0));
-        assert!((t.mean().unwrap() - (2.0 / 3.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_trace_stats_are_none() {
-        let t = Trace::new();
-        assert!(t.is_empty());
-        assert_eq!(t.min(), None);
-        assert_eq!(t.max(), None);
-        assert_eq!(t.mean(), None);
-    }
-
-    #[test]
-    fn slice_clamps_bounds() {
-        let t: Trace = (0..10).map(|i| (i as f64, i as f64)).collect();
-        let s = t.slice(8, 100);
-        assert_eq!(s.samples(), &[8.0, 9.0]);
-        let e = t.slice(7, 3);
-        assert!(e.is_empty());
-    }
-
-    #[test]
-    fn csv_round_trip_shape() {
-        let t: Trace = [(0.0, 1.5), (1.0, -2.0)].into_iter().collect();
-        let mut buf = Vec::new();
-        t.write_csv(&mut buf).unwrap();
-        let s = String::from_utf8(buf).unwrap();
-        assert_eq!(s, "time,value\n0,1.5\n1,-2\n");
-    }
-
-    #[test]
-    fn csv_empty_trace_is_header_only() {
-        let mut buf = Vec::new();
-        Trace::new().write_csv(&mut buf).unwrap();
-        assert_eq!(String::from_utf8(buf).unwrap(), "time,value\n");
-    }
-
-    #[test]
-    fn csv_parses_back_to_the_same_trace() {
-        let t: Trace = (0..50)
-            .map(|i| (i as f64 * 0.125, (i as f64 - 25.0) * 1.75))
-            .collect();
-        let mut buf = Vec::new();
-        t.write_csv(&mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let mut lines = text.lines();
-        assert_eq!(lines.next(), Some("time,value"));
-        let parsed: Trace = lines
-            .map(|l| {
-                let (time, value) = l.split_once(',').expect("two columns");
-                (time.parse().unwrap(), value.parse().unwrap())
-            })
-            .collect();
-        assert_eq!(parsed, t);
-    }
-
-    #[test]
-    fn csv_propagates_writer_errors() {
-        struct Failing;
-        impl std::io::Write for Failing {
-            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
-                Err(std::io::Error::other("disk full"))
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let t: Trace = [(0.0, 1.0)].into_iter().collect();
-        assert!(t.write_csv(Failing).is_err());
-    }
-
-    #[test]
-    fn extend_appends() {
-        let mut t = Trace::new();
-        t.extend([(0.0, 5.0)]);
-        t.extend([(1.0, 6.0)]);
+    fn push_appends_and_clear_empties() {
+        let mut t = Trace::default();
+        t.push(0.0, 5.0);
+        t.push(1.0, 6.0);
+        assert_eq!(t.len(), 2);
         assert_eq!(t.samples(), &[5.0, 6.0]);
+        assert_eq!(t.iter().collect::<Vec<_>>(), vec![(0.0, 5.0), (1.0, 6.0)]);
         t.clear();
         assert!(t.is_empty());
+        assert_eq!(t, Trace::default());
     }
 }

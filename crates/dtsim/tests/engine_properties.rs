@@ -2,8 +2,8 @@
 //! whatever the topology, the engine must be deterministic, reset-clean,
 //! and loop-safe.
 
-use dtsim::blocks::{Constant, DelayN, FunctionSource, Gain, Offset, Probe, Saturate, Sum};
-use dtsim::{GraphBuilder, Simulation};
+use dtsim::blocks::{Constant, DelayN, FunctionSource, Gain, Probe, StatefulFnBlock, Sum};
+use dtsim::{BlockId, GraphBuilder, Simulation};
 use proptest::prelude::*;
 
 /// A recipe for one randomly generated, always-valid diagram: a chain of
@@ -40,6 +40,27 @@ fn recipe_strategy() -> impl Strategy<Value = Recipe> {
         .prop_map(|(stages, feedback)| Recipe { stages, feedback })
 }
 
+/// `u + o`: a two-input sum fed by a constant.
+fn offset(g: &mut GraphBuilder, name: &str, o: f64) -> BlockId {
+    let k = g.add(Constant::new(format!("{name}_k"), o));
+    let sum = g.add(Sum::new(name, "++"));
+    g.connect(k, 0, sum, 1).unwrap();
+    sum
+}
+
+/// `clamp(u, lo, hi)`: a stateless feedthrough block.
+fn saturate(g: &mut GraphBuilder, name: &str, lo: f64, hi: f64) -> BlockId {
+    g.add(StatefulFnBlock::new(
+        name,
+        1,
+        1,
+        true,
+        (),
+        move |_, i, o| o[0] = i[0].clamp(lo, hi),
+        |_, _| {},
+    ))
+}
+
 /// Build the diagram described by a recipe. Returns a simulation with a
 /// probe named `out`.
 fn build(recipe: &Recipe) -> Simulation {
@@ -54,8 +75,8 @@ fn build(recipe: &Recipe) -> Simulation {
     for (i, stage) in recipe.stages.iter().enumerate() {
         let b = match stage {
             Stage::Gain(k) => g.add(Gain::new(format!("g{i}"), *k)),
-            Stage::Offset(o) => g.add(Offset::new(format!("o{i}"), *o)),
-            Stage::Saturate(s) => g.add(Saturate::new(format!("s{i}"), -s, *s)),
+            Stage::Offset(o) => offset(&mut g, &format!("o{i}"), *o),
+            Stage::Saturate(s) => saturate(&mut g, &format!("s{i}"), -s, *s),
             Stage::Delay(d) => g.add(DelayN::new(format!("d{i}"), *d, 0.0)),
         };
         g.connect(prev, 0, b, 0).unwrap();
@@ -68,7 +89,7 @@ fn build(recipe: &Recipe) -> Simulation {
         Some((delay, gain)) => {
             let fb_gain = g.add(Gain::new("fb_gain", gain));
             let fb_delay = g.add(DelayN::new("fb_delay", delay, 0.0));
-            let sat = g.add(Saturate::new("fb_sat", -100.0, 100.0));
+            let sat = saturate(&mut g, "fb_sat", -100.0, 100.0);
             g.connect(last_block, 0, sat, 0).unwrap();
             g.connect(sat, 0, fb_gain, 0).unwrap();
             g.connect(fb_gain, 0, fb_delay, 0).unwrap();

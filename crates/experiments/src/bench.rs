@@ -613,6 +613,36 @@ impl fmt::Display for CompareError {
 
 impl std::error::Error for CompareError {}
 
+/// Whether a run in mode `quick` on a pool of `workers` sweep workers can
+/// be compared against `baseline`. Both are known before the run starts,
+/// so the CLI checks this first and refuses without timing anything.
+///
+/// # Errors
+///
+/// [`CompareError::ModeMismatch`] when one side is `--quick` and the other
+/// is not. [`CompareError::WorkerMismatch`] when both sides record a worker
+/// pool size and the sizes differ. A baseline without one (`workers` 0,
+/// written before the field existed) is compared as is.
+pub fn check_comparable(
+    baseline: &BenchReport,
+    quick: bool,
+    workers: u64,
+) -> Result<(), CompareError> {
+    if baseline.quick != quick {
+        return Err(CompareError::ModeMismatch {
+            baseline: baseline.quick,
+            current: quick,
+        });
+    }
+    if baseline.workers != 0 && workers != 0 && baseline.workers != workers {
+        return Err(CompareError::WorkerMismatch {
+            baseline: baseline.workers,
+            current: workers,
+        });
+    }
+    Ok(())
+}
+
 /// Compare the optimisation speedups of `current` against a stored
 /// `baseline`. Raw wall times are deliberately ignored — they track host
 /// speed, not code quality — so only the dimensionless optimised-vs-naive
@@ -621,28 +651,13 @@ impl std::error::Error for CompareError {}
 ///
 /// # Errors
 ///
-/// [`CompareError::WorkerMismatch`] when both reports record a worker
-/// pool size and the sizes differ. A baseline without one (`workers` 0,
-/// written before the field existed) is compared as is.
-/// [`CompareError::ModeMismatch`] when one report is `--quick` and the
-/// other is not.
+/// Whatever [`check_comparable`] refuses for `current`'s mode and pool.
 pub fn compare(
     current: &BenchReport,
     baseline: &BenchReport,
     noise: f64,
 ) -> Result<CompareReport, CompareError> {
-    if baseline.quick != current.quick {
-        return Err(CompareError::ModeMismatch {
-            baseline: baseline.quick,
-            current: current.quick,
-        });
-    }
-    if baseline.workers != 0 && current.workers != 0 && baseline.workers != current.workers {
-        return Err(CompareError::WorkerMismatch {
-            baseline: baseline.workers,
-            current: current.workers,
-        });
-    }
+    check_comparable(baseline, current.quick, current.workers)?;
     let mut entries = Vec::new();
     let mut missing = Vec::new();
     for base in &baseline.entries {

@@ -339,6 +339,14 @@ fn run_bench(inv: &Invocation<'_>) -> bool {
             return false;
         }
     };
+    // Refuse a baseline of the other mode or pool before timing anything.
+    if let (Some(path), Some(baseline)) = (inv.compare, &baseline) {
+        let workers = crate::sweep::pool_size() as u64;
+        if let Err(e) = bench::check_comparable(baseline, inv.quick, workers) {
+            eprintln!("error: cannot compare against {path}: {e}");
+            return false;
+        }
+    }
     let report = bench::run(&inv.ctx.params, inv.quick);
     if let Some(path) = inv.json_path {
         let payload = report.to_json().expect("plain data serializes");

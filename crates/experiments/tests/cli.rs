@@ -428,3 +428,23 @@ fn bench_compare_gates_on_speedup_regressions() {
     assert!(stdout(&bad).contains("REGRESSED"));
     assert!(stderr(&bad).contains("regressed"));
 }
+
+/// A baseline of the other mode is refused before the timed run: the
+/// committed full-mode `BENCH_8.json` against `--quick` exits 1 naming both
+/// modes, and no bench table is printed.
+#[test]
+fn bench_compare_refuses_other_mode_before_timing() {
+    let baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_8.json");
+    let out = repro(&["--threads", "2", "bench", "--quick", "--compare", baseline]);
+    assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr(&out));
+    assert!(
+        stderr(&out).contains("baseline is a full bench but this run is --quick"),
+        "stderr: {}",
+        stderr(&out)
+    );
+    assert!(
+        stdout(&out).is_empty(),
+        "no bench table may be printed: {}",
+        stdout(&out)
+    );
+}

@@ -9,7 +9,6 @@
 //! * a registry of named [`Counter`]s, [`Gauge`]s and fixed-bucket
 //!   [`Histogram`]s (lock-free on the hot path — handles are resolved
 //!   once and update atomics);
-//! * [`Span`] wall-clock timers that accumulate per-region time;
 //! * a structured [`Event`] log — timing violations, RO length
 //!   saturations, controller updates, sensor dropouts, margin-search
 //!   iterations — drained to a bounded in-memory ring buffer and,
@@ -47,7 +46,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 pub use event::{Event, EventRecord};
 pub use expose::prometheus_text;
 pub use profile::{build_profile, render_profile, Profile, ProfileNode};
-pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, Snapshot, Span};
+pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, Snapshot};
 pub use sketch::QuantileSketch;
 pub use trace::{SpanRecord, TraceScope, NO_PARENT};
 
@@ -176,18 +175,6 @@ impl Telemetry {
         match &self.inner {
             Some(i) => i.registry.histogram(name, lo, hi, buckets),
             None => Histogram::noop(),
-        }
-    }
-
-    /// Start a wall-clock span. On drop it adds the elapsed nanoseconds to
-    /// the counter `<name>.ns` and increments `<name>.calls`.
-    pub fn span(&self, name: &str) -> Span {
-        match &self.inner {
-            Some(i) => Span::running(
-                i.registry.counter(&format!("{name}.ns")),
-                i.registry.counter(&format!("{name}.calls")),
-            ),
-            None => Span::noop(),
         }
     }
 
@@ -320,7 +307,6 @@ mod tests {
         t.gauge("y").set(1.5);
         t.histogram("h", 0.0, 1.0, 4).record(0.5);
         t.emit(0.0, Event::SensorDropout { sensor: 0 });
-        drop(t.span("s"));
         let snap = t.snapshot();
         assert!(snap.counters.is_empty());
         assert_eq!(snap.events_total, 0);
@@ -433,18 +419,6 @@ mod tests {
         let snap = t.snapshot();
         assert_eq!(snap.counter("telemetry.open_failures"), Some(1));
         assert_eq!(snap.counter("work"), Some(1));
-    }
-
-    #[test]
-    fn span_times_are_recorded() {
-        let t = Telemetry::enabled();
-        {
-            let _s = t.span("work");
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        let snap = t.snapshot();
-        assert_eq!(snap.counter("work.calls"), Some(1));
-        assert!(snap.counter("work.ns").expect("ns counter") > 1_000_000);
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Named metric registry: counters, gauges, fixed-bucket histograms and
-//! wall-clock spans.
+//! Named metric registry: counters, gauges and fixed-bucket histograms.
 //!
 //! Resolution (name → handle) takes a registry lock; the handles
 //! themselves are `Arc`ed atomics, so the hot path — `inc`, `add`,
@@ -9,7 +8,6 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use crate::sketch::QuantileSketch;
 
@@ -123,43 +121,6 @@ impl Histogram {
             core.buckets[idx].fetch_add(1, Ordering::Relaxed);
         }
         core.sketch.lock().expect("histogram sketch lock").record(v);
-    }
-}
-
-/// A wall-clock timer; on drop it adds the elapsed nanoseconds to one
-/// counter and bumps a call counter. Obtained from
-/// [`Telemetry::span`](crate::Telemetry::span).
-pub struct Span {
-    started: Option<Instant>,
-    ns: Counter,
-    calls: Counter,
-}
-
-impl Span {
-    pub(crate) fn noop() -> Self {
-        Span {
-            started: None,
-            ns: Counter::noop(),
-            calls: Counter::noop(),
-        }
-    }
-
-    pub(crate) fn running(ns: Counter, calls: Counter) -> Self {
-        Span {
-            started: Some(Instant::now()),
-            ns,
-            calls,
-        }
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        if let Some(t0) = self.started {
-            let dt = t0.elapsed().as_nanos();
-            self.ns.add(u64::try_from(dt).unwrap_or(u64::MAX));
-            self.calls.inc();
-        }
     }
 }
 
