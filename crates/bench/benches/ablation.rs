@@ -4,7 +4,7 @@
 //! the underlying run so regressions in simulation cost are also visible.
 
 use adaptive_clock::controller::IirConfig;
-use adaptive_clock::system::{Scheme, SensorSpec, SystemBuilder};
+use adaptive_clock::system::{RunSummary, Scheme, SensorSpec, SystemBuilder};
 use adaptive_clock::tdc::Quantization;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -42,11 +42,10 @@ fn bench_iir_coefficients(c: &mut Criterion) {
             .scheme(Scheme::Iir(cfg))
             .build()
             .expect("valid config");
-        let run = system.run(&hodv, 6000).skip(2000);
+        let run = RunSummary::of(&system.run(&hodv, 6000).skip(2000));
         println!(
             "[ablation/iir] {name}: margin {:.2} stages, mean period {:.2}",
-            run.worst_negative_error(),
-            run.mean_period()
+            run.worst_negative_error, run.mean_period
         );
         g.bench_function(BenchmarkId::new("6k-periods", name), |b| {
             b.iter(|| black_box(system.run(&hodv, 6000)))
@@ -70,10 +69,10 @@ fn bench_quantization(c: &mut Criterion) {
             .quantization(q)
             .build()
             .expect("valid config");
-        let run = system.run(&hodv, 6000).skip(2000);
+        let run = RunSummary::of(&system.run(&hodv, 6000).skip(2000));
         println!(
             "[ablation/quantization] {name}: margin {:.2} stages",
-            run.worst_negative_error()
+            run.worst_negative_error
         );
         g.bench_function(BenchmarkId::new("6k-periods", name), |b| {
             b.iter(|| black_box(system.run(&hodv, 6000)))
@@ -96,11 +95,10 @@ fn bench_sensor_count(c: &mut Criterion) {
             .sensors(sensors)
             .build()
             .expect("valid config");
-        let run = system.run(&hodv, 4000).skip(1000);
+        let run = RunSummary::of(&system.run(&hodv, 4000).skip(1000));
         println!(
             "[ablation/sensors] n={n}: margin {:.2} stages, mean period {:.2}",
-            run.worst_negative_error(),
-            run.mean_period()
+            run.worst_negative_error, run.mean_period
         );
         g.throughput(Throughput::Elements(4000));
         g.bench_function(BenchmarkId::new("4k-periods", n), |b| {
@@ -122,10 +120,10 @@ fn bench_jitter(c: &mut Criterion) {
             builder = builder.jitter(sigma, 4242);
         }
         let system = builder.build().expect("valid config");
-        let run = system.run(&hodv, 6000).skip(2000);
+        let run = RunSummary::of(&system.run(&hodv, 6000).skip(2000));
         println!(
             "[ablation/jitter] σ={sigma}: margin {:.2} stages (unpredictable floor no loop reclaims)",
-            run.worst_negative_error()
+            run.worst_negative_error
         );
         g.bench_function(
             BenchmarkId::new("6k-periods", format!("sigma{sigma}")),

@@ -19,12 +19,13 @@
 //!   `DiscreteLoop` it replaces (asserted by the differential tests below
 //!   and by the `batch_blocked_differential` proptest suite);
 //! * recorded signals land in flat `[n·B + lane]` arrays
-//!   ([`BatchTrace`]), with per-lane [`LoopTrace`] views for drop-in use;
+//!   ([`BatchTrace`]); [`BatchTrace::lane`] cuts out the one-lane trace a
+//!   `DiscreteLoop` run of that lane records;
 //! * summary consumers (margin sweeps, Monte Carlo panels) can skip the
 //!   trace entirely: [`BatchLoop::run`] with a [`SummarySink`] streams the
-//!   same block loop into per-lane [`LaneSummary`] statistics,
-//!   bit-identical to summarizing a materialized trace but without the
-//!   trace-store bandwidth or allocation.
+//!   same block loop into one [`RunSummary`] per lane through the shared
+//!   [`Fold`], bit-identical to summarizing a materialized trace but
+//!   without the trace-store bandwidth or allocation.
 //!
 //! [`loopsim::DiscreteLoop`]: crate::loopsim::DiscreteLoop
 
@@ -33,8 +34,9 @@ use clock_telemetry::Telemetry;
 
 use crate::bank::DomainBank;
 use crate::controller::Controller;
-use crate::loopsim::{LoopInputs, LoopTrace};
+use crate::loopsim::LoopInputs;
 use crate::resilience::Resilience;
+use crate::system::{Fold, RunSummary};
 use crate::tdc::Quantization;
 
 mod blocked;
@@ -66,6 +68,41 @@ pub enum BatchInputs<'a> {
         /// Static heterogeneous offset `μ` per lane.
         mu: &'a [f64],
     },
+}
+
+impl BatchInputs<'_> {
+    /// Number of lanes the inputs drive.
+    pub(crate) fn lanes(&self) -> usize {
+        match self {
+            BatchInputs::PerLane(li) => li.len(),
+            BatchInputs::StaticMu { mu, .. } => mu.len(),
+        }
+    }
+
+    /// Lane `lane`'s set-point `c[n]`.
+    fn setpoint(&self, lane: usize, n: i64) -> f64 {
+        match self {
+            BatchInputs::PerLane(li) => (li[lane].setpoint)(n),
+            BatchInputs::StaticMu { setpoint, .. } => setpoint(n),
+        }
+    }
+
+    /// One [`RunSummary`] per lane from its [`Fold`] and last `l_RO`. A
+    /// lane has no single set-point field, so the summary reads the
+    /// lane's `c[steps − 1]` (the pre-start `c[−1]` for a zero-step run).
+    pub(crate) fn summaries(
+        &self,
+        steps: usize,
+        samples: usize,
+        lanes: impl Iterator<Item = (Fold, f64)>,
+    ) -> Vec<RunSummary> {
+        lanes
+            .enumerate()
+            .map(|(k, (fold, last_lro))| {
+                fold.finish(self.setpoint(k, steps as i64 - 1), samples as u64, last_lro)
+            })
+            .collect()
+    }
 }
 
 impl<'a> From<&'a [LoopInputs<'a>]> for BatchInputs<'a> {
@@ -110,28 +147,43 @@ impl BatchTrace {
         self.steps
     }
 
-    /// De-interleave one lane into a standalone [`LoopTrace`] — identical
-    /// to what a `DiscreteLoop` run of that operating point records.
-    ///
-    /// All three signals are gathered in a single pass over the step rows
-    /// (one strided walk instead of one closure-driven pass per signal),
-    /// so exporting every lane of a large batch reads each trace row once.
+    /// An empty one-lane trace with room for `steps` periods, filled by
+    /// [`push`](Self::push) — what a `DiscreteLoop` run or one mesh
+    /// domain records.
+    pub fn single_lane(steps: usize) -> BatchTrace {
+        BatchTrace {
+            lanes: 1,
+            steps: 0,
+            tau: Vec::with_capacity(steps),
+            delta: Vec::with_capacity(steps),
+            lro: Vec::with_capacity(steps),
+        }
+    }
+
+    /// Append one period to a one-lane trace.
+    #[inline]
+    pub fn push(&mut self, tau: f64, delta: f64, lro: f64) {
+        debug_assert_eq!(self.lanes, 1, "push appends to a one-lane trace");
+        self.tau.push(tau);
+        self.delta.push(delta);
+        self.lro.push(lro);
+        self.steps += 1;
+    }
+
+    /// Cut one lane out into a one-lane trace — identical to what a
+    /// `DiscreteLoop` run of that operating point records.
     ///
     /// # Panics
     ///
     /// Panics when `lane >= self.lanes()`.
-    pub fn lane(&self, lane: usize) -> LoopTrace {
+    pub fn lane(&self, lane: usize) -> BatchTrace {
         assert!(lane < self.lanes, "lane {lane} out of {}", self.lanes);
-        let mut tau = Vec::with_capacity(self.steps);
-        let mut delta = Vec::with_capacity(self.steps);
-        let mut lro = Vec::with_capacity(self.steps);
+        let mut out = BatchTrace::single_lane(self.steps);
         for n in 0..self.steps {
             let k = n * self.lanes + lane;
-            tau.push(self.tau[k]);
-            delta.push(self.delta[k]);
-            lro.push(self.lro[k]);
+            out.push(self.tau[k], self.delta[k], self.lro[k]);
         }
-        LoopTrace { tau, delta, lro }
+        out
     }
 
     /// Recombine lane-chunk traces into one trace whose lane order is the
@@ -171,16 +223,17 @@ impl BatchTrace {
         out
     }
 
-    /// Fold every lane into its [`LaneSummary`] — the trace-then-summarize
-    /// reference implementation for a [`SummarySink`] run.
+    /// Fold every lane into its [`RunSummary`] — the trace-then-summarize
+    /// reference for a [`SummarySink`] run. `inputs` are the ones the run
+    /// was given; they supply each lane's set-point (see
+    /// [`RunSummary::setpoint`]).
     ///
-    /// `δ[n] = c[n] − τ[n]` is already recorded, so the worst negative
-    /// error folds `δ` and the worst positive error folds `−δ` directly;
-    /// the mean period sums `l_RO[n]` in step order. The traceless path
-    /// performs these exact operations inline per period, which is what
+    /// `δ[n] = c[n] − τ[n]` is already recorded, so each period pushes
+    /// `δ`, `−δ` and `l_RO[n]` into the lane's [`Fold`], in step order.
+    /// The traceless path pushes the same values inline, which is what
     /// makes the two bit-identical.
-    pub fn summarize(&self) -> Vec<LaneSummary> {
-        self.summarize_after(0)
+    pub fn summarize<'a>(&self, inputs: impl Into<BatchInputs<'a>>) -> Vec<RunSummary> {
+        self.summarize_after(inputs, 0)
     }
 
     /// Like [`summarize`](Self::summarize), but fold only the periods
@@ -192,89 +245,37 @@ impl BatchTrace {
     ///
     /// # Panics
     ///
-    /// Panics when `warmup >= steps` on a non-empty trace (an empty
-    /// measurement window has no statistics).
-    pub fn summarize_after(&self, warmup: usize) -> Vec<LaneSummary> {
-        if self.steps == 0 {
-            return vec![LaneSummary::EMPTY; self.lanes];
-        }
-        assert!(
-            warmup < self.steps,
-            "warmup ({warmup}) must leave at least one measured period of {}",
-            self.steps
-        );
-        let samples = self.steps - warmup;
-        (0..self.lanes)
-            .map(|lane| {
-                let mut wne = 0.0f64;
-                let mut wpe = 0.0f64;
-                let mut sum = 0.0f64;
-                for n in warmup..self.steps {
-                    let k = n * self.lanes + lane;
-                    let delta = self.delta[k];
-                    wne = wne.max(delta);
-                    wpe = wpe.max(-delta);
-                    sum += self.lro[k];
-                }
-                LaneSummary {
-                    samples: samples as u64,
-                    mean_period: sum / samples as f64,
-                    worst_negative_error: wne,
-                    worst_positive_error: wpe,
-                    last_lro: self.lro[(self.steps - 1) * self.lanes + lane],
-                }
-            })
-            .collect()
-    }
-}
-
-/// Streaming per-lane margin statistics of a batched run: the handful of
-/// numbers a sweep or Monte Carlo consumer actually reads off a lane's
-/// trace, computed inline by a [`SummarySink`] run without ever
-/// materializing the trace, or after the fact by
-/// [`BatchTrace::summarize`]. The two paths perform the identical
-/// floating-point operations in the identical order, so their results are
-/// bit-identical (pinned by the differential suite).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LaneSummary {
-    /// Periods summarized.
-    pub samples: u64,
-    /// Mean generated period `Σ l_RO[n] / samples`, summed in step order
-    /// (`0.0` when no steps were run).
-    pub mean_period: f64,
-    /// Worst negative timing error `max(0, max_n (c[n] − τ[n]))` — in the
-    /// paper's words, "equal, in absolute value, to the needed safety
-    /// margin". Folded over `δ[n] = c[n] − τ[n]` exactly as recorded.
-    pub worst_negative_error: f64,
-    /// Worst positive timing error `max(0, max_n (τ[n] − c[n]))` —
-    /// performance left on the table. Folded over `−δ[n]` (negation is
-    /// exact, so this matches folding `τ − c` up to the sign of zero).
-    pub worst_positive_error: f64,
-    /// `l_RO` of the final generated period (NaN when no steps were run).
-    pub last_lro: f64,
-}
-
-impl LaneSummary {
-    /// The zero-step summary (NaN `last_lro`, everything else zero).
-    pub(crate) const EMPTY: LaneSummary = LaneSummary {
-        samples: 0,
-        mean_period: 0.0,
-        worst_negative_error: 0.0,
-        worst_positive_error: 0.0,
-        last_lro: f64::NAN,
-    };
-
-    /// The minimal safety margin for error-free operation — the worst
-    /// negative excursion, matching `clock_metrics::margin::required_margin`
-    /// on the equivalent `RunTrace`.
-    pub fn required_margin(&self) -> f64 {
-        self.worst_negative_error
-    }
-
-    /// Mean period once operated with just enough margin to be error-free:
-    /// `⟨T⟩ + m*`.
-    pub fn needed_adaptive_period(&self) -> f64 {
-        self.mean_period + self.required_margin()
+    /// Panics when the inputs do not drive exactly this trace's lanes, or
+    /// when `warmup >= steps` on a non-empty trace (an empty measurement
+    /// window has no statistics).
+    pub fn summarize_after<'a>(
+        &self,
+        inputs: impl Into<BatchInputs<'a>>,
+        warmup: usize,
+    ) -> Vec<RunSummary> {
+        let inputs = inputs.into();
+        assert_eq!(inputs.lanes(), self.lanes, "one input per lane required");
+        let window = if self.steps == 0 {
+            0..0
+        } else {
+            assert!(
+                warmup < self.steps,
+                "warmup ({warmup}) must leave at least one measured period of {}",
+                self.steps
+            );
+            warmup..self.steps
+        };
+        let lanes = (0..self.lanes).map(|lane| {
+            let mut fold = Fold::new();
+            for n in window.clone() {
+                let k = n * self.lanes + lane;
+                fold.push(self.delta[k], -self.delta[k], self.lro[k]);
+            }
+            let last = self.steps.checked_sub(1);
+            let last = last.map_or(f64::NAN, |n| self.lro[n * self.lanes + lane]);
+            (fold, last)
+        });
+        inputs.summaries(self.steps, window.len(), lanes)
     }
 }
 
@@ -396,8 +397,8 @@ impl BatchLoop {
 
     /// Run `steps` periods of every lane through the lane-block engine
     /// and hand every period to `sink`: a [`TraceSink`] returns the full
-    /// [`BatchTrace`], a [`SummarySink`] the per-lane [`LaneSummary`]
-    /// statistics without materializing a trace. Clean lanes advance in
+    /// [`BatchTrace`], a [`SummarySink`] one [`RunSummary`] per lane
+    /// without materializing a trace. Clean lanes advance in
     /// [`BLOCK_WIDTH`]-wide SoA blocks, faulted/hardened lanes and block
     /// tails on the per-lane scalar path, every lane bit-identical to its
     /// scalar [`DiscreteLoop`](crate::loopsim::DiscreteLoop) twin, and the
@@ -443,16 +444,16 @@ mod tests {
         q: Quantization,
         inputs: &LoopInputs<'_>,
         steps: usize,
-    ) -> LoopTrace {
+    ) -> BatchTrace {
         DiscreteLoop::new(m, controller, q).run(inputs, steps)
     }
 
     /// The lockstep scalar reference: every lane of `bank` advanced one
     /// period at a time through [`DomainBank::runner`], the stepping path
     /// the mesh uses.
-    fn lockstep(bank: &mut DomainBank, inputs: &[LoopInputs<'_>], steps: usize) -> Vec<LoopTrace> {
+    fn lockstep(bank: &mut DomainBank, inputs: &[LoopInputs<'_>], steps: usize) -> Vec<BatchTrace> {
         let mm: Vec<i64> = (0..bank.len()).map(|d| bank.m(d) as i64 + 2).collect();
-        let mut out = vec![LoopTrace::default(); bank.len()];
+        let mut out = vec![BatchTrace::single_lane(steps); bank.len()];
         let mut runner = bank.runner();
         for n in 0..steps as i64 {
             for (d, li) in inputs.iter().enumerate() {
@@ -465,9 +466,7 @@ mod tests {
                     (li.homogeneous)(n - 1),
                     (li.heterogeneous)(i),
                 );
-                out[d].tau.push(s.tau);
-                out[d].delta.push(s.delta);
-                out[d].lro.push(s.lro);
+                out[d].push(s.tau, s.delta, s.lro);
             }
         }
         out
@@ -475,18 +474,8 @@ mod tests {
 
     /// Every field of every summary as raw bits, so NaN `last_lro`s and
     /// signed zeros compare exactly.
-    fn summary_bits(s: &[LaneSummary]) -> Vec<[u64; 5]> {
-        s.iter()
-            .map(|x| {
-                [
-                    x.samples,
-                    x.mean_period.to_bits(),
-                    x.worst_negative_error.to_bits(),
-                    x.worst_positive_error.to_bits(),
-                    x.last_lro.to_bits(),
-                ]
-            })
-            .collect()
+    fn summary_bits(s: &[RunSummary]) -> Vec<[u64; RunSummary::FIELDS]> {
+        s.iter().map(|x| x.to_values().map(f64::to_bits)).collect()
     }
 
     #[test]
@@ -730,12 +719,12 @@ mod tests {
         form: BatchInputs<'_>,
         steps: usize,
         warmup: usize,
-    ) -> (Vec<u64>, Vec<LaneSummary>) {
+    ) -> (Vec<u64>, Vec<RunSummary>) {
         let (mut traced, mut traceless) = (build(), build());
         let mut first = None;
         for leg in 0..2 {
             let trace = traced.run(form, steps, TraceSink::default());
-            let want = trace.summarize_after(warmup);
+            let want = trace.summarize_after(form, warmup);
             let got = traceless.run(form, steps, SummarySink::with_warmup(warmup));
             assert_eq!(got.len(), traced.len(), "{at}");
             assert_eq!(summary_bits(&got), summary_bits(&want), "{at} leg {leg}");
@@ -812,7 +801,9 @@ mod tests {
     }
 
     /// Empty batches summarize to nothing, and zero steps give every lane
-    /// an empty summary, in both input forms.
+    /// an empty summary, in both input forms. A lane's summary reads its
+    /// set-point at the last period, `c[steps − 1]`: the pre-start `c[−1]`
+    /// for a zero-step run.
     #[test]
     fn summaries_of_empty_batches_and_zero_steps() {
         let c = constant(64.0);
@@ -830,6 +821,12 @@ mod tests {
                 assert!(trace.is_empty() && got.is_empty(), "{at}");
             }
         }
+        // c[−1] = 63, c[0..99] = 64, c[99] = 65.
+        let c = |n: i64| match n {
+            ..=-1 => 63.0,
+            99 => 65.0,
+            _ => 64.0,
+        };
         let lanes = summary_bank().len();
         let mus = vec![0.0; lanes];
         let zeros: Vec<Seq> = mus.iter().map(|&m| Box::new(constant(m)) as Seq).collect();
@@ -840,17 +837,28 @@ mod tests {
             mu: &mus,
         };
         for form in [(&closures).into(), statics] {
-            for warmup in [0usize, 150] {
+            for warmup in [0usize, 50, 150] {
                 let at = format!("zero steps, warmup {warmup}");
                 let (_, s) = assert_traceless_matches_traced(&at, &summary_bank, form, 0, warmup);
                 assert_eq!(s.len(), lanes, "{at}");
                 assert!(
-                    s.iter().all(|x| x.samples == 0
+                    s.iter().all(|x| x.setpoint == 63.0
+                        && x.samples == 0
                         && x.mean_period == 0.0
                         && x.required_margin() == 0.0
                         && x.last_lro.is_nan()),
                     "{at}"
                 );
+                if warmup < 100 {
+                    let at = format!("100 steps, warmup {warmup}");
+                    let (_, s) =
+                        assert_traceless_matches_traced(&at, &summary_bank, form, 100, warmup);
+                    assert!(
+                        s.iter()
+                            .all(|x| x.setpoint == 65.0 && x.samples == 100 - warmup as u64),
+                        "{at}"
+                    );
+                }
             }
         }
     }

@@ -41,7 +41,8 @@ use crate::controller::Controller;
 use crate::resilience::FaultPath;
 use crate::tdc::Quantization;
 
-use super::{BatchInputs, BatchLoop, BatchTrace, LaneSummary};
+use super::{BatchInputs, BatchLoop, BatchTrace};
+use crate::system::{Fold, RunSummary};
 
 /// Lane-block width `W`: how many lanes one SoA block advances per
 /// period. Four f64 columns are two 128-bit register rows at the SSE2
@@ -519,7 +520,7 @@ pub trait Sink: sealed::Sealed {
     type Output;
 
     /// Whether the sink reads the `tau` staging row. When `false`
-    /// (the summary sink — `LaneSummary` has no τ statistic), the engine
+    /// (the summary sink — it folds `δ`, not `τ`), the engine
     /// body skips the per-lane τ scatter stores entirely; the `tau` slice
     /// the sink receives then holds stale rows and must not be read.
     const NEEDS_TAU: bool;
@@ -571,9 +572,9 @@ pub trait Sink: sealed::Sealed {
         let _ = (n, steps, k, delta, lro);
     }
 
-    /// Hand back the run's result.
+    /// Hand back the run's result (`inputs` are the run's inputs).
     #[doc(hidden)]
-    fn finish(self, lanes: usize, steps: usize) -> Self::Output;
+    fn finish(self, inputs: BatchInputs<'_>, steps: usize) -> Self::Output;
 
     /// Run the engine into this sink. Each sink implements it without
     /// generics, so the engine body is compiled once per sink in this
@@ -681,7 +682,7 @@ impl Sink for TraceSink {
         run(batch, inputs, steps, self)
     }
 
-    fn finish(self, _lanes: usize, _steps: usize) -> BatchTrace {
+    fn finish(self, _inputs: BatchInputs<'_>, _steps: usize) -> BatchTrace {
         // Non-temporal stores are weakly ordered: fence once so the trace
         // is globally visible before it can cross a thread boundary (the
         // lane dispatcher hands chunk traces to a recombining thread).
@@ -695,20 +696,19 @@ impl Sink for TraceSink {
     }
 }
 
-/// The traceless sink: folds each period into per-lane [`LaneSummary`]
-/// accumulators and drops it — no trace allocation, no ~24 B per
-/// lane-step of store bandwidth, the compulsory cost floor of the traced
-/// path for consumers that only read a handful of numbers per lane
-/// (margin sweeps, Monte Carlo sample panels).
+/// The traceless sink: folds each period into one [`Fold`] per lane and
+/// drops it — no trace allocation, no ~24 B per lane-step of store
+/// bandwidth, the compulsory cost floor of the traced path for consumers
+/// that only read a handful of numbers per lane (margin sweeps, Monte
+/// Carlo sample panels).
 ///
-/// The folds run in the exact operation order [`BatchTrace::summarize`]
-/// uses on a materialized trace — per lane, `max` over `δ` (worst
-/// negative error), `max` over `−δ` (worst positive), a step-ordered sum
-/// of `l_RO` — so the summaries are bit-identical to
-/// `run(inputs, steps, TraceSink::default()).summarize_after(warmup)` for
-/// every lane, and the controller state advances exactly as a traced run
-/// would leave it. Periods before the warmup are stepped but not folded:
-/// every lane still lives through its lock-in transient, while the
+/// Each lane pushes `δ`, `−δ` and `l_RO` per period, exactly what
+/// [`BatchTrace::summarize`] pushes from a materialized trace, so the
+/// [`RunSummary`]s are bit-identical to
+/// `run(inputs, steps, TraceSink::default()).summarize_after(inputs, warmup)`
+/// for every lane, and the controller state advances exactly as a traced
+/// run would leave it. Periods before the warmup are stepped but not
+/// folded: every lane still lives through its lock-in transient, while the
 /// statistics cover the post-warmup window (the paper's measurement
 /// methodology).
 ///
@@ -719,9 +719,7 @@ impl Sink for TraceSink {
 #[derive(Debug, Default)]
 pub struct SummarySink {
     warmup: usize,
-    wne: Vec<f64>,
-    wpe: Vec<f64>,
-    sum: Vec<f64>,
+    folds: Vec<Fold>,
     last: Vec<f64>,
 }
 
@@ -738,7 +736,7 @@ impl SummarySink {
 impl sealed::Sealed for SummarySink {}
 
 impl Sink for SummarySink {
-    type Output = Vec<LaneSummary>;
+    type Output = Vec<RunSummary>;
     const NEEDS_TAU: bool = false;
     const PER_ROW: bool = false;
     const SPAN: &'static str = "engine.batch.summaries";
@@ -749,9 +747,7 @@ impl Sink for SummarySink {
             steps == 0 || warmup < steps,
             "warmup ({warmup}) must leave at least one measured period of {steps}"
         );
-        self.wne = vec![0.0; lanes];
-        self.wpe = vec![0.0; lanes];
-        self.sum = vec![0.0; lanes];
+        self.folds = vec![Fold::new(); lanes];
         self.last = vec![f64::NAN; lanes];
     }
 
@@ -766,10 +762,7 @@ impl Sink for SummarySink {
     ) {
         if n >= self.warmup {
             for j in 0..W {
-                let k = lane[j];
-                self.wne[k] = self.wne[k].max(delta[j]);
-                self.wpe[k] = self.wpe[k].max(-delta[j]);
-                self.sum[k] += lro[j];
+                self.folds[lane[j]].push(delta[j], -delta[j], lro[j]);
             }
         }
         if n + 1 == steps {
@@ -782,9 +775,7 @@ impl Sink for SummarySink {
     #[inline]
     fn lane(&mut self, n: usize, steps: usize, k: usize, delta: f64, lro: f64) {
         if n >= self.warmup {
-            self.wne[k] = self.wne[k].max(delta);
-            self.wpe[k] = self.wpe[k].max(-delta);
-            self.sum[k] += lro;
+            self.folds[k].push(delta, -delta, lro);
         }
         if n + 1 == steps {
             self.last[k] = lro;
@@ -796,27 +787,13 @@ impl Sink for SummarySink {
         batch: &mut BatchLoop,
         inputs: BatchInputs<'_>,
         steps: usize,
-    ) -> Vec<LaneSummary> {
+    ) -> Vec<RunSummary> {
         run(batch, inputs, steps, self)
     }
 
-    fn finish(self, lanes: usize, steps: usize) -> Vec<LaneSummary> {
-        if steps == 0 {
-            return vec![LaneSummary::EMPTY; lanes];
-        }
-        let samples = steps - self.warmup;
-        self.wne
-            .into_iter()
-            .zip(self.wpe)
-            .zip(self.sum.into_iter().zip(self.last))
-            .map(|((wne, wpe), (sum, last))| LaneSummary {
-                samples: samples as u64,
-                mean_period: sum / samples as f64,
-                worst_negative_error: wne,
-                worst_positive_error: wpe,
-                last_lro: last,
-            })
-            .collect()
+    fn finish(self, inputs: BatchInputs<'_>, steps: usize) -> Vec<RunSummary> {
+        let samples = if steps == 0 { 0 } else { steps - self.warmup };
+        inputs.summaries(steps, samples, self.folds.into_iter().zip(self.last))
     }
 }
 
@@ -829,14 +806,7 @@ fn run<S: Sink>(
     mut sink: S,
 ) -> S::Output {
     let b = batch.bank.domains.len();
-    match inputs {
-        BatchInputs::PerLane(li) => {
-            assert_eq!(li.len(), b, "one LoopInputs per lane required");
-        }
-        BatchInputs::StaticMu { mu, .. } => {
-            assert_eq!(mu.len(), b, "one static mu per lane required");
-        }
-    }
+    assert_eq!(inputs.lanes(), b, "one input per lane required");
     let mut run_scope = batch.telemetry.scope(S::SPAN);
     run_scope.attr("steps", steps);
     run_scope.attr("lanes", b);
@@ -844,7 +814,7 @@ fn run<S: Sink>(
     if b > 0 && steps > 0 {
         run_impl(batch, inputs, steps, &mut sink);
     }
-    sink.finish(b, steps)
+    sink.finish(inputs, steps)
 }
 
 /// The shared engine body: input dedup and ring-buffering, lane

@@ -35,7 +35,7 @@ use crate::cdn::Cdn;
 use crate::controller::Controller;
 use crate::error::Error;
 use crate::ro::{RingOscillator, RoBounds};
-use crate::system::{RunSummary, RunTrace};
+use crate::system::{Fold, RunSummary, RunTrace};
 use crate::tdc::SensorBank;
 
 /// Cycle-to-cycle period jitter of the generator (RO phase noise).
@@ -457,22 +457,18 @@ impl Sink for TraceSink {
 /// store, for consumers that read a handful of numbers per run (margin
 /// sweeps, figures of merit).
 ///
-/// The folds are the ones the [`RunTrace`] statistics use, in the same
-/// order: `max` from 0 over `c − τ` (worst negative error) and `τ − c`
-/// (worst positive), a sample-ordered sum of periods divided by the count
-/// (mean period), and the last `l_RO`. The result is therefore
-/// bit-identical to [`RunSummary::of`] the trace a [`TraceSink`] with the
-/// same warm-up records. A warm-up at or past the run's length leaves an
-/// empty summary (zero samples, zero statistics, NaN `last_lro`), exactly
-/// the summary of an empty trace.
+/// Each period goes through the same [`Fold`] push as [`RunSummary::of`],
+/// with the same `c − τ` and `τ − c`, so the result is bit-identical to
+/// [`RunSummary::of`] the trace a [`TraceSink`] with the same warm-up
+/// records. A warm-up at or past the run's length leaves an empty summary
+/// (zero samples, zero statistics, NaN `last_lro`), exactly the summary of
+/// an empty trace.
 #[derive(Debug)]
 pub struct SummarySink {
     warmup: usize,
     setpoint: f64,
     samples: u64,
-    period_sum: f64,
-    worst_negative: f64,
-    worst_positive: f64,
+    fold: Fold,
     last_lro: f64,
 }
 
@@ -483,18 +479,11 @@ impl SummarySink {
             warmup,
             setpoint: 0.0,
             samples: 0,
-            period_sum: PERIOD_SUM_START,
-            worst_negative: 0.0,
-            worst_positive: 0.0,
+            fold: Fold::new(),
             last_lro: f64::NAN,
         }
     }
 }
-
-/// The neutral element the period sums start from — `−0.0`, as
-/// `Sum for f64` uses — shared by [`RunTrace::mean_period`] and
-/// [`SummarySink`] so both sum bit for bit alike.
-pub(crate) const PERIOD_SUM_START: f64 = -0.0;
 
 impl sealed::Sealed for SummarySink {}
 
@@ -511,25 +500,14 @@ impl Sink for SummarySink {
             return;
         }
         self.samples += 1;
-        self.period_sum += sample.period;
-        self.worst_negative = self.worst_negative.max(self.setpoint - sample.tau);
-        self.worst_positive = self.worst_positive.max(sample.tau - self.setpoint);
+        let c = self.setpoint;
+        self.fold
+            .push(c - sample.tau, sample.tau - c, sample.period);
         self.last_lro = sample.lro;
     }
 
     fn finish(self) -> RunSummary {
-        RunSummary {
-            setpoint: self.setpoint,
-            samples: self.samples,
-            mean_period: if self.samples == 0 {
-                0.0
-            } else {
-                self.period_sum / self.samples as f64
-            },
-            worst_negative_error: self.worst_negative,
-            worst_positive_error: self.worst_positive,
-            last_lro: self.last_lro,
-        }
+        self.fold.finish(self.setpoint, self.samples, self.last_lro)
     }
 }
 

@@ -56,7 +56,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use adaptive_clock::system::{Scheme, SystemBuilder};
+//! use adaptive_clock::system::{RunSummary, Scheme, SystemBuilder};
 //! use variation::sources::Harmonic;
 //!
 //! # fn main() -> Result<(), adaptive_clock::Error> {
@@ -68,7 +68,7 @@
 //! // 20% homogeneous dynamic variation with period 50c
 //! let hodv = Harmonic::new(0.2 * c as f64, 50.0 * c as f64, 0.0);
 //! let run = system.run(&hodv, 2000);
-//! let worst = run.worst_negative_error();
+//! let worst = RunSummary::of(&run).worst_negative_error;
 //! assert!(worst < 0.2 * c as f64, "adaptation must beat the raw variation");
 //! # Ok(())
 //! # }

@@ -27,6 +27,7 @@ use clock_faults::FaultSchedule;
 use clock_telemetry::{Event as TelemetryEvent, Telemetry};
 
 use crate::bank::DomainBank;
+use crate::batch::BatchTrace;
 use crate::controller::Controller;
 use crate::resilience::Resilience;
 use crate::tdc::Quantization;
@@ -52,17 +53,6 @@ impl<'a> LoopInputs<'a> {
             heterogeneous: &|_| 0.0,
         }
     }
-}
-
-/// Recorded sequences of a discrete-loop run.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct LoopTrace {
-    /// TDC readings `τ[n]`.
-    pub tau: Vec<f64>,
-    /// Adaptation errors `δ[n] = c[n] − τ[n]`.
-    pub delta: Vec<f64>,
-    /// RO lengths `l_RO[n]` (the value used for generation at period `n`).
-    pub lro: Vec<f64>,
 }
 
 /// The discrete closed loop.
@@ -148,19 +138,17 @@ impl DiscreteLoop {
         self
     }
 
-    /// Run `steps` periods and record the loop signals.
-    pub fn run(&mut self, inputs: &LoopInputs<'_>, steps: usize) -> LoopTrace {
+    /// Run `steps` periods and record the loop signals `τ[n]`,
+    /// `δ[n] = c[n] − τ[n]` and `l_RO[n]` (the value used for generation
+    /// at period `n`) in a one-lane [`BatchTrace`].
+    pub fn run(&mut self, inputs: &LoopInputs<'_>, steps: usize) -> BatchTrace {
         let mut run_scope = self.telemetry.scope("engine.discrete");
         run_scope.attr("steps", steps);
         let observed = self.telemetry.is_enabled();
         let c_steps = self.telemetry.counter("discrete.controller_steps");
         let c_violations = self.telemetry.counter("discrete.timing_violations");
         let mm = (self.bank.m(0) + 2) as i64;
-        let mut trace = LoopTrace {
-            tau: Vec::with_capacity(steps),
-            delta: Vec::with_capacity(steps),
-            lro: Vec::with_capacity(steps),
-        };
+        let mut trace = BatchTrace::single_lane(steps);
         // The runner holds the per-run state (fault path, l_RO history);
         // this loop samples the input sequences and forwards telemetry.
         let mut runner = self.bank.runner();
@@ -198,9 +186,7 @@ impl DiscreteLoop {
                     );
                 }
             }
-            trace.tau.push(out.tau);
-            trace.delta.push(out.delta);
-            trace.lro.push(out.lro);
+            trace.push(out.tau, out.delta, out.lro);
         }
         if runner.is_faulted() {
             self.telemetry

@@ -14,7 +14,7 @@ use variation::sources::Waveform;
 use crate::cdn::Cdn;
 use crate::controller::{FloatIir, FreeRunning, IirConfig, IntIirControl, TeaTime};
 use crate::error::Error;
-use crate::event::{EventLoop, Generator, PeriodJitter, Sample, Sink, TraceSink, PERIOD_SUM_START};
+use crate::event::{EventLoop, Generator, PeriodJitter, Sample, Sink, TraceSink};
 use crate::ro::{Coupling, RingOscillator, RoBounds};
 use crate::tdc::{Quantization, SensorBank, Tdc};
 
@@ -516,36 +516,6 @@ impl RunTrace {
         self.samples.iter().map(|s| s.tau - self.setpoint).collect()
     }
 
-    /// The worst negative timing error `max(c − τ)`, clamped at 0 — "equal,
-    /// in absolute value, to the needed safety margin" (paper §IV-A).
-    pub fn worst_negative_error(&self) -> f64 {
-        self.samples
-            .iter()
-            .map(|s| self.setpoint - s.tau)
-            .fold(0.0, f64::max)
-    }
-
-    /// The largest positive timing error `max(τ − c)` (performance left on
-    /// the table), clamped at 0.
-    pub fn worst_positive_error(&self) -> f64 {
-        self.samples
-            .iter()
-            .map(|s| s.tau - self.setpoint)
-            .fold(0.0, f64::max)
-    }
-
-    /// Mean generated period over the recorded samples.
-    pub fn mean_period(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        let sum = self
-            .samples
-            .iter()
-            .fold(PERIOD_SUM_START, |acc, s| acc + s.period);
-        sum / self.samples.len() as f64
-    }
-
     /// Number of timing violations (`τ < c − margin`).
     pub fn violations(&self, margin: f64) -> usize {
         self.samples
@@ -555,27 +525,94 @@ impl RunTrace {
     }
 }
 
-/// Everything the sweep figures read off a post-warm-up run, reduced to
-/// six floats so a grid point caches in one small record instead of a
-/// multi-thousand-sample trace. Each statistic is computed by the *same*
-/// fold as the [`RunTrace`] methods — whether by [`RunSummary::of`] a
-/// recorded trace or inline by a
-/// [`SummarySink`](crate::event::SummarySink) run — so figures assembled
-/// from summaries are bit-identical to figures assembled from traces.
+/// Everything a figure reads off a run, reduced to six floats so a grid
+/// point caches in one small record instead of a multi-thousand-sample
+/// trace. Every engine produces it through the one [`Fold`]: the event
+/// engine by [`RunSummary::of`] a recorded trace or inline in a
+/// [`SummarySink`](crate::event::SummarySink) run, the lane engine per
+/// lane in a [`batch::SummarySink`](crate::batch::SummarySink) run or by
+/// [`BatchTrace::summarize`](crate::batch::BatchTrace::summarize). So a
+/// figure assembled from summaries is bit-identical to one assembled from
+/// traces.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunSummary {
-    /// The set-point the run used.
+    /// The set-point the run used. A lane-engine run reads it off the
+    /// lane's set-point sequence at its last period, `c[steps − 1]`
+    /// (the pre-start value `c[−1]` for a zero-step run).
     pub setpoint: f64,
     /// Recorded (post-warm-up) sample count.
     pub samples: u64,
-    /// Mean generated period ([`RunTrace::mean_period`]).
+    /// Mean generated period `Σ T[n] / samples` (`0.0` when empty).
     pub mean_period: f64,
-    /// Needed safety margin ([`RunTrace::worst_negative_error`]).
+    /// Worst negative timing error `max(0, max_n (c − τ[n]))` — "equal,
+    /// in absolute value, to the needed safety margin" (paper §IV-A).
     pub worst_negative_error: f64,
-    /// Performance left on the table ([`RunTrace::worst_positive_error`]).
+    /// Worst positive timing error `max(0, max_n (τ[n] − c))` —
+    /// performance left on the table.
     pub worst_positive_error: f64,
     /// RO length at the last sample (NaN when the run is empty).
     pub last_lro: f64,
+}
+
+/// The one per-period fold behind every [`RunSummary`]: `max` from `+0.0`
+/// over the negative and the positive timing error, and a period-ordered
+/// sum of periods from `−0.0` (the neutral element, as `Sum for f64`
+/// uses), then [`finish`](Self::finish) divides by the sample count.
+///
+/// [`push`](Self::push) takes both errors as the caller computes them,
+/// because the engines differ in the sign of zero. The event engine
+/// passes `c − τ` and `τ − c`; the lane engine passes the recorded
+/// `δ = c − τ` and `−δ`. When `τ == c` exactly, as in every locked
+/// quantized loop, `τ − c` is `+0.0` but `−δ` is `−0.0`, and `f64::max`
+/// does not specify which zero wins a tie. Both engines give `+0.0`, and
+/// the `summary_fold` test suite pins it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Fold {
+    worst_negative: f64,
+    worst_positive: f64,
+    period_sum: f64,
+}
+
+impl Default for Fold {
+    fn default() -> Self {
+        Fold::new()
+    }
+}
+
+impl Fold {
+    /// The empty fold.
+    pub const fn new() -> Fold {
+        Fold {
+            worst_negative: 0.0,
+            worst_positive: 0.0,
+            period_sum: -0.0,
+        }
+    }
+
+    /// Fold in one period: its negative error `c − τ`, its positive error
+    /// (`τ − c`, or `−δ`) and its period (or `l_RO`).
+    #[inline]
+    pub fn push(&mut self, negative: f64, positive: f64, period: f64) {
+        self.worst_negative = self.worst_negative.max(negative);
+        self.worst_positive = self.worst_positive.max(positive);
+        self.period_sum += period;
+    }
+
+    /// The summary of `samples` pushed periods.
+    pub fn finish(self, setpoint: f64, samples: u64, last_lro: f64) -> RunSummary {
+        RunSummary {
+            setpoint,
+            samples,
+            mean_period: if samples == 0 {
+                0.0
+            } else {
+                self.period_sum / samples as f64
+            },
+            worst_negative_error: self.worst_negative,
+            worst_positive_error: self.worst_positive,
+            last_lro,
+        }
+    }
 }
 
 impl RunSummary {
@@ -584,14 +621,13 @@ impl RunSummary {
 
     /// Summarize a recorded run.
     pub fn of(run: &RunTrace) -> Self {
-        RunSummary {
-            setpoint: run.setpoint(),
-            samples: run.len() as u64,
-            mean_period: run.mean_period(),
-            worst_negative_error: run.worst_negative_error(),
-            worst_positive_error: run.worst_positive_error(),
-            last_lro: run.samples().last().map_or(f64::NAN, |s| s.lro),
+        let c = run.setpoint;
+        let mut fold = Fold::new();
+        for s in &run.samples {
+            fold.push(c - s.tau, s.tau - c, s.period);
         }
+        let last_lro = run.samples.last().map_or(f64::NAN, |s| s.lro);
+        fold.finish(c, run.len() as u64, last_lro)
     }
 
     /// The summary as a flat cache record.
@@ -727,10 +763,10 @@ mod tests {
                 1e-9
             };
             assert!(
-                run.worst_negative_error() <= bound,
+                RunSummary::of(&run).worst_negative_error <= bound,
                 "{}: {}",
                 scheme.label(),
-                run.worst_negative_error()
+                RunSummary::of(&run).worst_negative_error
             );
         }
     }
@@ -752,9 +788,9 @@ mod tests {
             .unwrap();
         let run = sys.run(&NoVariation, 100);
         // longer RO -> τ = 74 -> timing error +10
-        assert!((run.worst_positive_error() - 10.0).abs() < 1e-9);
+        assert!((RunSummary::of(&run).worst_positive_error - 10.0).abs() < 1e-9);
         assert_eq!(run.violations(0.0), 0);
-        assert!((run.mean_period() - 74.0).abs() < 1e-9);
+        assert!((RunSummary::of(&run).mean_period - 74.0).abs() < 1e-9);
     }
 
     #[test]
@@ -784,8 +820,8 @@ mod tests {
             .build()
             .unwrap()
             .run(&e, 4000);
-        let m_fixed = fixed.worst_negative_error();
-        let m_iir = iir.worst_negative_error();
+        let m_fixed = RunSummary::of(&fixed).worst_negative_error;
+        let m_iir = RunSummary::of(&iir).worst_negative_error;
         assert!(
             m_iir < 0.6 * m_fixed,
             "IIR margin {m_iir} vs fixed {m_fixed}"
@@ -809,8 +845,8 @@ mod tests {
             .unwrap()
             .run(&NoVariation, 2000);
         // Free RO: persistent error = |μ|. IIR: compensated after transient.
-        assert!(free.worst_negative_error() > 0.9 * mu.abs());
-        assert!(iir.skip(500).worst_negative_error() <= 1.0);
+        assert!(RunSummary::of(&free).worst_negative_error > 0.9 * mu.abs());
+        assert!(RunSummary::of(&iir.skip(500)).worst_negative_error <= 1.0);
     }
 
     #[test]

@@ -11,13 +11,12 @@
 //! scalar twins.
 
 use adaptive_clock::bank::DomainBank;
-use adaptive_clock::batch::{
-    BatchLoop, BatchTrace, LaneSummary, SummarySink, TraceSink, BLOCK_WIDTH,
-};
+use adaptive_clock::batch::{BatchLoop, BatchTrace, SummarySink, TraceSink, BLOCK_WIDTH};
 use adaptive_clock::controller::{Controller, IirConfig};
-use adaptive_clock::loopsim::{constant, step_at, DiscreteLoop, LoopInputs, LoopTrace};
+use adaptive_clock::loopsim::{constant, step_at, DiscreteLoop, LoopInputs};
 use adaptive_clock::resilience::Resilience;
 use adaptive_clock::tdc::Quantization;
+use adaptive_clock::RunSummary;
 use clock_faults::{FaultClass, FaultSchedule};
 use proptest::prelude::*;
 
@@ -97,9 +96,9 @@ impl LaneSpec {
 
 /// The lockstep scalar reference: every lane of `bank` advanced one period
 /// at a time through `DomainBank::runner`, the stepping path the mesh uses.
-fn lockstep(bank: &mut DomainBank, inputs: &[LoopInputs<'_>]) -> Vec<LoopTrace> {
+fn lockstep(bank: &mut DomainBank, inputs: &[LoopInputs<'_>]) -> Vec<BatchTrace> {
     let mm: Vec<i64> = (0..bank.len()).map(|d| bank.m(d) as i64 + 2).collect();
-    let mut out = vec![LoopTrace::default(); bank.len()];
+    let mut out = vec![BatchTrace::single_lane(STEPS); bank.len()];
     let mut runner = bank.runner();
     for n in 0..STEPS as i64 {
         for (d, li) in inputs.iter().enumerate() {
@@ -112,9 +111,7 @@ fn lockstep(bank: &mut DomainBank, inputs: &[LoopInputs<'_>]) -> Vec<LoopTrace> 
                 (li.homogeneous)(n - 1),
                 (li.heterogeneous)(i),
             );
-            out[d].tau.push(s.tau);
-            out[d].delta.push(s.delta);
-            out[d].lro.push(s.lro);
+            out[d].push(s.tau, s.delta, s.lro);
         }
     }
     out
@@ -123,7 +120,7 @@ fn lockstep(bank: &mut DomainBank, inputs: &[LoopInputs<'_>]) -> Vec<LoopTrace> 
 /// Run the whole batch through the blocked engine and collect the lockstep
 /// bank-runner reference plus per-lane scalar `DiscreteLoop` twins, all
 /// from the same derived specs.
-fn run_all(lanes: usize, seed: u64) -> (BatchTrace, Vec<LoopTrace>, Vec<LoopTrace>) {
+fn run_all(lanes: usize, seed: u64) -> (BatchTrace, Vec<BatchTrace>, Vec<BatchTrace>) {
     let specs: Vec<LaneSpec> = (0..lanes).map(|k| LaneSpec::derive(seed, k)).collect();
     let sp = constant(SETPOINT as f64);
     let e = |n: i64| 7.3 * (std::f64::consts::TAU * n as f64 / 41.0).sin();
@@ -153,7 +150,7 @@ fn run_all(lanes: usize, seed: u64) -> (BatchTrace, Vec<LoopTrace>, Vec<LoopTrac
     }
     let want_bank = lockstep(&mut blocked.bank().clone(), &inputs);
     let got = blocked.run(&inputs, STEPS, TraceSink::default());
-    let twins: Vec<LoopTrace> = specs
+    let twins: Vec<BatchTrace> = specs
         .iter()
         .zip(&inputs)
         .map(|(spec, input)| {
@@ -166,7 +163,7 @@ fn run_all(lanes: usize, seed: u64) -> (BatchTrace, Vec<LoopTrace>, Vec<LoopTrac
     (got, want_bank, twins)
 }
 
-fn assert_lane_bits(got: &LoopTrace, want: &LoopTrace, lane: usize) {
+fn assert_lane_bits(got: &BatchTrace, want: &BatchTrace, lane: usize) {
     for n in 0..STEPS {
         assert_eq!(
             got.tau[n].to_bits(),
@@ -189,7 +186,7 @@ fn assert_lane_bits(got: &LoopTrace, want: &LoopTrace, lane: usize) {
 }
 
 /// Every blocked lane against both references, bit for bit.
-fn assert_both_references(got: &BatchTrace, bank: &[LoopTrace], twins: &[LoopTrace]) {
+fn assert_both_references(got: &BatchTrace, bank: &[BatchTrace], twins: &[BatchTrace]) {
     assert_eq!((bank.len(), twins.len()), (got.lanes(), got.lanes()));
     for (lane, (b, twin)) in bank.iter().zip(twins).enumerate() {
         let view = got.lane(lane);
@@ -200,7 +197,7 @@ fn assert_both_references(got: &BatchTrace, bank: &[LoopTrace], twins: &[LoopTra
 
 /// Run the same derived batch through the traceless summary path,
 /// folding only periods `warmup..STEPS`.
-fn run_all_summaries(lanes: usize, seed: u64, warmup: usize) -> Vec<LaneSummary> {
+fn run_all_summaries(lanes: usize, seed: u64, warmup: usize) -> Vec<RunSummary> {
     let specs: Vec<LaneSpec> = (0..lanes).map(|k| LaneSpec::derive(seed, k)).collect();
     let sp = constant(SETPOINT as f64);
     let e = |n: i64| 7.3 * (std::f64::consts::TAU * n as f64 / 41.0).sin();
@@ -230,16 +227,30 @@ fn run_all_summaries(lanes: usize, seed: u64, warmup: usize) -> Vec<LaneSummary>
     batch.run(&inputs, STEPS, SummarySink::with_warmup(warmup))
 }
 
+/// `trace.summarize_after(inputs, warmup)` with the suite's inputs: the
+/// set-point is the only input a summary reads.
+fn summarize_after(trace: &BatchTrace, warmup: usize) -> Vec<RunSummary> {
+    let sp = constant(SETPOINT as f64);
+    let zero = constant(0.0);
+    let input = LoopInputs {
+        setpoint: &sp,
+        homogeneous: &zero,
+        heterogeneous: &zero,
+    };
+    trace.summarize_after(&vec![input; trace.lanes()], warmup)
+}
+
 /// Assert that a traceless lane summary carries the same bits as the
-/// `metrics::margin` arithmetic computed from the lane's full trace: the
+/// margin arithmetic computed from the lane's full trace: the
 /// required margin is the `fold(0.0, max)` of `c − τ` (which the trace
 /// records as `δ`), the worst positive error the fold of `−δ`, and the
 /// mean period the step-ordered sum of `l_RO` divided by the step count.
-fn assert_summary_matches_trace(got: &LaneSummary, trace: &BatchTrace, lane: usize) {
+fn assert_summary_matches_trace(got: &RunSummary, trace: &BatchTrace, lane: usize) {
     let view = trace.lane(lane);
     let margin = view.delta.iter().fold(0.0, |acc: f64, &d| acc.max(d));
     let wpe = view.delta.iter().fold(0.0, |acc: f64, &d| acc.max(-d));
     let mean = view.lro.iter().sum::<f64>() / STEPS as f64;
+    assert_eq!(got.setpoint, SETPOINT as f64, "lane {lane} set-point");
     assert_eq!(got.samples, STEPS as u64, "lane {lane} samples");
     assert_eq!(
         got.required_margin().to_bits(),
@@ -283,7 +294,7 @@ proptest! {
     /// Traceless summaries: for arbitrary lane counts, schemes, and fault
     /// schedules, a summary-sink run is bit-identical both to the engine's
     /// own trace-then-summarize fold (`BatchTrace::summarize`) and to the
-    /// `metrics::margin` arithmetic recomputed from the full trace.
+    /// margin arithmetic recomputed from the full trace.
     #[test]
     fn traceless_summaries_bit_identical_to_margin_from_trace(
         lanes in 1usize..21,
@@ -291,7 +302,7 @@ proptest! {
     ) {
         let (trace, _, _) = run_all(lanes, seed);
         let got = run_all_summaries(lanes, seed, 0);
-        prop_assert_eq!(&got, &trace.summarize(), "summary sink vs BatchTrace::summarize");
+        prop_assert_eq!(&got, &summarize_after(&trace, 0), "summary sink vs BatchTrace::summarize");
         for (lane, summary) in got.iter().enumerate() {
             assert_summary_matches_trace(summary, &trace, lane);
         }
@@ -308,7 +319,7 @@ proptest! {
     ) {
         let (trace, _, _) = run_all(lanes, seed);
         let got = run_all_summaries(lanes, seed, warmup);
-        prop_assert_eq!(&got, &trace.summarize_after(warmup),
+        prop_assert_eq!(&got, &summarize_after(&trace, warmup),
             "summary sink vs BatchTrace::summarize_after (warmup {})", warmup);
     }
 
@@ -336,11 +347,11 @@ fn kitchen_sink_case_is_bit_exact() {
     // The same kitchen sink through the traceless path: every summary
     // bit-identical to the margin arithmetic over the full trace.
     let summaries = run_all_summaries(41, 0xDEAD_BEEF_CAFE_F00D, 0);
-    assert_eq!(summaries, got.summarize());
+    assert_eq!(summaries, summarize_after(&got, 0));
     for (lane, summary) in summaries.iter().enumerate() {
         assert_summary_matches_trace(summary, &got, lane);
     }
     // And once more with a warmup window.
     let warm = run_all_summaries(41, 0xDEAD_BEEF_CAFE_F00D, 100);
-    assert_eq!(warm, got.summarize_after(100));
+    assert_eq!(warm, summarize_after(&got, 100));
 }

@@ -93,9 +93,10 @@ where
 mod tests {
     use super::*;
     use crate::sweep::set_threads;
-    use adaptive_clock::batch::{BatchLoop, LaneSummary, Sink, SummarySink, TraceSink};
+    use adaptive_clock::batch::{BatchLoop, Sink, SummarySink, TraceSink};
     use adaptive_clock::controller::{Controller, IirConfig};
     use adaptive_clock::loopsim::{constant, step_at, LoopInputs};
+    use adaptive_clock::system::RunSummary;
     use adaptive_clock::tdc::Quantization;
 
     /// Run lanes `r` of a reference 23-lane mixed-scheme workload into
@@ -184,9 +185,17 @@ mod tests {
     fn summary_dispatch_is_bit_identical_for_any_chunking_and_worker_count() {
         let (lanes, steps) = (23usize, 250usize);
         let whole = run_range(0..lanes, steps, SummarySink::default());
+        let c = constant(64.0);
+        let inputs = vec![
+            LoopInputs {
+                setpoint: &c,
+                ..LoopInputs::zero()
+            };
+            lanes
+        ];
         assert_eq!(
             whole,
-            run_range(0..lanes, steps, TraceSink::default()).summarize()
+            run_range(0..lanes, steps, TraceSink::default()).summarize(&inputs)
         );
         let telemetry = Telemetry::disabled();
         for chunk in [1, 4, 7, 23, 64] {
@@ -196,7 +205,7 @@ mod tests {
                     run_range(r, steps, SummarySink::default())
                 });
                 set_threads(None);
-                let got: Vec<LaneSummary> = parts.into_iter().flatten().collect();
+                let got: Vec<RunSummary> = parts.into_iter().flatten().collect();
                 assert_eq!(
                     got, whole,
                     "chunk={chunk} workers={workers:?} diverged from the single run"

@@ -74,40 +74,21 @@ pub struct BenchEntry {
 /// a written `BENCH_*.json` self-describing for [`compare`]: a baseline
 /// taken on different hardware or a different engine generation is still
 /// loadable, and the header shows what it was taken against.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchReport {
     /// True when the reduced `--quick` workloads were used (CI smoke mode).
     pub quick: bool,
     /// Set-point the workloads were built for.
     pub setpoint: i64,
-    /// Sweep worker pool size when the report was taken (0 when unknown —
-    /// pre-observability baselines).
+    /// Sweep worker pool size when the report was taken.
     pub workers: u64,
     /// The engine fingerprint (crate version + `ENGINE_REV`s) the numbers
-    /// belong to (empty when unknown).
+    /// belong to.
     pub engine_rev: String,
     /// Short git revision of the working tree, when git was available.
     pub git_rev: Option<String>,
     /// The timed cases.
     pub entries: Vec<BenchEntry>,
-}
-
-// Hand-written so baselines written before the self-description fields
-// existed still load (`field_or_default`); the derive would reject them.
-impl serde::Deserialize for BenchReport {
-    fn deserialize_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| serde::DeError::custom("BenchReport: expected object"))?;
-        Ok(BenchReport {
-            quick: serde::field(obj, "quick")?,
-            setpoint: serde::field(obj, "setpoint")?,
-            workers: serde::field_or_default(obj, "workers")?,
-            engine_rev: serde::field_or_default(obj, "engine_rev")?,
-            git_rev: serde::field_or_default(obj, "git_rev")?,
-            entries: serde::field(obj, "entries")?,
-        })
-    }
 }
 
 impl BenchReport {
@@ -279,7 +260,7 @@ fn blocked<'a>(specs: Vec<Spec>, input: LoopInputs<'a>, n: usize, drain: Drain) 
         let ms = time_ms(|| {
             out = bank.run(&inputs, n, sink);
             if matches!(drain, Drain::TraceSummarized) {
-                black_box(out.summarize());
+                black_box(out.summarize(&inputs));
             }
             black_box(&out);
         });
@@ -620,9 +601,8 @@ impl std::error::Error for CompareError {}
 /// # Errors
 ///
 /// [`CompareError::ModeMismatch`] when one side is `--quick` and the other
-/// is not. [`CompareError::WorkerMismatch`] when both sides record a worker
-/// pool size and the sizes differ. A baseline without one (`workers` 0,
-/// written before the field existed) is compared as is.
+/// is not. [`CompareError::WorkerMismatch`] when the worker pool sizes
+/// differ.
 pub fn check_comparable(
     baseline: &BenchReport,
     quick: bool,
@@ -634,7 +614,7 @@ pub fn check_comparable(
             current: quick,
         });
     }
-    if baseline.workers != 0 && workers != 0 && baseline.workers != workers {
+    if baseline.workers != workers {
         return Err(CompareError::WorkerMismatch {
             baseline: baseline.workers,
             current: workers,
@@ -688,15 +668,10 @@ pub fn compare(
 /// Render a [`CompareReport`] as an ASCII table with a verdict line.
 pub fn render_compare(report: &CompareReport, baseline: &BenchReport) -> String {
     let mut out = String::new();
-    let base_rev = if baseline.engine_rev.is_empty() {
-        "unknown engine".to_owned()
-    } else {
-        baseline.engine_rev.clone()
-    };
     let git = baseline.git_rev.as_deref().unwrap_or("?");
     out.push_str(&format!(
-        "baseline: {base_rev} @ git {git}, {} workers\n",
-        baseline.workers
+        "baseline: {} @ git {git}, {} workers\n",
+        baseline.engine_rev, baseline.workers
     ));
     let mut t = Table::new(vec![
         "case".to_owned(),
@@ -870,31 +845,6 @@ mod tests {
         assert!(report.workers >= 1, "worker pool size must be recorded");
     }
 
-    /// Baselines committed before the self-description fields existed must
-    /// still load, with the new fields at their defaults.
-    #[test]
-    fn pre_observability_baseline_still_loads() {
-        let old = r#"{
-            "quick": false,
-            "setpoint": 40,
-            "entries": [{
-                "name": "dtsim-compiled",
-                "detail": "x",
-                "steps": 10,
-                "wall_ms": 1.0,
-                "steps_per_sec": 10000.0,
-                "baseline": "dtsim-interpreted",
-                "speedup": 2.0,
-                "iterations_saved": null
-            }]
-        }"#;
-        let report = BenchReport::from_json(old).expect("old schema loads");
-        assert_eq!(report.workers, 0);
-        assert_eq!(report.engine_rev, "");
-        assert_eq!(report.git_rev, None);
-        assert_eq!(report.entry("dtsim-compiled").unwrap().speedup, Some(2.0));
-    }
-
     fn committed(name: &str) -> BenchReport {
         let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("../..")
@@ -902,13 +852,11 @@ mod tests {
         BenchReport::load(&path).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Every committed baseline, old schemas included, still loads.
+    /// The committed baseline still loads.
     #[test]
     fn committed_baselines_still_load() {
-        for n in 2..=8 {
-            let report = committed(&format!("BENCH_{n}.json"));
-            assert!(!report.entries.is_empty(), "BENCH_{n}.json has no entries");
-        }
+        let report = committed("BENCH_8.json");
+        assert!(!report.entries.is_empty(), "BENCH_8.json has no entries");
     }
 
     /// The headline speedups the README claims hold in the baseline the
@@ -988,7 +936,7 @@ mod tests {
     }
 
     /// A baseline taken with a different worker pool is refused with both
-    /// counts named, not compared; an unknown pool (0) still compares.
+    /// counts named, not compared.
     #[test]
     fn compare_refuses_a_baseline_from_another_worker_pool() {
         let baseline = speedup_report(&[("a", 2.0)]);
@@ -1009,11 +957,6 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("--threads 4"), "{text}");
-        let unknown = BenchReport {
-            workers: 0,
-            ..baseline.clone()
-        };
-        assert!(compare(&current, &unknown, DEFAULT_COMPARE_NOISE).is_ok());
     }
 
     /// A `--quick` run is refused against a full baseline, with both modes

@@ -13,7 +13,7 @@
 use std::io::Write;
 use std::process::ExitCode;
 
-use adaptive_clock::system::{Scheme, SystemBuilder};
+use adaptive_clock::system::{RunSummary, Scheme, SystemBuilder};
 use variation::sources::Harmonic;
 
 struct Args {
@@ -118,12 +118,13 @@ fn main() -> ExitCode {
     };
     match write() {
         Ok(()) => {
+            let summary = RunSummary::of(&run);
             eprintln!(
                 "# {} | {} samples | margin {:.2} stages | mean period {:.2}",
                 args.scheme.label(),
                 run.len(),
-                run.worst_negative_error(),
-                run.mean_period()
+                summary.worst_negative_error,
+                summary.mean_period
             );
             ExitCode::SUCCESS
         }

@@ -82,7 +82,7 @@ pub struct YieldCell {
 
 const PAYLOAD: usize = 8 + MARGIN_GRID.len();
 
-fn panel(ctx: &RunCtx, sigma_scale: f64, quick: bool) -> McPanel {
+pub(crate) fn panel(ctx: &RunCtx, sigma_scale: f64, quick: bool) -> McPanel {
     let (instances, steps) = if quick { (512, 2_000) } else { (4_096, 8_000) };
     McPanel {
         spec: ProcessSpec::paper().scaled(sigma_scale),
@@ -181,11 +181,20 @@ fn compute_cell(ctx: &RunCtx, scheme: Scheme, sigma_scale: f64, quick: bool) -> 
     }
 }
 
+/// The process-σ scales [`run`] sweeps.
+pub(crate) fn scales(quick: bool) -> &'static [f64] {
+    if quick {
+        &[1.0]
+    } else {
+        &[0.5, 1.0, 2.0]
+    }
+}
+
 /// Run the yield sweep: every scheme at σ-scale 1.0 (quick) or
 /// {0.5, 1.0, 2.0} (full). The outer grid runs sequentially — each cell
 /// already spreads its instance panel across the worker pool.
 pub fn run(ctx: &RunCtx, quick: bool) -> Vec<YieldCell> {
-    let scales: &[f64] = if quick { &[1.0] } else { &[0.5, 1.0, 2.0] };
+    let scales = scales(quick);
     let mut cells = Vec::with_capacity(SCHEMES.len() * scales.len());
     for &scale in scales {
         for scheme in SCHEMES {

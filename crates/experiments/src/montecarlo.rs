@@ -7,7 +7,7 @@
 //! sensors would observe it), and steps all instances at once through
 //! [`BatchLoop::run`] into a [`SummarySink`] — the summary-only path that never
 //! materializes a `BatchTrace`. Per-instance results come back as
-//! 6-word [`LaneSummary`] values and fold into streaming statistics:
+//! [`RunSummary`] values and fold into streaming statistics:
 //! mean/σ via [`Welford`], quantiles via the telemetry
 //! [`QuantileSketch`] whose deterministic `merge` recombines per-chunk
 //! sketches in lane order, so the panel's numbers are identical for any
@@ -20,17 +20,15 @@
 //!
 //! [`naive_summaries`](McPanel::naive_summaries) keeps the honest
 //! parity reference alive: one scalar [`DiscreteLoop`] per instance,
-//! full trace materialized, then summarized. Its summaries are
-//! **bit-identical** to the traceless path (the differential suite pins
-//! this), which is what makes the two *the same computation*, faster.
-//! `BENCH_5`'s `mc-panel-naive` denominator is the heavier incumbent:
-//! one full `System` event-loop run per instance (the
-//! `runner::run_scheme` shape every per-point experiment used before
-//! the batch engine existed).
+//! full trace materialized, then summarized through the same
+//! [`Fold`](adaptive_clock::system::Fold). Its summaries are
+//! **bit-identical** to the traceless path (the tests below pin this),
+//! which is what makes the two *the same computation*, faster.
 
-use adaptive_clock::batch::{BatchInputs, BatchLoop, LaneSummary, SummarySink};
+use adaptive_clock::batch::{BatchInputs, BatchLoop, SummarySink};
 use adaptive_clock::controller::{Controller, IirConfig};
 use adaptive_clock::loopsim::{constant, DiscreteLoop, LoopInputs};
+use adaptive_clock::system::RunSummary;
 use adaptive_clock::tdc::Quantization;
 use clock_telemetry::{QuantileSketch, Telemetry};
 use variation::process::ProcessSpec;
@@ -123,14 +121,14 @@ impl McPanel {
     }
 
     /// Run the panel through the traceless chunked path: per-instance
-    /// [`LaneSummary`] values in instance order, bit-identical for any
+    /// [`RunSummary`] values in instance order, bit-identical for any
     /// chunk size or worker count (and to
     /// [`naive_summaries`](Self::naive_summaries)).
     ///
     /// Counters `mc.samples`, `mc.batches` and `mc.summary_lane_steps`
     /// account the work; the block kernels land on the
     /// `engine.batch.summaries` span under `--profile`.
-    pub fn summaries(&self, scheme: Scheme, telemetry: &Telemetry) -> Vec<LaneSummary> {
+    pub fn summaries(&self, scheme: Scheme, telemetry: &Telemetry) -> Vec<RunSummary> {
         let offsets = self.sensed_offsets();
         let setpoint = constant(self.setpoint as f64);
         let hodv = self.hodv();
@@ -153,7 +151,7 @@ impl McPanel {
             };
             batch.run(inputs, self.steps, SummarySink::with_warmup(self.warmup))
         });
-        let out: Vec<LaneSummary> = {
+        let out: Vec<RunSummary> = {
             let _recombine = telemetry.scope("batch.recombine");
             parts.into_iter().flatten().collect()
         };
@@ -168,16 +166,12 @@ impl McPanel {
     }
 
     /// The naive per-instance parity reference: one scalar
-    /// [`DiscreteLoop`] per instance, full
-    /// [`LoopTrace`](adaptive_clock::loopsim::LoopTrace) materialized,
-    /// then folded into a summary with the same arithmetic as
-    /// [`BatchTrace::summarize`](adaptive_clock::batch::BatchTrace::summarize)
-    /// — bit-identical
-    /// to [`summaries`](Self::summaries), as the differential suite
-    /// pins. (`BENCH_5`'s speedup denominator is the still-heavier
-    /// pre-batch `System` harness; this path exists to anchor the
-    /// bit-parity claim.)
-    pub fn naive_summaries(&self, scheme: Scheme) -> Vec<LaneSummary> {
+    /// [`DiscreteLoop`] per instance, its full one-lane trace
+    /// materialized, then folded by
+    /// [`BatchTrace::summarize_after`](adaptive_clock::batch::BatchTrace::summarize_after)
+    /// — bit-identical to [`summaries`](Self::summaries), as the tests
+    /// pin. This path exists to anchor the bit-parity claim.
+    pub fn naive_summaries(&self, scheme: Scheme) -> Vec<RunSummary> {
         let offsets = self.sensed_offsets();
         let setpoint = constant(self.setpoint as f64);
         let hodv = self.hodv();
@@ -196,31 +190,7 @@ impl McPanel {
                     Quantization::Floor,
                 )
                 .run(&inputs, self.steps);
-                if self.steps == 0 {
-                    return LaneSummary {
-                        samples: 0,
-                        mean_period: 0.0,
-                        worst_negative_error: 0.0,
-                        worst_positive_error: 0.0,
-                        last_lro: f64::NAN,
-                    };
-                }
-                let samples = self.steps - self.warmup;
-                let mut wne = 0.0f64;
-                let mut wpe = 0.0f64;
-                let mut sum = 0.0f64;
-                for n in self.warmup..self.steps {
-                    wne = wne.max(trace.delta[n]);
-                    wpe = wpe.max(-trace.delta[n]);
-                    sum += trace.lro[n];
-                }
-                LaneSummary {
-                    samples: samples as u64,
-                    mean_period: sum / samples as f64,
-                    worst_negative_error: wne,
-                    worst_positive_error: wpe,
-                    last_lro: trace.lro[self.steps - 1],
-                }
+                trace.summarize_after(std::slice::from_ref(&inputs), self.warmup)[0]
             })
             .collect()
     }
@@ -317,7 +287,7 @@ impl McStats {
     }
 
     /// Fold a slice of per-instance summaries (in instance order).
-    pub fn push_all(&mut self, summaries: &[LaneSummary]) {
+    pub fn push_all(&mut self, summaries: &[RunSummary]) {
         for s in summaries {
             self.samples += 1;
             self.margin.push(s.required_margin());
@@ -338,7 +308,7 @@ impl McStats {
     /// Timing yield at deployed margin `m`: the fraction of instances
     /// whose required margin is at most `m`, over the sketch's retained
     /// population (exact while the panel fits the sketch capacity).
-    pub fn yield_at(&self, summaries: &[LaneSummary], m: f64) -> f64 {
+    pub fn yield_at(&self, summaries: &[RunSummary], m: f64) -> f64 {
         if summaries.is_empty() {
             return 1.0;
         }
@@ -379,30 +349,10 @@ mod tests {
             let fast = p.summaries(scheme, &t);
             let naive = p.naive_summaries(scheme);
             assert_eq!(fast.len(), p.instances);
-            for (i, (a, b)) in fast.iter().zip(&naive).enumerate() {
-                assert_eq!(a.samples, b.samples, "{} lane {i}", scheme.label());
-                for (fa, fb, what) in [
-                    (a.mean_period, b.mean_period, "mean_period"),
-                    (
-                        a.worst_negative_error,
-                        b.worst_negative_error,
-                        "worst_negative_error",
-                    ),
-                    (
-                        a.worst_positive_error,
-                        b.worst_positive_error,
-                        "worst_positive_error",
-                    ),
-                    (a.last_lro, b.last_lro, "last_lro"),
-                ] {
-                    assert_eq!(
-                        fa.to_bits(),
-                        fb.to_bits(),
-                        "{} lane {i} {what}: {fa} vs {fb}",
-                        scheme.label()
-                    );
-                }
-            }
+            let bits = |s: &[RunSummary]| -> Vec<_> {
+                s.iter().map(|x| x.to_values().map(f64::to_bits)).collect()
+            };
+            assert_eq!(bits(&fast), bits(&naive), "{}", scheme.label());
         }
     }
 

@@ -188,7 +188,7 @@ pub static REGISTRY: &[ExperimentDef] = &[
     ExperimentDef {
         id: "ext-yield",
         description: "Monte Carlo timing yield vs safety margin on the traceless batch path",
-        steps: "~1M steps",
+        steps: "~295M steps",
         runner: Runner::Leaf(run_ext_yield),
     },
     ExperimentDef {
@@ -453,6 +453,7 @@ fn run_selftest_slow(inv: &Invocation<'_>) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PaperParams;
     use std::collections::BTreeSet;
 
     #[test]
@@ -517,5 +518,17 @@ mod tests {
             .map(|d| d.id)
             .collect();
         assert_eq!(reached, leaves);
+    }
+
+    /// `--list` states ext-yield's budget as its sizing computes it: the
+    /// full sweep's cells × instances × periods, in lane-steps.
+    #[test]
+    fn ext_yield_budget_matches_its_sizing() {
+        let ctx = RunCtx::new(PaperParams::default());
+        let panel = crate::ext_yield::panel(&ctx, 1.0, false);
+        let cells = crate::ext_yield::scales(false).len() * crate::montecarlo::SCHEMES.len();
+        let millions = (cells * panel.instances * panel.steps) as f64 / 1e6;
+        let want = format!("~{millions:.0}M steps");
+        assert_eq!(find("ext-yield").expect("registered").steps, want);
     }
 }

@@ -334,7 +334,7 @@ mod tests {
     fn fixed_baseline_margin_equals_hodv_amplitude() {
         let ctx = RunCtx::new(PaperParams::default());
         let run = run_scheme(&ctx, Scheme::Fixed, OperatingPoint::new(1.0, 50.0));
-        let m = clock_metrics::margin::required_margin(&run);
+        let m = RunSummary::of(&run).required_margin();
         // Fixed clock is fully exposed: needs the whole 0.2c = 12.8 plus
         // the TDC floor quantization (≤ 1 stage).
         assert!((m - 12.8).abs() < 1.2, "fixed margin {m}");

@@ -26,6 +26,7 @@
 //! scenario injections ([`Scenario`]) are all seeded or explicit.
 
 use adaptive_clock::bank::DomainBank;
+use adaptive_clock::batch::BatchTrace;
 use adaptive_clock::cdn::Cdn;
 use clock_faults::{FaultEvent, FaultKind, FaultSchedule};
 use clock_metrics::{violation_report, BoundaryMonitor, BoundaryReport, ViolationReport};
@@ -103,12 +104,8 @@ fn byzantine_word(i: i64, setpoint: f64, seed: u64) -> f64 {
 /// One domain's outcome of a mesh run.
 #[derive(Debug, Clone)]
 pub struct DomainOutcome {
-    /// TDC readings `τ[n]`.
-    pub tau: Vec<f64>,
-    /// Adaptation errors `δ[n]`.
-    pub delta: Vec<f64>,
-    /// RO lengths `l_RO[n]`.
-    pub lro: Vec<f64>,
+    /// The domain's `τ[n]`, `δ[n]` and `l_RO[n]`, as a one-lane trace.
+    pub trace: BatchTrace,
     /// Violation / re-lock accounting against the mesh's margin policy.
     pub report: ViolationReport,
 }
@@ -344,9 +341,8 @@ impl Mesh {
 
         let setpoint = self.setpoint;
         let coupling = self.coupling;
-        let mut tau = vec![Vec::with_capacity(steps); ndom];
-        let mut delta = vec![Vec::with_capacity(steps); ndom];
-        let mut lro = vec![Vec::with_capacity(steps); ndom];
+        let mut traces: Vec<BatchTrace> =
+            (0..ndom).map(|_| BatchTrace::single_lane(steps)).collect();
         let mut inject = vec![0.0f64; ndom];
         let mut boundary_violations = 0u64;
 
@@ -385,9 +381,7 @@ impl Mesh {
                     inject[d] = 0.0;
                 }
                 let out = runner.step(d, n, setpoint, e_at(gen), e_at(n - 1), mu);
-                tau[d].push(out.tau);
-                delta[d].push(out.delta);
-                lro[d].push(out.lro);
+                traces[d].push(out.tau, out.delta, out.lro);
             }
         }
         let injected = runner.injected_before(steps as u64);
@@ -401,21 +395,17 @@ impl Mesh {
             .counter("mesh.boundary_violations")
             .add(boundary_violations);
 
-        let domains = (0..ndom)
-            .map(|d| {
+        let domains = traces
+            .into_iter()
+            .map(|trace| {
                 let report = violation_report(
                     setpoint,
-                    &tau[d],
+                    &trace.tau,
                     self.margin,
                     self.lock_tolerance,
                     self.lock_run,
                 );
-                DomainOutcome {
-                    tau: std::mem::take(&mut tau[d]),
-                    delta: std::mem::take(&mut delta[d]),
-                    lro: std::mem::take(&mut lro[d]),
-                    report,
-                }
+                DomainOutcome { trace, report }
             })
             .collect();
         let boundaries = links
@@ -508,7 +498,10 @@ mod tests {
         // Deterministic: a fresh mesh reproduces the run bit for bit.
         let rerun = ring_mesh(6).run(&scen, 1500);
         for d in 0..6 {
-            assert_eq!(run.domains[d].tau, rerun.domains[d].tau, "domain {d}");
+            assert_eq!(
+                run.domains[d].trace.tau, rerun.domains[d].trace.tau,
+                "domain {d}"
+            );
         }
         assert_eq!(run.boundary_violations, rerun.boundary_violations);
     }

@@ -6,6 +6,7 @@
 //! the `DomainBank` strategy model — any drift between the bank runner
 //! and the original scalar arithmetic fails here first.
 
+use adaptive_clock::batch::BatchTrace;
 use adaptive_clock::controller::{
     Controller, FloatIir, FreeRunning, IirConfig, IntIirControl, TeaTime,
 };
@@ -101,7 +102,7 @@ fn run_mesh(spec: &DomainSpec, scenario: &Scenario) -> clock_mesh::MeshRun {
 }
 
 /// Run the spec through the scalar `DiscreteLoop` with equivalent inputs.
-fn run_twin(spec: &DomainSpec, e: &dyn Fn(i64) -> f64) -> adaptive_clock::loopsim::LoopTrace {
+fn run_twin(spec: &DomainSpec, e: &dyn Fn(i64) -> f64) -> BatchTrace {
     let sp = constant(SETPOINT as f64);
     let mu = constant(spec.variation);
     DiscreteLoop::new(spec.m, spec.controller(), spec.quant)
@@ -117,8 +118,8 @@ fn run_twin(spec: &DomainSpec, e: &dyn Fn(i64) -> f64) -> adaptive_clock::loopsi
         )
 }
 
-fn assert_bits(run: &clock_mesh::MeshRun, twin: &adaptive_clock::loopsim::LoopTrace) {
-    let out = &run.domains[0];
+fn assert_bits(run: &clock_mesh::MeshRun, twin: &BatchTrace) {
+    let out = &run.domains[0].trace;
     for n in 0..STEPS {
         assert_eq!(
             out.tau[n].to_bits(),
@@ -207,8 +208,8 @@ fn byzantine_ring_reproduces_bit_for_bit() {
     for d in 0..8 {
         for n in 0..2000 {
             assert_eq!(
-                a.domains[d].tau[n].to_bits(),
-                b.domains[d].tau[n].to_bits(),
+                a.domains[d].trace.tau[n].to_bits(),
+                b.domains[d].trace.tau[n].to_bits(),
                 "domain {d} tau[{n}]"
             );
         }

@@ -29,6 +29,5 @@ pub mod stats;
 pub mod worked;
 
 pub use boundary::{metastability_risk, BoundaryMonitor, BoundaryReport};
-pub use margin::{adaptive_needed_period, needed_fixed_period, relative_adaptive_period};
 pub use resilience::{violation_report, ViolationReport};
 pub use stats::{Histogram, Summary};

@@ -15,21 +15,16 @@
 //!
 //! Hence the *minimal error-free margin* is read off a single nominal run:
 //! `m* = max(0, max_n (c − τ[n]))`, the mean period of the margined system
-//! is `⟨T⟩ + m*`, and no per-point search is needed. The integration tests
-//! re-verify the property by actually re-running shifted systems.
+//! is `⟨T⟩ + m*`, and no per-point search is needed. Those figures of merit
+//! are `adaptive_clock::RunSummary`'s `required_margin`,
+//! `needed_adaptive_period`, `needed_fixed_period`, `relative_to` and
+//! `relative_with_margin`, read off `RunSummary::of` a recorded run. The integration tests re-verify the property by actually
+//! re-running shifted systems.
 //!
 //! For sweeps that probe margins empirically (or validate the shift
 //! property point by point), [`minimal_margin`] provides a bracketing
 //! search that can be warm-started from a neighbouring grid point's
 //! result, cutting the probe count along smooth sweeps.
-
-use adaptive_clock::RunTrace;
-
-/// The minimal margin (stages) that must be added for error-free operation:
-/// `max(0, max_n (c − τ[n]))`.
-pub fn required_margin(run: &RunTrace) -> f64 {
-    run.worst_negative_error()
-}
 
 /// Outcome of a [`minimal_margin`] search: the smallest passing margin and
 /// the number of predicate evaluations it took to find it.
@@ -118,43 +113,14 @@ pub fn minimal_margin(mut ok: impl FnMut(i64) -> bool, warm_start: Option<i64>) 
     MarginSearch { margin: hi, probes }
 }
 
-/// Mean clock period of the run once operated with just enough margin to be
-/// error-free: `⟨T⟩ + m*`.
-pub fn adaptive_needed_period(run: &RunTrace) -> f64 {
-    run.mean_period() + required_margin(run)
-}
-
-/// The fixed-clock period needed for error-free operation, from a run of
-/// the fixed clock at its nominal period `c`: `c + m*_fixed`.
-pub fn needed_fixed_period(fixed_run: &RunTrace) -> f64 {
-    fixed_run.setpoint() + required_margin(fixed_run)
-}
-
-/// The paper's figure of merit `⟨T_clk⟩ / T_fixed` (Figs. 8–9): values
-/// below 1 mean the adaptive clock runs faster, on average, than the
-/// margined fixed clock while giving the same error-free guarantee.
-pub fn relative_adaptive_period(adaptive_run: &RunTrace, fixed_run: &RunTrace) -> f64 {
-    adaptive_needed_period(adaptive_run) / needed_fixed_period(fixed_run)
-}
-
-/// Relative adaptive period against an externally-supplied margin (used by
-/// the paper's Fig. 9, where the free RO's margin is fixed at design time
-/// to cover the whole mismatch range rather than tuned per operating
-/// point).
-pub fn relative_adaptive_period_with_margin(
-    adaptive_run: &RunTrace,
-    margin: f64,
-    fixed_run: &RunTrace,
-) -> f64 {
-    (adaptive_run.mean_period() + margin) / needed_fixed_period(fixed_run)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use adaptive_clock::event::Sample;
+    use adaptive_clock::{RunSummary, RunTrace};
 
-    fn trace(setpoint: f64, taus: &[f64], periods: &[f64]) -> RunTrace {
+    /// The summary of a run recording `taus` and `periods` at `setpoint`.
+    fn trace(setpoint: f64, taus: &[f64], periods: &[f64]) -> RunSummary {
         let samples: Vec<Sample> = taus
             .iter()
             .zip(periods)
@@ -167,39 +133,39 @@ mod tests {
                 lro: period,
             })
             .collect();
-        RunTrace::from_samples(setpoint, samples)
+        RunSummary::of(&RunTrace::from_samples(setpoint, samples))
     }
 
     #[test]
     fn margin_is_worst_negative_excursion() {
         let r = trace(64.0, &[64.0, 60.0, 66.0, 62.0], &[64.0; 4]);
-        assert_eq!(required_margin(&r), 4.0);
+        assert_eq!(r.required_margin(), 4.0);
     }
 
     #[test]
     fn margin_zero_when_always_above_setpoint() {
         let r = trace(64.0, &[64.0, 65.0, 70.0], &[64.0; 3]);
-        assert_eq!(required_margin(&r), 0.0);
+        assert_eq!(r.required_margin(), 0.0);
     }
 
     #[test]
     fn needed_period_adds_margin_to_mean() {
         let r = trace(64.0, &[60.0, 64.0], &[64.0, 66.0]);
-        assert_eq!(adaptive_needed_period(&r), 65.0 + 4.0);
+        assert_eq!(r.needed_adaptive_period(), 65.0 + 4.0);
     }
 
     #[test]
     fn fixed_needed_period_uses_setpoint_not_mean() {
         // fixed run at nominal c: τ dips by 12.8 under a 20% HoDV
         let r = trace(64.0, &[51.2, 76.8, 64.0], &[64.0; 3]);
-        assert!((needed_fixed_period(&r) - 76.8).abs() < 1e-12);
+        assert!((r.needed_fixed_period() - 76.8).abs() < 1e-12);
     }
 
     #[test]
     fn relative_period_below_one_when_adaptive_wins() {
         let adaptive = trace(64.0, &[63.0, 65.0], &[64.0, 64.0]);
         let fixed = trace(64.0, &[51.2, 76.8], &[64.0, 64.0]);
-        let r = relative_adaptive_period(&adaptive, &fixed);
+        let r = adaptive.relative_to(&fixed);
         assert!((r - 65.0 / 76.8).abs() < 1e-12);
         assert!(r < 1.0);
     }
@@ -265,7 +231,7 @@ mod tests {
     fn external_margin_variant() {
         let adaptive = trace(64.0, &[64.0, 64.0], &[64.0, 64.0]);
         let fixed = trace(64.0, &[54.0, 64.0], &[64.0, 64.0]);
-        let r = relative_adaptive_period_with_margin(&adaptive, 10.0, &fixed);
+        let r = adaptive.relative_with_margin(10.0, &fixed);
         assert!((r - 74.0 / 74.0).abs() < 1e-12);
     }
 }

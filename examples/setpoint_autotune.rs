@@ -11,7 +11,7 @@
 //! Run with: `cargo run -p adaptive-clock-examples --example setpoint_autotune`
 
 use adaptive_clock::setpoint::{SetPointTuner, TunerConfig};
-use adaptive_clock::system::{Scheme, SystemBuilder};
+use adaptive_clock::system::{RunSummary, Scheme, SystemBuilder};
 use variation::sources::Harmonic;
 
 fn main() -> Result<(), adaptive_clock::Error> {
@@ -70,7 +70,7 @@ fn main() -> Result<(), adaptive_clock::Error> {
         }
         println!(
             "{epoch:>6} | {c_now:>9} | {:>11.2} | {violations:>12} | {action:>9}",
-            run.mean_period()
+            RunSummary::of(&run).mean_period
         );
         history.push(c_now);
     }

@@ -1,19 +1,20 @@
 //! Shared helpers for the example binaries.
 
-use adaptive_clock::RunTrace;
+use adaptive_clock::{RunSummary, RunTrace};
 use clock_metrics::Summary;
 
 /// Print a one-line comparison row for a scheme run.
 pub fn report_run(label: &str, run: &RunTrace) {
     let errors = run.timing_errors();
     let s = Summary::of(&errors).expect("non-empty run");
+    let summary = RunSummary::of(run);
     println!(
         "  {label:<14} margin needed {:6.2} stages | τ−c mean {:6.2}, range [{:6.2}, {:6.2}] | ⟨T⟩ = {:7.2}",
-        run.worst_negative_error(),
+        summary.worst_negative_error,
         s.mean,
         s.min,
         s.max,
-        run.mean_period(),
+        summary.mean_period,
     );
 }
 

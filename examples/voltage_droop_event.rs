@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run -p adaptive-clock-examples --example voltage_droop_event`
 
-use adaptive_clock::system::{Scheme, SystemBuilder};
+use adaptive_clock::system::{RunSummary, Scheme, SystemBuilder};
 use adaptive_clock_examples::sparkline;
 use variation::analysis;
 use variation::sources::SingleEvent;
@@ -28,7 +28,7 @@ fn main() -> Result<(), adaptive_clock::Error> {
 
     let fixed_margin = {
         let sys = SystemBuilder::new(c).scheme(Scheme::Fixed).build()?;
-        sys.run(&droop, 9000).skip(500).worst_negative_error()
+        RunSummary::of(&sys.run(&droop, 9000).skip(500)).worst_negative_error
     };
 
     for t_clk_frac in [0.05, 0.1, 0.25, 0.5, 0.75, 1.5] {
@@ -38,7 +38,7 @@ fn main() -> Result<(), adaptive_clock::Error> {
             .scheme(Scheme::FreeRo { extra_length: 0 })
             .build()?;
         let run = sys.run(&droop, 9000).skip(500);
-        let margin = run.worst_negative_error();
+        let margin = RunSummary::of(&run).worst_negative_error;
         // Eq. 3 uses the raw CDN delay; the loop pipeline adds ~1 period.
         let predicted =
             analysis::single_event_worst_case(droop_amp, t_clk + c as f64, droop_duration);

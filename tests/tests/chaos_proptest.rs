@@ -13,10 +13,10 @@ use adaptive_clock::controller::{Controller, IirConfig};
 use adaptive_clock::event::Sample;
 use adaptive_clock::loopsim::{constant, DiscreteLoop, LoopInputs};
 use adaptive_clock::resilience::Resilience;
-use adaptive_clock::system::RunTrace;
+use adaptive_clock::system::{RunSummary, RunTrace};
 use adaptive_clock::tdc::Quantization;
 use clock_faults::{FaultClass, FaultSchedule};
-use clock_metrics::{margin, violation_report};
+use clock_metrics::violation_report;
 use proptest::prelude::*;
 
 const C: i64 = 64;
@@ -68,8 +68,9 @@ proptest! {
 
     /// Any (class, rate, seed) strike plan, through every scheme: the run
     /// completes, every recorded signal is finite, and every derived
-    /// metric — `margin::required_margin`, `margin::adaptive_needed_period`,
-    /// the full violation report — is finite.
+    /// metric — `RunSummary::required_margin`,
+    /// `RunSummary::needed_adaptive_period`, the full violation report — is
+    /// finite.
     #[test]
     fn any_schedule_any_scheme_yields_finite_metrics(
         seed in 0u64..10_000,
@@ -101,10 +102,10 @@ proptest! {
                 prop_assert!(tau.is_finite(), "lane {lane} τ[{n}] = {tau}");
                 prop_assert!(lro.is_finite(), "lane {lane} l_RO[{n}] = {lro}");
             }
-            let run = as_run_trace(&trace.tau, &trace.lro);
-            let m = margin::required_margin(&run);
+            let summary = RunSummary::of(&as_run_trace(&trace.tau, &trace.lro));
+            let m = summary.required_margin();
             prop_assert!(m.is_finite(), "lane {lane} required_margin {m}");
-            let p = margin::adaptive_needed_period(&run);
+            let p = summary.needed_adaptive_period();
             prop_assert!(p.is_finite(), "lane {lane} needed period {p}");
             let report = violation_report(C as f64, &trace.tau, 6.0, 2.0, 20);
             prop_assert!(report.violation_rate.is_finite());

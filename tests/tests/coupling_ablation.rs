@@ -8,7 +8,7 @@
 
 use adaptive_clock::ro::Coupling;
 use adaptive_clock::system::{Scheme, SystemBuilder};
-use clock_metrics::margin;
+use adaptive_clock::RunSummary;
 use variation::sources::Harmonic;
 
 fn margin_with(coupling: Coupling, scheme: Scheme, te_over_c: f64) -> f64 {
@@ -22,7 +22,7 @@ fn margin_with(coupling: Coupling, scheme: Scheme, te_over_c: f64) -> f64 {
         .expect("valid")
         .run(&hodv, 6000)
         .skip(1000);
-    margin::required_margin(&run)
+    RunSummary::of(&run).required_margin()
 }
 
 /// The two couplings agree to within about a stage for the loop-controlled
@@ -75,15 +75,15 @@ fn multiplicative_static_slowdown_is_invisible() {
         .skip(200);
     // No timing error beyond quantization: the RO slows with the logic.
     assert!(
-        run.worst_negative_error() <= 1.0,
+        RunSummary::of(&run).worst_negative_error <= 1.0,
         "margin {}",
-        run.worst_negative_error()
+        RunSummary::of(&run).worst_negative_error
     );
     // But the period is genuinely 20% longer — the clock adapted.
     assert!(
-        (run.mean_period() - 76.8).abs() < 1.0,
+        (RunSummary::of(&run).mean_period - 76.8).abs() < 1.0,
         "mean period {}",
-        run.mean_period()
+        RunSummary::of(&run).mean_period
     );
 }
 
@@ -106,7 +106,7 @@ fn divergence_bounded_when_ro_leaves_reference_length() {
             .expect("valid")
             .run(&hodv, 6000)
             .skip(1500);
-        margin::required_margin(&run)
+        RunSummary::of(&run).required_margin()
     };
     let add = margin_of(Coupling::Additive);
     let mul = margin_of(Coupling::Multiplicative { c_ref: 64 });

@@ -5,7 +5,7 @@
 use adaptive_clock::event::SummarySink;
 use adaptive_clock::pipeline::PipelineModel;
 use adaptive_clock::setpoint::{SetPointTuner, TunerConfig};
-use adaptive_clock::system::{Scheme, SystemBuilder};
+use adaptive_clock::system::{RunSummary, Scheme, SystemBuilder};
 use variation::sources::{Harmonic, NoVariation};
 
 /// The tuner, fed by the pipeline model's violation verdicts on real runs,
@@ -70,11 +70,8 @@ fn jitter_floor_composes_with_tracking_residual() {
         if sigma > 0.0 {
             b = b.jitter(sigma, 77);
         }
-        b.build()
-            .expect("valid")
-            .run(&hodv, 6000)
-            .skip(1000)
-            .worst_negative_error()
+        let run = b.build().expect("valid").run(&hodv, 6000).skip(1000);
+        RunSummary::of(&run).worst_negative_error
     };
     let m0 = margin(0.0);
     let m2 = margin(2.0);
@@ -92,7 +89,7 @@ fn jitter_floor_composes_with_tracking_residual() {
         .run(&hodv, 6000)
         .skip(1000);
     assert!(
-        fixed.worst_negative_error() > 12.8,
+        RunSummary::of(&fixed).worst_negative_error > 12.8,
         "fixed pays HoDV + jitter"
     );
 }
@@ -214,8 +211,8 @@ fn migrating_hotspot_defeats_free_ro_but_not_iir() {
     };
     let free = run_for(Scheme::FreeRo { extra_length: 0 });
     let iir = run_for(Scheme::iir_paper());
-    let m_free = free.worst_negative_error();
-    let m_iir = iir.worst_negative_error();
+    let m_free = RunSummary::of(&free).worst_negative_error;
+    let m_iir = RunSummary::of(&iir).worst_negative_error;
     assert!(
         m_free > 8.0,
         "free RO must pay ≈ the hotspot depth, got {m_free}"

@@ -3,7 +3,7 @@
 //! mismatches, absurd variation amplitudes, degenerate configurations.
 
 use adaptive_clock::ro::RoBounds;
-use adaptive_clock::system::{Scheme, SensorSpec, SystemBuilder};
+use adaptive_clock::system::{RunSummary, Scheme, SensorSpec, SystemBuilder};
 use integration_tests::all_schemes;
 use variation::sources::{ConstantOffset, Harmonic, Waveform};
 
@@ -37,7 +37,7 @@ fn ro_length_saturates_at_design_bounds() {
     // the loop cannot close the gap; a persistent negative error remains
     let tail = run.skip(2500);
     assert!(
-        tail.worst_negative_error() > 100.0,
+        RunSummary::of(&tail).worst_negative_error > 100.0,
         "saturated loop must report the uncovered mismatch"
     );
 }

@@ -2,7 +2,7 @@
 //! through the public APIs (the way a downstream user would).
 
 use adaptive_clock::system::Scheme;
-use clock_metrics::margin;
+use adaptive_clock::RunSummary;
 use clock_metrics::worked::WorkedExample;
 use integration_tests::{all_schemes, paper_system, steady_run};
 use variation::sources::{Harmonic, SingleEvent};
@@ -13,7 +13,7 @@ use variation::sources::{Harmonic, SingleEvent};
 fn adaptive_clocks_reduce_safety_margin_under_slow_hodv() {
     let hodv = Harmonic::new(12.8, 64.0 * 50.0, 0.0);
     let fixed = steady_run(&paper_system(Scheme::Fixed, 0.0), &hodv);
-    let fixed_needed = margin::needed_fixed_period(&fixed);
+    let fixed_needed = RunSummary::of(&fixed).needed_fixed_period();
     assert!(fixed_needed > 75.0, "fixed clock must pay the full 0.2c");
     for scheme in all_schemes() {
         if matches!(scheme, Scheme::Fixed) {
@@ -21,7 +21,7 @@ fn adaptive_clocks_reduce_safety_margin_under_slow_hodv() {
         }
         let label = scheme.label();
         let run = steady_run(&paper_system(scheme, 0.0), &hodv);
-        let ratio = margin::relative_adaptive_period(&run, &fixed);
+        let ratio = RunSummary::of(&run).relative_to(&RunSummary::of(&fixed));
         assert!(
             ratio < 0.95,
             "{label}: relative adaptive period {ratio} must be well below 1"
@@ -41,15 +41,12 @@ fn free_ro_cannot_fight_heterogeneous_variation_iir_can() {
         &quiet,
     );
     let iir = steady_run(&paper_system(Scheme::iir_paper(), mu), &quiet);
+    let m_free = RunSummary::of(&free).required_margin();
+    let m_iir = RunSummary::of(&iir).required_margin();
+    assert!(m_free >= 11.0, "free RO margin {m_free} must pay ≈ |μ|");
     assert!(
-        margin::required_margin(&free) >= 11.0,
-        "free RO margin {} must pay ≈ |μ|",
-        margin::required_margin(&free)
-    );
-    assert!(
-        margin::required_margin(&iir) <= 1.0,
-        "IIR margin {} must be ≈ 0 after compensation",
-        margin::required_margin(&iir)
+        m_iir <= 1.0,
+        "IIR margin {m_iir} must be ≈ 0 after compensation"
     );
 }
 
@@ -78,9 +75,9 @@ fn droop_benefit_vanishes_beyond_half_duration() {
     let short = short_sys.run(&droop, 20_000).skip(100);
     let long = long_sys.run(&droop, 20_000).skip(100);
     let fixed = fixed_sys.run(&droop, 20_000).skip(100);
-    let m_short = margin::required_margin(&short);
-    let m_long = margin::required_margin(&long);
-    let m_fixed = margin::required_margin(&fixed);
+    let m_short = RunSummary::of(&short).required_margin();
+    let m_long = RunSummary::of(&long).required_margin();
+    let m_fixed = RunSummary::of(&fixed).required_margin();
     assert!(
         m_short < 0.35 * m_fixed,
         "short CDN must attenuate the droop: {m_short} vs fixed {m_fixed}"
@@ -110,7 +107,7 @@ fn iir_margin_monotone_in_perturbation_period() {
     for te in [25.0, 37.5, 50.0] {
         let hodv = Harmonic::new(12.8, 64.0 * te, 0.0);
         let run = steady_run(&paper_system(Scheme::iir_paper(), 0.0), &hodv);
-        margins.push(margin::required_margin(&run));
+        margins.push(RunSummary::of(&run).required_margin());
     }
     assert!(
         margins[0] >= margins[1] && margins[1] >= margins[2],

@@ -1,7 +1,7 @@
 //! Property-based integration tests over the full system API.
 
 use adaptive_clock::system::{Scheme, SensorSpec, SystemBuilder};
-use clock_metrics::margin;
+use adaptive_clock::RunSummary;
 use proptest::prelude::*;
 use variation::sources::{Harmonic, NoVariation};
 
@@ -20,9 +20,9 @@ proptest! {
             .expect("valid");
         let run = system.run(&NoVariation, 2500).skip(2000);
         prop_assert!(
-            margin::required_margin(&run) <= 1.0,
+            RunSummary::of(&run).required_margin() <= 1.0,
             "μ={mu}: residual margin {}",
-            margin::required_margin(&run)
+            RunSummary::of(&run).required_margin()
         );
     }
 
@@ -44,7 +44,7 @@ proptest! {
             .build()
             .expect("valid");
         let run = system.run(&hodv, 8000).skip(1000);
-        let needed = margin::needed_fixed_period(&run);
+        let needed = RunSummary::of(&run).needed_fixed_period();
         let analytic = c + 12.8 - mu;
         prop_assert!(
             (needed - analytic).abs() <= 1.2,
@@ -70,7 +70,7 @@ proptest! {
                 .sensors(sensors)
                 .build()
                 .expect("valid");
-            margin::required_margin(&system.run(&hodv, 4000).skip(500))
+            RunSummary::of(&system.run(&hodv, 4000).skip(500)).required_margin()
         };
         let base = margin_for(&offs);
         let mut bigger = offs.clone();

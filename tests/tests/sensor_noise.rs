@@ -3,7 +3,7 @@
 //! paper's IIR (a low-pass with DC-unity loop) averages the noise away;
 //! TEAtime chases the sign of every noisy reading and random-walks.
 
-use adaptive_clock::system::{Scheme, SensorSpec, SystemBuilder};
+use adaptive_clock::system::{RunSummary, Scheme, SensorSpec, SystemBuilder};
 use clock_metrics::Summary;
 use variation::sources::NoVariation;
 
@@ -76,7 +76,7 @@ fn zero_mean_noise_does_not_bias_the_period() {
             .build()
             .expect("valid");
         let run = system.run(&NoVariation, 8000).skip(2000);
-        let mean = run.mean_period();
+        let mean = RunSummary::of(&run).mean_period;
         assert!(
             (mean - 64.0).abs() < 1.5,
             "{}: mean period {mean} drifted",

@@ -4,7 +4,7 @@
 //! a nominal run really is the margin a re-margined system would enjoy.
 
 use adaptive_clock::system::{Scheme, SystemBuilder};
-use clock_metrics::margin;
+use adaptive_clock::RunSummary;
 use integration_tests::steady_run;
 use variation::sources::Harmonic;
 
@@ -32,9 +32,8 @@ fn shift_check(scheme: Scheme) {
         .scheme(scheme.clone())
         .build()
         .expect("valid");
-    let run = steady_run(&nominal, &hodv());
-    let m = margin::required_margin(&run).ceil() as i64;
-    let mean_nominal = run.mean_period();
+    let summary = RunSummary::of(&steady_run(&nominal, &hodv()));
+    let m = summary.required_margin().ceil() as i64;
 
     let shifted = SystemBuilder::new(c_req + m)
         .cdn_delay(c_req as f64)
@@ -57,13 +56,12 @@ fn shift_check(scheme: Scheme) {
     // Mean period shifts by m. The shift is exact in the discrete
     // per-period model; in the event engine the longer periods sample the
     // harmonic at slightly different phases, leaving a sub-stage residual.
-    let want = mean_nominal + m as f64;
+    let want = summary.mean_period + m as f64;
+    let got = RunSummary::of(&run2).mean_period;
     assert!(
-        (run2.mean_period() - want).abs() < 0.5,
-        "{}: mean period {} vs predicted {}",
+        (got - want).abs() < 0.5,
+        "{}: mean period {got} vs predicted {want}",
         scheme.label(),
-        run2.mean_period(),
-        want
     );
 }
 
@@ -77,7 +75,7 @@ fn design_length_shift_for_free_ro() {
         .build()
         .expect("valid");
     let run = steady_run(&nominal, &hodv());
-    let m = margin::required_margin(&run).ceil() as i64;
+    let m = RunSummary::of(&run).required_margin().ceil() as i64;
 
     let shifted = SystemBuilder::new(c_req)
         .cdn_delay(c_req as f64)
@@ -92,11 +90,11 @@ fn design_length_shift_for_free_ro() {
         .count();
     assert_eq!(violations, 0, "margined free RO must be violation-free");
     // Same sampling-phase caveat as the set-point shift: sub-stage residual.
+    let got = RunSummary::of(&run2).mean_period;
+    let want = RunSummary::of(&run).mean_period + m as f64;
     assert!(
-        (run2.mean_period() - (run.mean_period() + m as f64)).abs() < 0.5,
-        "free RO mean period must shift by the margin (got {}, want {})",
-        run2.mean_period(),
-        run.mean_period() + m as f64
+        (got - want).abs() < 0.5,
+        "free RO mean period must shift by the margin (got {got}, want {want})"
     );
 }
 
@@ -111,7 +109,7 @@ fn fixed_period_shift() {
         .build()
         .expect("valid");
     let run = steady_run(&nominal, &hodv());
-    let needed = margin::needed_fixed_period(&run).ceil() as i64;
+    let needed = RunSummary::of(&run).needed_fixed_period().ceil() as i64;
     assert!(needed > c_req, "the fixed clock must need real margin");
 
     let shifted = SystemBuilder::new(needed)
@@ -139,7 +137,7 @@ fn margin_is_tight_for_fixed_clock() {
         .build()
         .expect("valid");
     let run = steady_run(&nominal, &hodv());
-    let needed = margin::needed_fixed_period(&run).ceil() as i64;
+    let needed = RunSummary::of(&run).needed_fixed_period().ceil() as i64;
 
     let shaved = SystemBuilder::new(needed - 2)
         .cdn_delay(c_req as f64)
