@@ -398,7 +398,7 @@ fn serve_main(mut args: Vec<String>) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    install_termination_handler(server.shutdown_flag());
+    install_termination_handler(server.shutdown_handle());
     experiments::sweep::install_quiet_cancel_hook();
     // The parseable line tests and scripts discover the bound port from.
     println!("serve: listening on http://{}", server.local_addr());

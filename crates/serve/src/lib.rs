@@ -13,8 +13,8 @@
 //! |---|---|
 //! | [`http`] | hand-rolled, capped, non-panicking HTTP/1.1 parser + chunked responses |
 //! | [`job`] | specs, lifecycle states, records, handles, the [`JobExecutor`] trait |
-//! | [`journal`] | atomic write-ahead job journal with corruption-tolerant replay |
-//! | [`server`] | bounded queue, worker pool, routes, backpressure, graceful drain |
+//! | [`journal`] | append-only write-ahead job log, compacted at startup, with corruption-tolerant replay |
+//! | [`server`] | event-driven accept and tails, reused handler threads, bounded queue, worker pool, routes, backpressure, graceful drain |
 //! | [`client`] | minimal blocking client + retrying submit with jittered backoff |
 //!
 //! See the repository README ("Experiment service") for the endpoint and
@@ -31,4 +31,4 @@ pub mod server;
 
 pub use job::{JobExecutor, JobHandle, JobOutcome, JobRecord, JobSpec, JobState};
 pub use journal::Journal;
-pub use server::{install_termination_handler, DrainReport, Server, ServerConfig};
+pub use server::{install_termination_handler, DrainReport, Server, ServerConfig, ShutdownHandle};
