@@ -52,6 +52,18 @@ pub enum Error {
         /// The offending sigma.
         sigma: f64,
     },
+    /// A shared multi-offset run cannot equal the per-offset runs: the
+    /// scheme's controller reads τ, so each offset steers its own loop.
+    ClosedLoop {
+        /// The scheme's label.
+        scheme: &'static str,
+    },
+    /// A shared multi-offset run needs exactly one sensor, whose static
+    /// offset each lane replaces.
+    NotOneSensor {
+        /// The number of sensors the system has.
+        sensors: usize,
+    },
 }
 
 impl fmt::Display for Error {
@@ -80,6 +92,14 @@ impl fmt::Display for Error {
             Error::InvalidNoise { sigma } => {
                 write!(f, "noise sigma must be finite and non-negative, got {sigma}")
             }
+            Error::ClosedLoop { scheme } => write!(
+                f,
+                "{scheme} reads τ, so one run cannot serve several offsets"
+            ),
+            Error::NotOneSensor { sensors } => write!(
+                f,
+                "a shared multi-offset run needs exactly one sensor, got {sensors}"
+            ),
         }
     }
 }

@@ -24,11 +24,15 @@
 //! [`crate::batch::BatchLoop::run`] does: a [`TraceSink`] records a
 //! [`RunTrace`] (optionally skipping a warm-up without storing it), a
 //! [`SummarySink`] folds the run into a [`RunSummary`] without recording
-//! it. One loop body serves both, so the two are bit-identical.
+//! it. One loop body serves both, so the two are bit-identical. The same
+//! body also runs one sink per sensor for
+//! [`System::run_offsets`](crate::system::System::run_offsets): an
+//! open-loop scheme's edges and `e(t)` are computed once for several
+//! static mismatches.
 
 use std::collections::VecDeque;
 
-use clock_telemetry::{Event as TelemetryEvent, Telemetry};
+use clock_telemetry::{Counter, Event as TelemetryEvent, Telemetry};
 use variation::sources::Waveform;
 
 use crate::cdn::Cdn;
@@ -36,7 +40,7 @@ use crate::controller::Controller;
 use crate::error::Error;
 use crate::ro::{RingOscillator, RoBounds};
 use crate::system::{Fold, RunSummary, RunTrace};
-use crate::tdc::SensorBank;
+use crate::tdc::{worst_of, SensorBank, Tdc};
 
 /// Cycle-to-cycle period jitter of the generator (RO phase noise).
 ///
@@ -207,6 +211,43 @@ impl EventLoop {
         }
     }
 
+    /// The worst (lowest) reading of `sensors` for measurement `m`, with
+    /// `e_t = e(m.t_meas)`. An observed run reads sensor by sensor:
+    /// non-finite readings are excluded from the worst-case reduction and
+    /// reported as dropouts (`reduce(f64::min)` skips NaN the same way, so
+    /// the resulting τ is unchanged).
+    fn worst_reading(
+        &self,
+        sensors: &[Tdc],
+        m: &PendingMeasurement,
+        e_t: f64,
+        observed: bool,
+        c_dropouts: &Counter,
+    ) -> f64 {
+        if !observed {
+            return worst_of(sensors, m.period, e_t, m.t_meas)
+                .expect("sensor bank validated non-empty at build time");
+        }
+        let mut worst = f64::NAN;
+        for (idx, s) in sensors.iter().enumerate() {
+            let r = s.read(m.period, e_t, m.t_meas);
+            if r.is_finite() {
+                worst = if worst.is_nan() { r } else { worst.min(r) };
+            } else {
+                c_dropouts.inc();
+                self.telemetry.emit(
+                    m.t_meas,
+                    TelemetryEvent::SensorDropout { sensor: idx as u64 },
+                );
+            }
+        }
+        assert!(
+            !sensors.is_empty(),
+            "sensor bank validated non-empty at build time"
+        );
+        worst
+    }
+
     /// Simulate until `n_samples` delivered periods have been measured,
     /// under homogeneous variation `e`, and hand every measured period to
     /// `sink`: a [`TraceSink`] returns the recorded [`RunTrace`], a
@@ -230,6 +271,11 @@ impl EventLoop {
         let c_violations = self.telemetry.counter("core.timing_violations");
         let c_saturations = self.telemetry.counter("core.ro_saturations");
         let c_dropouts = self.telemetry.counter("core.sensor_dropouts");
+        let lanes = sink.lanes();
+        assert!(
+            lanes == 1 || lanes == self.sensors.len(),
+            "a multi-lane sink takes one lane per sensor"
+        );
         sink.begin(self.setpoint, n_samples);
         let mut recorded = 0usize;
         let mut meas: VecDeque<PendingMeasurement> = VecDeque::new();
@@ -249,69 +295,56 @@ impl EventLoop {
                 .is_some_and(|m| m.t_meas <= t && recorded < n_samples)
             {
                 let m = meas.pop_front().expect("front checked");
-                let tau = if observed {
-                    // Per-sensor pass: non-finite readings are excluded
-                    // from the worst-case reduction and reported as
-                    // dropouts (`reduce(f64::min)` skips NaN the same
-                    // way, so the resulting τ is unchanged).
-                    let mut worst = f64::NAN;
-                    for (idx, s) in self.sensors.iter().enumerate() {
-                        let r = s.measure(m.period, e, m.t_meas);
-                        if r.is_finite() {
-                            worst = if worst.is_nan() { r } else { worst.min(r) };
-                        } else {
-                            c_dropouts.inc();
+                // One evaluation of `e` serves every sensor and every lane.
+                let e_t = e.value(m.t_meas);
+                let mut delta = f64::NAN;
+                for lane in 0..lanes {
+                    let sensors = match lanes {
+                        1 => self.sensors.as_slice(),
+                        _ => &self.sensors.as_slice()[lane..=lane],
+                    };
+                    let tau = self.worst_reading(sensors, &m, e_t, observed, &c_dropouts);
+                    delta = self.setpoint - tau;
+                    c_samples.inc();
+                    if delta > 0.0 {
+                        c_violations.inc();
+                        if observed && tau.is_finite() {
                             self.telemetry.emit(
                                 m.t_meas,
-                                TelemetryEvent::SensorDropout { sensor: idx as u64 },
+                                TelemetryEvent::TimingViolation {
+                                    tau,
+                                    setpoint: self.setpoint,
+                                    margin: delta,
+                                },
                             );
                         }
                     }
-                    assert!(
-                        !self.sensors.is_empty(),
-                        "sensor bank validated non-empty at build time"
+                    sink.lane_sample(
+                        lane,
+                        recorded,
+                        &Sample {
+                            time: m.t_meas,
+                            period: m.period,
+                            tau,
+                            delta,
+                            lro: m.lro,
+                        },
                     );
-                    worst
-                } else {
-                    self.sensors
-                        .worst(m.period, e, m.t_meas)
-                        .expect("sensor bank validated non-empty at build time")
-                };
-                let delta = self.setpoint - tau;
-                c_samples.inc();
-                if delta > 0.0 {
-                    c_violations.inc();
-                    if observed && tau.is_finite() {
-                        self.telemetry.emit(
-                            m.t_meas,
-                            TelemetryEvent::TimingViolation {
-                                tau,
-                                setpoint: self.setpoint,
-                                margin: delta,
-                            },
-                        );
-                    }
                 }
-                sink.sample(
-                    recorded,
-                    &Sample {
-                        time: m.t_meas,
-                        period: m.period,
-                        tau,
-                        delta,
-                        lro: m.lro,
-                    },
-                );
                 recorded += 1;
+                // Several lanes share one controller only when it does not
+                // read τ (`System::run_offsets`); it steps once here, and
+                // the step counters count one step per lane, as separate
+                // per-lane runs would.
                 if let Some(ctrl) = self.controller.as_mut() {
                     let requested = ctrl.step(delta);
-                    c_steps.inc();
+                    c_steps.add(lanes as u64);
                     let mut next = requested;
                     if let Some(b) = bounds {
                         let rounded = requested.round() as i64;
                         let clamped = b.clamp(rounded);
                         if clamped != rounded {
-                            c_saturations.inc();
+                            c_saturations.add(lanes as u64);
                             if observed && requested.is_finite() {
                                 self.telemetry.emit(
                                     m.t_meas,
@@ -365,14 +398,6 @@ impl EventLoop {
         }
         sink.finish()
     }
-
-    /// Reset controller state (the generator keeps its current length; call
-    /// sites that need a pristine system should rebuild it).
-    pub fn reset_controller(&mut self) {
-        if let Some(c) = self.controller.as_mut() {
-            c.reset();
-        }
-    }
 }
 
 pub(crate) mod sealed {
@@ -395,6 +420,13 @@ pub trait Sink: sealed::Sealed {
     /// What [`EventLoop::run`] returns with this sink.
     type Output;
 
+    /// How many lanes the sink takes: 1 for a sink of the bank's worst
+    /// reading, or one lane per sensor, each fed by that sensor alone.
+    #[doc(hidden)]
+    fn lanes(&self) -> usize {
+        1
+    }
+
     /// Prepare for a run of up to `n_samples` periods against `setpoint`.
     /// Called once per run, before the first sample.
     #[doc(hidden)]
@@ -403,6 +435,14 @@ pub trait Sink: sealed::Sealed {
     /// Consume measured period number `index` (0-based, in order).
     #[doc(hidden)]
     fn sample(&mut self, index: usize, sample: &Sample);
+
+    /// Consume measured period number `index` of `lane`; a one-lane sink
+    /// has only lane 0.
+    #[doc(hidden)]
+    #[inline]
+    fn lane_sample(&mut self, _lane: usize, index: usize, sample: &Sample) {
+        self.sample(index, sample);
+    }
 
     /// Hand back the run's result.
     #[doc(hidden)]
@@ -508,6 +548,42 @@ impl Sink for SummarySink {
 
     fn finish(self) -> RunSummary {
         self.fold.finish(self.setpoint, self.samples, self.last_lro)
+    }
+}
+
+/// One sink per sensor: lane `i` gets only sensor `i`'s readings. The run
+/// steps the loop once for all lanes, so only
+/// [`System::run_offsets`](crate::system::System::run_offsets) builds it,
+/// for schemes whose controller does not read τ — there each lane equals
+/// a separate run with that sensor alone, bit for bit.
+pub(crate) struct Lanes<S>(pub(crate) Vec<S>);
+
+impl<S> sealed::Sealed for Lanes<S> {}
+
+impl<S: Sink> Sink for Lanes<S> {
+    type Output = Vec<S::Output>;
+
+    fn lanes(&self) -> usize {
+        self.0.len()
+    }
+
+    fn begin(&mut self, setpoint: f64, n_samples: usize) {
+        for sink in &mut self.0 {
+            sink.begin(setpoint, n_samples);
+        }
+    }
+
+    fn sample(&mut self, index: usize, sample: &Sample) {
+        self.lane_sample(0, index, sample);
+    }
+
+    #[inline]
+    fn lane_sample(&mut self, lane: usize, index: usize, sample: &Sample) {
+        self.0[lane].sample(index, sample);
+    }
+
+    fn finish(self) -> Vec<S::Output> {
+        self.0.into_iter().map(Sink::finish).collect()
     }
 }
 

@@ -14,7 +14,7 @@ use variation::sources::Waveform;
 use crate::cdn::Cdn;
 use crate::controller::{FloatIir, FreeRunning, IirConfig, IntIirControl, TeaTime};
 use crate::error::Error;
-use crate::event::{EventLoop, Generator, PeriodJitter, Sample, Sink, TraceSink};
+use crate::event::{EventLoop, Generator, Lanes, PeriodJitter, Sample, Sink, TraceSink};
 use crate::ro::{Coupling, RingOscillator, RoBounds};
 use crate::tdc::{Quantization, SensorBank, Tdc};
 
@@ -55,10 +55,12 @@ impl Scheme {
         }
     }
 
-    /// Whether the generated period tracks local variation (an RO) or not
-    /// (a fixed source).
-    pub fn is_ro_based(&self) -> bool {
-        !matches!(self, Scheme::Fixed)
+    /// Whether no controller reads τ (the fixed clock and the free RO): the
+    /// edges, the periods and `e` at every measurement are then the same
+    /// whatever the sensors read, so one run serves several static
+    /// mismatches ([`System::run_offsets`]).
+    pub fn is_open_loop(&self) -> bool {
+        matches!(self, Scheme::Fixed | Scheme::FreeRo { .. })
     }
 
     /// A canonical, stable serialization of the scheme and every parameter
@@ -356,8 +358,8 @@ impl System {
         &self.scheme
     }
 
-    fn sensor_bank(&self) -> SensorBank {
-        self.sensors
+    fn sensor_bank(&self, sensors: &[SensorSpec]) -> SensorBank {
+        sensors
             .iter()
             .map(|s| {
                 let tdc = Tdc::new(
@@ -378,7 +380,7 @@ impl System {
             .collect()
     }
 
-    fn event_loop(&self) -> EventLoop {
+    fn event_loop(&self, sensors: &[SensorSpec]) -> EventLoop {
         let c = self.setpoint;
         let start = self.initial_length.unwrap_or(c);
         let (generator, controller): (Generator, Option<crate::controller::Controller>) =
@@ -428,8 +430,14 @@ impl System {
                     ),
                 ),
             };
-        let el = EventLoop::new(c, generator, self.cdn, self.sensor_bank(), controller)
-            .with_telemetry(self.telemetry.clone());
+        let el = EventLoop::new(
+            c,
+            generator,
+            self.cdn,
+            self.sensor_bank(sensors),
+            controller,
+        )
+        .with_telemetry(self.telemetry.clone());
         match self.jitter {
             Some(j) => el.with_jitter(j),
             None => el,
@@ -452,7 +460,50 @@ impl System {
         n_samples: usize,
         sink: S,
     ) -> S::Output {
-        self.event_loop().run(e, n_samples, sink)
+        self.event_loop(&self.sensors).run(e, n_samples, sink)
+    }
+
+    /// One run for several static mismatches of the system's one sensor:
+    /// element `i` equals [`run_with`](Self::run_with) into `sink()` of
+    /// this system with the sensor's offset set to `offsets[i]`, bit for
+    /// bit. The edges and `e` are computed once for every offset, so this
+    /// costs one run plus a small per-offset reading and fold, not
+    /// `offsets.len()` runs.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::ClosedLoop`] if the scheme's controller reads τ (see
+    /// [`Scheme::is_open_loop`]); [`Error::NotOneSensor`] unless the system
+    /// has exactly one sensor.
+    pub fn run_offsets<W: Waveform + ?Sized, S: Sink>(
+        &self,
+        e: &W,
+        n_samples: usize,
+        offsets: &[f64],
+        sink: impl Fn() -> S,
+    ) -> Result<Vec<S::Output>, Error> {
+        if !self.scheme.is_open_loop() {
+            return Err(Error::ClosedLoop {
+                scheme: self.scheme.label(),
+            });
+        }
+        let [spec] = self.sensors.as_slice() else {
+            return Err(Error::NotOneSensor {
+                sensors: self.sensors.len(),
+            });
+        };
+        if offsets.is_empty() {
+            return Ok(Vec::new());
+        }
+        let lanes: Vec<SensorSpec> = offsets
+            .iter()
+            .map(|&offset| SensorSpec {
+                offset,
+                ..spec.clone()
+            })
+            .collect();
+        let sinks = Lanes(offsets.iter().map(|_| sink()).collect());
+        Ok(self.event_loop(&lanes).run(e, n_samples, sinks))
     }
 }
 
@@ -738,8 +789,11 @@ mod tests {
         assert_eq!(Scheme::FreeRo { extra_length: 0 }.label(), "Free RO");
         assert_eq!(Scheme::TeaTime.label(), "TEAtime RO");
         assert_eq!(Scheme::iir_paper().label(), "IIR RO");
-        assert!(!Scheme::Fixed.is_ro_based());
-        assert!(Scheme::TeaTime.is_ro_based());
+        assert!(Scheme::Fixed.is_open_loop());
+        assert!(Scheme::FreeRo { extra_length: 3 }.is_open_loop());
+        assert!(!Scheme::TeaTime.is_open_loop());
+        assert!(!Scheme::iir_paper().is_open_loop());
+        assert!(!Scheme::IirFloat(IirConfig::paper()).is_open_loop());
     }
 
     #[test]

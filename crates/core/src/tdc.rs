@@ -106,17 +106,19 @@ impl Tdc {
     /// The reading `τ` for a delivered period `period` measured at time `t`
     /// under homogeneous variation `e`.
     pub fn measure<W: Waveform + ?Sized>(&self, period: f64, e: &W, t: f64) -> f64 {
-        let raw = self.coupling.stages(period, e.value(t)) + self.mu.value(t);
+        self.read(period, e.value(t), t)
+    }
+
+    /// [`measure`](Self::measure) with the homogeneous variation already
+    /// evaluated, `e_t = e(t)`, so sensors read at the same time share one
+    /// evaluation of `e`.
+    pub(crate) fn read(&self, period: f64, e_t: f64, t: f64) -> f64 {
+        let raw = self.coupling.stages(period, e_t) + self.mu.value(t);
         let noisy = match self.noise {
             Some((sigma, seed)) if sigma > 0.0 => raw + sigma * hash_gauss(seed, time_key(t)),
             _ => raw,
         };
         self.quantization.apply(noisy)
-    }
-
-    /// The sensor's mismatch value at time `t`.
-    pub fn mu_at(&self, t: f64) -> f64 {
-        self.mu.value(t)
     }
 }
 
@@ -150,25 +152,26 @@ impl SensorBank {
         self.sensors.is_empty()
     }
 
-    /// Iterate over the sensors in the bank.
-    pub fn iter(&self) -> impl Iterator<Item = &Tdc> + '_ {
-        self.sensors.iter()
-    }
-
-    /// All readings for a delivered period measured at time `t`.
-    pub fn readings<W: Waveform + ?Sized>(&self, period: f64, e: &W, t: f64) -> Vec<f64> {
-        self.sensors
-            .iter()
-            .map(|s| s.measure(period, e, t))
-            .collect()
+    /// The sensors in the bank, in insertion order.
+    pub(crate) fn as_slice(&self) -> &[Tdc] {
+        &self.sensors
     }
 
     /// The worst (minimum) reading, or `None` if the bank is empty.
     pub fn worst<W: Waveform + ?Sized>(&self, period: f64, e: &W, t: f64) -> Option<f64> {
-        self.sensors
+        worst_of(&self.sensors, period, e.value(t), t)
+    }
+}
+
+/// The worst (minimum) reading of `sensors` with `e_t = e(t)` already
+/// evaluated, or `None` if there are none.
+pub(crate) fn worst_of(sensors: &[Tdc], period: f64, e_t: f64, t: f64) -> Option<f64> {
+    match sensors {
+        [only] => Some(only.read(period, e_t, t)),
+        _ => sensors
             .iter()
-            .map(|s| s.measure(period, e, t))
-            .reduce(f64::min)
+            .map(|s| s.read(period, e_t, t))
+            .reduce(f64::min),
     }
 }
 
@@ -218,7 +221,6 @@ mod tests {
     fn mismatch_raises_reading() {
         let tdc = Tdc::new(ConstantOffset::new(3.0), Quantization::None);
         assert_eq!(tdc.measure(64.0, &NoVariation, 0.0), 67.0);
-        assert_eq!(tdc.mu_at(0.0), 3.0);
     }
 
     #[test]
@@ -235,10 +237,6 @@ mod tests {
             .with(Tdc::new(ConstantOffset::new(2.0), Quantization::None));
         assert_eq!(bank.len(), 3);
         assert_eq!(bank.worst(64.0, &NoVariation, 0.0), Some(59.0));
-        assert_eq!(
-            bank.readings(64.0, &NoVariation, 0.0),
-            vec![64.0, 59.0, 66.0]
-        );
     }
 
     #[test]

@@ -17,7 +17,7 @@ use clock_telemetry::Event;
 
 use crate::render::{fmt, Table};
 use crate::results::{ExperimentResult, Series};
-use crate::runner::{summary_compute, summary_probe, OperatingPoint, RunCtx, RunSummary};
+use crate::runner::{summaries_compute, summaries_probe, OperatingPoint, RunCtx, RunSummary};
 use crate::sweep::{linear_grid, parallel_map_planned};
 use adaptive_clock::system::Scheme;
 
@@ -26,8 +26,11 @@ pub const T_CLK_GRID: [f64; 3] = [0.75, 1.0, 1.25];
 /// The grid of HoDV periods, in multiples of `c`.
 pub const TE_GRID: [f64; 3] = [25.0, 37.5, 50.0];
 
+/// The number of μ points of a full (not `--quick`) run.
+pub const MU_POINTS: usize = 9;
+
 /// The four schemes every panel runs at each μ, in dispatch order.
-fn panel_schemes() -> [Scheme; 4] {
+pub(crate) fn panel_schemes() -> [Scheme; 4] {
     [
         Scheme::FreeRo { extra_length: 0 },
         Scheme::TeaTime,
@@ -56,44 +59,58 @@ pub fn run_panel(
         .expect("one panel in, one panel out")
 }
 
-/// Run `panels` (each `(t_clk/c, T_e/c)`) as one flat plan: every
-/// `(panel, scheme, μ)` point goes through a single
-/// [`parallel_map_planned`] call, so the workers never wait at a panel
-/// boundary. Each panel is then assembled from its own block of results.
+/// Run `panels` (each `(t_clk/c, T_e/c)`) as one flat plan: one task per
+/// open-loop `(panel, scheme)` covering every μ with one shared run (the
+/// free RO's and the fixed clock's edges do not depend on what the sensor
+/// reads), and one per closed-loop `(panel, scheme, μ)`, all through a
+/// single [`parallel_map_planned`] call, so the workers never wait at a
+/// panel boundary. Each panel is then assembled from its own tasks.
 fn run_panels(ctx: &RunCtx, panels: &[(f64, f64)], points: usize) -> Vec<ExperimentResult> {
     let mus = linear_grid(-0.2, 0.2, points);
     let schemes = panel_schemes();
-    struct Task {
-        scheme: Scheme,
+    struct Task<'a> {
+        panel: usize,
+        scheme: &'a Scheme,
         point: OperatingPoint,
+        mus: &'a [f64],
     }
-    let mut tasks = Vec::with_capacity(panels.len() * schemes.len() * mus.len());
-    for &(t_clk_over_c, te_over_c) in panels {
+    let mut tasks = Vec::new();
+    for (panel, &(t_clk_over_c, te_over_c)) in panels.iter().enumerate() {
+        let point = OperatingPoint::new(t_clk_over_c, te_over_c);
         for scheme in &schemes {
-            for &mu in &mus {
-                tasks.push(Task {
-                    scheme: scheme.clone(),
-                    point: OperatingPoint::new(t_clk_over_c, te_over_c).with_mu(mu),
-                });
-            }
+            let groups: Vec<&[f64]> = if scheme.is_open_loop() {
+                vec![&mus]
+            } else {
+                mus.iter().map(std::slice::from_ref).collect()
+            };
+            tasks.extend(groups.into_iter().map(|mus| Task {
+                panel,
+                scheme,
+                point,
+                mus,
+            }));
         }
     }
     let summaries = parallel_map_planned(
         &tasks,
-        |t| summary_probe(ctx, &t.scheme, t.point),
-        |t| summary_compute(ctx, &t.scheme, t.point),
+        |t| summaries_probe(ctx, t.scheme, t.point, t.mus),
+        |t| summaries_compute(ctx, t.scheme, t.point, t.mus),
         &ctx.telemetry,
     );
-    let per_panel = schemes.len() * mus.len();
     panels
         .iter()
         .enumerate()
         .map(|(p, &(t_clk_over_c, te_over_c))| {
-            let block = p * per_panel..(p + 1) * per_panel;
-            let labelled: Vec<(&'static str, f64, RunSummary)> = tasks[block.clone()]
+            let labelled: Vec<(&'static str, f64, RunSummary)> = tasks
                 .iter()
-                .zip(&summaries[block])
-                .map(|(t, s)| (t.scheme.label(), t.point.mu_over_c, *s))
+                .zip(&summaries)
+                .filter(|(t, _)| t.panel == p)
+                .flat_map(|(t, s)| {
+                    t.mus
+                        .iter()
+                        .zip(s)
+                        .map(|(&mu, s)| (t.scheme.label(), mu, *s))
+                })
                 .collect();
             assemble_panel(ctx, t_clk_over_c, te_over_c, &mus, &labelled)
         })
@@ -193,6 +210,7 @@ mod tests {
     use super::*;
     use crate::cache::SweepCache;
     use crate::config::PaperParams;
+    use crate::runner::{summary_compute, summary_key};
     use clock_telemetry::Telemetry;
 
     fn ctx() -> RunCtx {
@@ -323,6 +341,85 @@ mod tests {
         // the warm pass.
         assert_eq!(stats.misses, 20, "cold pass misses");
         assert_eq!(stats.hits, 20, "warm pass hits");
+    }
+
+    /// A cache holding one `(open-loop scheme, μ)` key, here with a
+    /// stale value: the shared task still computes, overwrites that key
+    /// and writes every other, and the panel has the uncached bits.
+    #[test]
+    fn partly_cached_open_loop_task_recomputes_and_writes_every_key() {
+        let params = PaperParams::default();
+        let panel = OperatingPoint::new(1.0, 37.5);
+        let mus = linear_grid(-0.2, 0.2, 5);
+        let uncached = run_panel(&ctx(), 1.0, 37.5, 5);
+
+        let cache = SweepCache::in_memory(&Telemetry::disabled());
+        let free_ro = Scheme::FreeRo { extra_length: 0 };
+        let stale_at = panel.with_mu(mus[2]);
+        let stale = RunSummary::from_values(&[64.0, 1.0, 64.0, 99.0, 99.0, 64.0]).unwrap();
+        cache.put_f64s(summary_key(&params, &free_ro, stale_at), &stale.to_values());
+        let mixed = run_panel(&ctx().with_cache(cache.clone()), 1.0, 37.5, 5);
+        for (a, b) in uncached.series.iter().zip(&mixed.series) {
+            assert_eq!(a.label, b.label);
+            let bits = |s: &Series| s.y.iter().map(|y| y.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(a), bits(b), "{}", a.label);
+        }
+        let stats = cache.stats().expect("cache enabled");
+        assert_eq!((stats.hits, stats.misses), (1, 19), "every key probed once");
+
+        let written = |scheme: &Scheme, mu: f64| {
+            cache
+                .get_f64s(
+                    summary_key(&params, scheme, panel.with_mu(mu)),
+                    RunSummary::FIELDS,
+                )
+                .map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+        };
+        for scheme in panel_schemes() {
+            for &mu in &mus {
+                let want = summary_compute(&ctx(), &scheme, panel.with_mu(mu))
+                    .to_values()
+                    .map(f64::to_bits)
+                    .to_vec();
+                assert_eq!(
+                    written(&scheme, mu),
+                    Some(want),
+                    "{} at μ {mu}",
+                    scheme.label()
+                );
+            }
+        }
+    }
+
+    /// With telemetry on, a panel's engine counters total what one
+    /// separate run per `(scheme, μ)` totals, shared runs included.
+    #[test]
+    fn shared_panel_counts_what_per_mu_runs_count() {
+        let panel = OperatingPoint::new(0.75, 25.0);
+        let shared = Telemetry::enabled();
+        run_panel(&ctx().with_telemetry(shared.clone()), 0.75, 25.0, 5);
+        let per_mu = Telemetry::enabled();
+        let per_mu_ctx = ctx().with_telemetry(per_mu.clone());
+        for scheme in panel_schemes() {
+            for mu in linear_grid(-0.2, 0.2, 5) {
+                summary_compute(&per_mu_ctx, &scheme, panel.with_mu(mu));
+            }
+        }
+        let (a, b) = (shared.snapshot(), per_mu.snapshot());
+        for name in [
+            "core.samples",
+            "core.timing_violations",
+            "core.controller_steps",
+            "core.ro_saturations",
+            "core.sensor_dropouts",
+        ] {
+            assert_eq!(a.counter(name), b.counter(name), "{name}");
+        }
+        assert_eq!(
+            a.counter("core.samples"),
+            Some(20 * PaperParams::default().samples_for(25.0) as u64)
+        );
+        assert!(a.counter("core.timing_violations").unwrap_or(0) > 0);
     }
 
     #[test]

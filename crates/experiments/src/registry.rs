@@ -122,7 +122,7 @@ pub static REGISTRY: &[ExperimentDef] = &[
     ExperimentDef {
         id: "fig9",
         description: "Fig. 9 — relative adaptive period vs RO-TDC mismatch",
-        steps: "~1.7M steps",
+        steps: "~0.9M steps",
         runner: Runner::Leaf(run_fig9),
     },
     ExperimentDef {
@@ -212,7 +212,7 @@ pub static REGISTRY: &[ExperimentDef] = &[
     ExperimentDef {
         id: "all",
         description: "bundle: every paper artifact",
-        steps: "~2.6M steps",
+        steps: "~1.8M steps",
         runner: Runner::Bundle(ALL),
     },
     ExperimentDef {
@@ -224,7 +224,7 @@ pub static REGISTRY: &[ExperimentDef] = &[
     ExperimentDef {
         id: "everything",
         description: "bundle: all + extensions",
-        steps: "~3M steps",
+        steps: "~2.3M steps",
         runner: Runner::Bundle(&["all", "extensions"]),
     },
 ];
@@ -306,7 +306,7 @@ fn run_fig8(inv: &Invocation<'_>) -> bool {
 }
 
 fn run_fig9(inv: &Invocation<'_>) -> bool {
-    for panel in fig9::run(inv.ctx, inv.points(9, 5)) {
+    for panel in fig9::run(inv.ctx, inv.points(fig9::MU_POINTS, 5)) {
         if inv.json {
             println!("{}", panel.to_json().expect("plain data serializes"));
         } else {
@@ -530,5 +530,23 @@ mod tests {
         let millions = (cells * panel.instances * panel.steps) as f64 / 1e6;
         let want = format!("~{millions:.0}M steps");
         assert_eq!(find("ext-yield").expect("registered").steps, want);
+    }
+
+    /// `--list` states fig9's budget as its sizing computes it: per panel
+    /// of the full grid, one shared run per open-loop scheme and one run
+    /// per μ of every closed-loop scheme, each `samples_for(T_e)` steps.
+    #[test]
+    fn fig9_budget_matches_its_sizing() {
+        let params = PaperParams::default();
+        let runs_per_panel: usize = crate::fig9::panel_schemes()
+            .iter()
+            .map(|s| if s.is_open_loop() { 1 } else { fig9::MU_POINTS })
+            .sum();
+        let steps: usize = fig9::TE_GRID
+            .iter()
+            .map(|&te| fig9::T_CLK_GRID.len() * runs_per_panel * params.samples_for(te))
+            .sum();
+        let want = format!("~{:.1}M steps", steps as f64 / 1e6);
+        assert_eq!(find("fig9").expect("registered").steps, want);
     }
 }

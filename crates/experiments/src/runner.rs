@@ -171,19 +171,93 @@ pub fn summary_key(params: &PaperParams, scheme: &Scheme, point: OperatingPoint)
         .finish()
 }
 
+/// A standard run's summary from `ctx.cache`, if it holds one.
+fn cached_summary(ctx: &RunCtx, scheme: &Scheme, point: OperatingPoint) -> Option<RunSummary> {
+    ctx.cache
+        .get_f64s(summary_key(&ctx.params, scheme, point), RunSummary::FIELDS)
+        .and_then(|v| RunSummary::from_values(&v))
+}
+
 /// Probe `ctx.cache` for a standard run's summary: `Ready` on a hit,
 /// `Compute` with the point's simulated-step budget (the scheduler's cost
 /// hint) on a miss.
 pub fn summary_probe(ctx: &RunCtx, scheme: &Scheme, point: OperatingPoint) -> Plan<RunSummary> {
-    let key = summary_key(&ctx.params, scheme, point);
-    match ctx
-        .cache
-        .get_f64s(key, RunSummary::FIELDS)
-        .and_then(|v| RunSummary::from_values(&v))
-    {
+    match cached_summary(ctx, scheme, point) {
         Some(summary) => Plan::Ready(summary),
         None => Plan::Compute(ctx.params.samples_for(point.te_over_c) as u64),
     }
+}
+
+/// Cost of one step of a shared open-loop run, in steps of a per-μ run:
+/// `(SHARED_STEP_BASE + SHARED_STEP_PER_LANE · lanes) / SHARED_STEP_UNIT`.
+/// Measured on a 2-vCPU Xeon VM, release build, best of 300 interleaved
+/// runs of a free-RO Fig. 9 point (5 200 samples, `t_clk = c`,
+/// `T_e = 37.5c`): a per-μ run took 261 µs, a one-lane shared run 263 µs
+/// and a nine-lane one 650 µs: 0.81 of a step plus ~0.19 per lane (the
+/// fixed clock's lanes cost the same ~8.5 ns per sample).
+const SHARED_STEP_BASE: u64 = 81;
+const SHARED_STEP_PER_LANE: u64 = 19;
+const SHARED_STEP_UNIT: u64 = 100;
+
+/// Probe `ctx.cache` for every `(scheme, μ)` point of a μ sweep at
+/// `point` (its own μ is ignored): `Ready` only when all of them hit,
+/// else `Compute` with the cost of [`summaries_compute`] in per-μ run
+/// steps. Every key is probed (no short-circuit), so the cache's hit and
+/// miss counts stay per grid point.
+pub fn summaries_probe(
+    ctx: &RunCtx,
+    scheme: &Scheme,
+    point: OperatingPoint,
+    mus: &[f64],
+) -> Plan<Vec<RunSummary>> {
+    let hits: Vec<Option<RunSummary>> = mus
+        .iter()
+        .map(|&mu| cached_summary(ctx, scheme, point.with_mu(mu)))
+        .collect();
+    if let Some(summaries) = hits.into_iter().collect() {
+        return Plan::Ready(summaries);
+    }
+    let samples = ctx.params.samples_for(point.te_over_c) as u64;
+    let lanes = mus.len() as u64;
+    Plan::Compute(if scheme.is_open_loop() {
+        samples * (SHARED_STEP_BASE + SHARED_STEP_PER_LANE * lanes) / SHARED_STEP_UNIT
+    } else {
+        samples * lanes
+    })
+}
+
+/// The summaries of `scheme` at `point` for every μ of `mus`, each
+/// bit-identical to [`summary_compute`] at that μ, and backfill every
+/// `(scheme, μ)` key. An open-loop scheme ([`Scheme::is_open_loop`]) makes
+/// one shared run for all of them ([`System::run_offsets`]); a closed-loop
+/// one runs each μ.
+pub fn summaries_compute(
+    ctx: &RunCtx,
+    scheme: &Scheme,
+    point: OperatingPoint,
+    mus: &[f64],
+) -> Vec<RunSummary> {
+    let summaries: Vec<RunSummary> = if scheme.is_open_loop() {
+        let (system, hodv, samples) = system_at(ctx, scheme.clone(), point);
+        let c = ctx.params.setpoint as f64;
+        let offsets: Vec<f64> = mus.iter().map(|&mu| mu * c).collect();
+        system
+            .run_offsets(&hodv, samples, &offsets, || {
+                SummarySink::with_warmup(ctx.params.warmup)
+            })
+            .expect("an open-loop scheme with one sensor shares its run")
+    } else {
+        mus.iter()
+            .map(|&mu| summarize_scheme(ctx, scheme.clone(), point.with_mu(mu)))
+            .collect()
+    };
+    for (&mu, summary) in mus.iter().zip(&summaries) {
+        ctx.cache.put_f64s(
+            summary_key(&ctx.params, scheme, point.with_mu(mu)),
+            &summary.to_values(),
+        );
+    }
+    summaries
 }
 
 /// Run the point for real, summarize, and backfill the cache.
