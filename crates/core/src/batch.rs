@@ -326,15 +326,6 @@ impl BatchLoop {
         }
     }
 
-    /// A batch over an existing [`DomainBank`] — the bank's domains
-    /// become the batch's lanes, in index order.
-    pub fn from_bank(bank: DomainBank) -> Self {
-        BatchLoop {
-            bank,
-            telemetry: Telemetry::disabled(),
-        }
-    }
-
     /// Attach an instrumentation handle (counts controller steps across
     /// all lanes under `batch.controller_steps`, plus the block-engine
     /// shape under `batch.blocks` / `batch.scalar_tail_lanes`).
@@ -352,11 +343,6 @@ impl BatchLoop {
     /// Mutable access to the underlying domain bank.
     pub fn bank_mut(&mut self) -> &mut DomainBank {
         &mut self.bank
-    }
-
-    /// Recover the domain bank, dropping the batch wrapper.
-    pub fn into_bank(self) -> DomainBank {
-        self.bank
     }
 
     /// Append a lane with CDN delay `m` whole periods; returns its index.

@@ -41,25 +41,16 @@ impl Cdn {
         t + self.t_clk
     }
 
-    /// The delay expressed in periods of the given instantaneous clock
-    /// period: `M = t_clk / T_clk` (the paper's Fig. 4 caption).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is not strictly positive.
-    pub fn periods_at(&self, period: f64) -> f64 {
-        assert!(period > 0.0, "clock period must be positive");
-        self.t_clk / period
-    }
-
-    /// The nearest whole-period delay at the given period, as used by the
-    /// fixed-`M` discrete loop.
+    /// The nearest whole-period delay at the given period, `M = t_clk /
+    /// T_clk` (the paper's Fig. 4 caption) rounded to nearest, as used by
+    /// the fixed-`M` discrete loop.
     ///
     /// # Panics
     ///
     /// Panics if `period` is not strictly positive.
     pub fn whole_periods_at(&self, period: f64) -> usize {
-        self.periods_at(period).round() as usize
+        assert!(period > 0.0, "clock period must be positive");
+        (self.t_clk / period).round() as usize
     }
 }
 
@@ -85,8 +76,8 @@ mod tests {
     #[test]
     fn period_conversion() {
         let cdn = Cdn::new(64.0).unwrap();
-        assert_eq!(cdn.periods_at(64.0), 1.0);
-        assert_eq!(cdn.periods_at(32.0), 2.0);
+        assert_eq!(cdn.whole_periods_at(64.0), 1);
+        assert_eq!(cdn.whole_periods_at(32.0), 2);
         assert_eq!(cdn.whole_periods_at(48.0), 1);
         assert_eq!(cdn.whole_periods_at(20.0), 3);
     }
@@ -94,7 +85,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "period must be positive")]
     fn zero_period_rejected() {
-        let _ = Cdn::new(64.0).unwrap().periods_at(0.0);
+        let _ = Cdn::new(64.0).unwrap().whole_periods_at(0.0);
     }
 
     /// A zero-delay CDN is a legal degenerate link: edges arrive the
@@ -105,7 +96,7 @@ mod tests {
         let cdn = Cdn::new(0.0).unwrap();
         assert_eq!(cdn.delay(), 0.0);
         assert_eq!(cdn.delivery_time(123.5), 123.5);
-        assert_eq!(cdn.periods_at(64.0), 0.0);
+        assert_eq!(cdn.whole_periods_at(64.0), 0);
         assert_eq!(cdn.whole_periods_at(1.0), 0);
     }
 

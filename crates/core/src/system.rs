@@ -928,4 +928,63 @@ mod tests {
             Scheme::iir_paper().canonical_id()
         );
     }
+
+    /// The summary of a run recording `taus` and `periods` at `setpoint`.
+    fn summary_of(setpoint: f64, taus: &[f64], periods: &[f64]) -> RunSummary {
+        let samples: Vec<Sample> = taus
+            .iter()
+            .zip(periods)
+            .enumerate()
+            .map(|(k, (&tau, &period))| Sample {
+                time: k as f64,
+                period,
+                tau,
+                delta: setpoint - tau,
+                lro: period,
+            })
+            .collect();
+        RunSummary::of(&RunTrace::from_samples(setpoint, samples))
+    }
+
+    #[test]
+    fn margin_is_worst_negative_excursion() {
+        let r = summary_of(64.0, &[64.0, 60.0, 66.0, 62.0], &[64.0; 4]);
+        assert_eq!(r.required_margin(), 4.0);
+    }
+
+    #[test]
+    fn margin_zero_when_always_above_setpoint() {
+        let r = summary_of(64.0, &[64.0, 65.0, 70.0], &[64.0; 3]);
+        assert_eq!(r.required_margin(), 0.0);
+    }
+
+    #[test]
+    fn needed_period_adds_margin_to_mean() {
+        let r = summary_of(64.0, &[60.0, 64.0], &[64.0, 66.0]);
+        assert_eq!(r.needed_adaptive_period(), 65.0 + 4.0);
+    }
+
+    #[test]
+    fn fixed_needed_period_uses_setpoint_not_mean() {
+        // fixed run at nominal c: τ dips by 12.8 under a 20% HoDV
+        let r = summary_of(64.0, &[51.2, 76.8, 64.0], &[64.0; 3]);
+        assert!((r.needed_fixed_period() - 76.8).abs() < 1e-12);
+    }
+
+    #[test]
+    fn relative_period_below_one_when_adaptive_wins() {
+        let adaptive = summary_of(64.0, &[63.0, 65.0], &[64.0, 64.0]);
+        let fixed = summary_of(64.0, &[51.2, 76.8], &[64.0, 64.0]);
+        let r = adaptive.relative_to(&fixed);
+        assert!((r - 65.0 / 76.8).abs() < 1e-12);
+        assert!(r < 1.0);
+    }
+
+    #[test]
+    fn external_margin_variant() {
+        let adaptive = summary_of(64.0, &[64.0, 64.0], &[64.0, 64.0]);
+        let fixed = summary_of(64.0, &[54.0, 64.0], &[64.0, 64.0]);
+        let r = adaptive.relative_with_margin(10.0, &fixed);
+        assert!((r - 74.0 / 74.0).abs() < 1e-12);
+    }
 }

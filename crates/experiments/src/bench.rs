@@ -20,7 +20,9 @@
 //!   run per sampled instance (the `runner::run_scheme` shape);
 //! - **domain-bank scaling** (`domains-*`) — N uniform IIR clock domains
 //!   at N ∈ {16, 64, 256}: one `DiscreteLoop` per domain versus the same
-//!   domains as one bank behind the traceless summary path.
+//!   domains as one bank behind the traceless summary path;
+//! - **telemetry cost** (`telemetry-*`) — one Fig. 7 operating point run
+//!   with an enabled [`Telemetry`] handle against a disabled one.
 //!
 //! Adding a case is adding one row to [`run`]'s table. `repro bench --json
 //! BENCH.json` writes the whole report as JSON, so CI and the committed
@@ -48,7 +50,7 @@ use crate::config::PaperParams;
 use crate::fig9;
 use crate::montecarlo::{McPanel, Scheme as McScheme};
 use crate::render::Table;
-use crate::runner::{RunCtx, RunSummary};
+use crate::runner::{run_scheme, OperatingPoint, RunCtx, RunSummary};
 use crate::sweep::{parallel_map, parallel_map_planned, Plan};
 
 /// One timed benchmark case.
@@ -476,6 +478,23 @@ pub fn run(params: &PaperParams, quick: bool) -> BenchReport {
         rows.push(Row::new(&format!("domains-{d:03}-bank"), &detail, steps, setup).against(&per));
     }
 
+    // Telemetry cost on one Fig. 7 point (IIR, t_clk = c, Te = 37.5c): the
+    // point with an enabled handle against the same point with a disabled
+    // one. The speedup is enabled wall over disabled wall, so a disabled
+    // handle that cost more than an enabled one would read below 1.
+    let point = OperatingPoint::new(1.0, 37.5);
+    let steps = params.samples_for(point.te_over_c) as u64;
+    let fig7_point = move |telemetry: Telemetry| {
+        let ctx = RunCtx::new(*params).with_telemetry(telemetry);
+        timed(move || run_scheme(&ctx, SystemScheme::iir_paper(), point))
+    };
+    let detail = "Fig. 7 point (IIR, t_clk = c, Te = 37.5c), telemetry enabled";
+    let setup = move || fig7_point(Telemetry::enabled());
+    rows.push(Row::new("telemetry-enabled", detail, steps, setup));
+    let detail = "same point, telemetry disabled";
+    let setup = move || fig7_point(Telemetry::disabled());
+    rows.push(Row::new("telemetry-disabled", detail, steps, setup).against("telemetry-enabled"));
+
     // One loop times every row; a speedup is its baseline's wall over its own.
     let mut entries: Vec<BenchEntry> = Vec::with_capacity(rows.len());
     for r in rows {
@@ -771,6 +790,8 @@ mod tests {
             "domains-064-bank",
             "domains-256-perloop",
             "domains-256-bank",
+            "telemetry-enabled",
+            "telemetry-disabled",
         ] {
             let e = report.entry(name).unwrap_or_else(|| panic!("entry {name}"));
             assert!(e.steps > 0, "{name}: no steps");
@@ -785,6 +806,7 @@ mod tests {
         for (fast, base) in [
             ("summaries-traceless", "summaries-traced"),
             ("mc-panel-traceless", "mc-panel-naive"),
+            ("telemetry-disabled", "telemetry-enabled"),
         ] {
             let e = report.entry(fast).unwrap();
             assert_eq!(e.baseline.as_deref(), Some(base), "{fast} baseline");

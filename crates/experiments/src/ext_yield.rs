@@ -8,7 +8,7 @@
 //! per-die delay offset (die-to-die + spatially-correlated + local
 //! components from [`ProcessSpec`], observed by the paper's TDC sensor
 //! grid), rides a slow background HoDV drift inside the loop bandwidth,
-//! and is scored by the margin arithmetic of `metrics::margin` — the
+//! and is scored by the margin arithmetic of `RunSummary` — the
 //! *required margin* being the worst `c − τ` excursion over the
 //! **post-lock** window (the first `warmup` periods step the loop but
 //! are excluded from the folds, the same methodology fig8 uses).

@@ -162,6 +162,13 @@ impl MeshRun {
     }
 }
 
+/// Deployed safety margin (stages) of the per-domain violation accounting.
+const MARGIN: f64 = 6.0;
+/// Lock tolerance (stages) of the per-domain violation accounting.
+const LOCK_TOLERANCE: f64 = 2.0;
+/// Consecutive in-tolerance periods that count as re-locked.
+const LOCK_RUN: usize = 20;
+
 /// A multi-domain GALS clock mesh (see the module docs).
 #[derive(Debug)]
 pub struct Mesh {
@@ -173,9 +180,6 @@ pub struct Mesh {
     tolerance: f64,
     sync_window: f64,
     quarantine_after: usize,
-    margin: f64,
-    lock_tolerance: f64,
-    lock_run: usize,
 }
 
 impl Mesh {
@@ -202,9 +206,6 @@ impl Mesh {
             tolerance: 8.0,
             sync_window: 2.0,
             quarantine_after: 3,
-            margin: 6.0,
-            lock_tolerance: 2.0,
-            lock_run: 20,
         })
     }
 
@@ -232,17 +233,6 @@ impl Mesh {
         self.tolerance = tolerance;
         self.sync_window = window;
         self.quarantine_after = quarantine_after;
-        self
-    }
-
-    /// Configure the per-domain violation accounting: deployed safety
-    /// `margin`, lock `tolerance`, and the consecutive in-tolerance run
-    /// that counts as re-locked.
-    #[must_use]
-    pub fn with_lock_policy(mut self, margin: f64, tolerance: f64, run: usize) -> Self {
-        self.margin = margin;
-        self.lock_tolerance = tolerance;
-        self.lock_run = run;
         self
     }
 
@@ -398,13 +388,8 @@ impl Mesh {
         let domains = traces
             .into_iter()
             .map(|trace| {
-                let report = violation_report(
-                    setpoint,
-                    &trace.tau,
-                    self.margin,
-                    self.lock_tolerance,
-                    self.lock_run,
-                );
+                let report =
+                    violation_report(setpoint, &trace.tau, MARGIN, LOCK_TOLERANCE, LOCK_RUN);
                 DomainOutcome { trace, report }
             })
             .collect();

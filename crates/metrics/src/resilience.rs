@@ -1,6 +1,6 @@
 //! Timing-violation and re-lock accounting for faulted runs.
 //!
-//! The margin machinery in [`margin`](crate::margin) assumes a clean run
+//! The margin accounting of the [crate docs](crate) assumes a clean run
 //! whose worst excursion *is* the needed safety margin. Under fault
 //! injection the question inverts: given a deployed margin, **how often is
 //! it violated, how far, and how fast does the loop re-lock?**

@@ -1,8 +1,5 @@
-//! Transient-response metrics: settling time, overshoot, rise time, limit
-//! cycles. Used by the design-space ablations ("balance between filter
-//! adaptation velocity and low output ripple", paper §IV).
-
-use serde::{Deserialize, Serialize};
+//! Transient-response metrics: the settling time of a lock transient
+//! (`ext-lock`).
 
 /// Index after which `|e[n]| ≤ band` holds for the rest of the record
 /// (i.e. the settling time in samples), or `None` if the signal is still
@@ -13,89 +10,6 @@ pub fn settling_time(errors: &[f64], band: f64) -> Option<usize> {
         None => Some(0),
         Some(last_bad) if last_bad + 1 < errors.len() => Some(last_bad + 1),
         Some(_) => None,
-    }
-}
-
-/// Peak overshoot of a step response beyond its final value, as a fraction
-/// of the step size. Returns 0 for non-overshooting responses.
-///
-/// # Panics
-///
-/// Panics if `step_size == 0`.
-pub fn overshoot(response: &[f64], final_value: f64, step_size: f64) -> f64 {
-    assert!(step_size != 0.0, "step size must be nonzero");
-    let sign = step_size.signum();
-    response
-        .iter()
-        .map(|&y| sign * (y - final_value) / step_size.abs())
-        .fold(0.0, f64::max)
-}
-
-/// 10–90 % rise time of a step response (samples between first crossing of
-/// `lo_frac` and first crossing of `hi_frac` of the final value), or
-/// `None` if either level is never reached.
-///
-/// # Panics
-///
-/// Panics unless `0 ≤ lo_frac < hi_frac ≤ 1`.
-pub fn rise_time(response: &[f64], final_value: f64, lo_frac: f64, hi_frac: f64) -> Option<usize> {
-    assert!(
-        (0.0..1.0).contains(&lo_frac) && lo_frac < hi_frac && hi_frac <= 1.0,
-        "rise-time fractions must satisfy 0 <= lo < hi <= 1"
-    );
-    let sign = final_value.signum();
-    let crossed = |frac: f64| {
-        response
-            .iter()
-            .position(|&y| sign * y >= frac * final_value.abs())
-    };
-    let lo = crossed(lo_frac)?;
-    let hi = crossed(hi_frac)?;
-    Some(hi.saturating_sub(lo))
-}
-
-/// Peak-to-peak amplitude of the tail of a record — the steady-state limit
-/// cycle (TEAtime hunts ±1 stage; the integer IIR dithers a fraction of a
-/// stage).
-///
-/// # Panics
-///
-/// Panics if `tail_fraction` is not in `(0, 1]` or the record is empty.
-pub fn limit_cycle_amplitude(record: &[f64], tail_fraction: f64) -> f64 {
-    assert!(
-        tail_fraction > 0.0 && tail_fraction <= 1.0,
-        "tail fraction must be in (0, 1]"
-    );
-    assert!(!record.is_empty(), "record must be non-empty");
-    let start = ((1.0 - tail_fraction) * record.len() as f64) as usize;
-    let tail = &record[start.min(record.len() - 1)..];
-    let lo = tail.iter().cloned().fold(f64::MAX, f64::min);
-    let hi = tail.iter().cloned().fold(f64::MIN, f64::max);
-    hi - lo
-}
-
-/// Combined transient report for an error record that should settle to 0.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ConvergenceReport {
-    /// Settling time into the band, if reached.
-    pub settling: Option<usize>,
-    /// Peak absolute error.
-    pub peak_error: f64,
-    /// Steady-state limit-cycle amplitude (last 20 %).
-    pub limit_cycle: f64,
-}
-
-impl ConvergenceReport {
-    /// Analyze an error record against a settling band.
-    pub fn analyze(errors: &[f64], band: f64) -> Option<ConvergenceReport> {
-        if errors.is_empty() {
-            return None;
-        }
-        Some(ConvergenceReport {
-            settling: settling_time(errors, band),
-            peak_error: errors.iter().fold(0.0f64, |a, e| a.max(e.abs())),
-            limit_cycle: limit_cycle_amplitude(errors, 0.2),
-        })
     }
 }
 
@@ -115,47 +29,5 @@ mod tests {
     #[test]
     fn settling_time_last_sample_bad() {
         assert_eq!(settling_time(&[0.0, 0.0, 9.0], 0.5), None);
-    }
-
-    #[test]
-    fn overshoot_measures_peak() {
-        // step to 10 with a 20% overshoot
-        let y = [0.0, 6.0, 12.0, 10.5, 10.0, 10.0];
-        assert!((overshoot(&y, 10.0, 10.0) - 0.2).abs() < 1e-12);
-        // monotone response has zero overshoot
-        let y = [0.0, 5.0, 8.0, 10.0];
-        assert_eq!(overshoot(&y, 10.0, 10.0), 0.0);
-    }
-
-    #[test]
-    fn overshoot_negative_step() {
-        let y = [0.0, -6.0, -12.0, -10.0];
-        assert!((overshoot(&y, -10.0, -10.0) - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rise_time_counts_crossings() {
-        let y = [0.0, 1.0, 3.0, 5.0, 7.0, 9.0, 10.0, 10.0];
-        // 10%=1 at index 1, 90%=9 at index 5
-        assert_eq!(rise_time(&y, 10.0, 0.1, 0.9), Some(4));
-        assert_eq!(rise_time(&[0.0, 1.0], 10.0, 0.1, 0.9), None);
-    }
-
-    #[test]
-    fn limit_cycle_of_tail() {
-        let mut r = vec![0.0; 80];
-        r.extend((0..20).map(|k| if k % 2 == 0 { 1.0 } else { -1.0 }));
-        assert_eq!(limit_cycle_amplitude(&r, 0.2), 2.0);
-        assert_eq!(limit_cycle_amplitude(&r, 1.0), 2.0);
-    }
-
-    #[test]
-    fn convergence_report() {
-        let e = [8.0, 4.0, 2.0, 0.5, 0.2, -0.2, 0.1, -0.1, 0.1, -0.1];
-        let r = ConvergenceReport::analyze(&e, 1.0).unwrap();
-        assert_eq!(r.settling, Some(3));
-        assert_eq!(r.peak_error, 8.0);
-        assert!((r.limit_cycle - 0.2).abs() < 1e-12);
-        assert!(ConvergenceReport::analyze(&[], 1.0).is_none());
     }
 }

@@ -75,74 +75,6 @@ impl Summary {
     }
 }
 
-/// A fixed-width histogram.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Build a histogram of `values` with `bins` equal-width bins spanning
-    /// `[lo, hi]`. Out-of-range values clamp into the edge bins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0` or `hi <= lo`.
-    pub fn build(values: &[f64], lo: f64, hi: f64, bins: usize) -> Histogram {
-        assert!(bins > 0, "need at least one bin");
-        assert!(hi > lo, "histogram range must be non-empty");
-        let mut counts = vec![0u64; bins];
-        for &v in values {
-            let x = ((v - lo) / (hi - lo) * bins as f64).floor();
-            let idx = (x as i64).clamp(0, bins as i64 - 1) as usize;
-            counts[idx] += 1;
-        }
-        Histogram {
-            lo,
-            hi,
-            counts,
-            total: values.len() as u64,
-        }
-    }
-
-    /// Per-bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total samples binned.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// The `[lo, hi)` range of bin `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn bin_range(&self, i: usize) -> (f64, f64) {
-        assert!(i < self.counts.len(), "bin index out of range");
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        (self.lo + i as f64 * w, self.lo + (i + 1) as f64 * w)
-    }
-
-    /// Fraction of samples in bin `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn fraction(&self, i: usize) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.counts[i] as f64 / self.total as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,27 +114,5 @@ mod tests {
         let a = Summary::of(&[3.0, 1.0, 2.0]).unwrap();
         let b = Summary::of(&[1.0, 2.0, 3.0]).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn histogram_bins_and_clamps() {
-        let h = Histogram::build(&[-10.0, 0.1, 0.5, 0.9, 99.0], 0.0, 1.0, 2);
-        // -10 clamps into bin 0; 0.5, 0.9 and 99 land/clamp into bin 1
-        assert_eq!(h.counts(), &[2, 3]);
-        assert_eq!(h.total(), 5);
-        assert_eq!(h.bin_range(0), (0.0, 0.5));
-        assert!((h.fraction(1) - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_boundary_value_goes_right() {
-        let h = Histogram::build(&[0.5], 0.0, 1.0, 2);
-        assert_eq!(h.counts(), &[0, 1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bin")]
-    fn histogram_rejects_zero_bins() {
-        let _ = Histogram::build(&[1.0], 0.0, 1.0, 0);
     }
 }

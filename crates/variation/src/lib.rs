@@ -7,7 +7,7 @@
 //!
 //! * [`taxonomy`] — the Table I classification as data;
 //! * [`sources`] — time-domain waveform generators for dynamic variations
-//!   (harmonic, single-event triangular droop, steps, ramps, seeded noise);
+//!   (harmonic, single-event triangular droop, constant offset, sums);
 //! * [`analysis`] — the paper's Eq. (1)–(3): the mismatch a clock
 //!   distribution delay induces between the ring oscillator and a critical
 //!   path under a homogeneous dynamic variation, in closed form and
@@ -41,7 +41,6 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod combinators;
 pub mod process;
 pub mod recorded;
 pub mod sources;
@@ -49,5 +48,4 @@ pub mod spatial;
 pub mod stochastic;
 pub mod taxonomy;
 
-pub use combinators::WaveformExt;
 pub use sources::Waveform;

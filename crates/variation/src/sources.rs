@@ -4,9 +4,6 @@
 //! variation (also in stage units): `ν(t)` in the paper's notation. Positive
 //! values mean *slower* gates (more delay).
 
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
-
 /// A deterministic delay-variation waveform `ν(t)`.
 ///
 /// Implementors must be pure functions of `t` so that simulators may sample
@@ -169,141 +166,6 @@ impl Waveform for SingleEvent {
     }
 }
 
-/// A step change at a given time (e.g. a workload-induced supply shift).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StepVariation {
-    /// Value before `at`.
-    pub before: f64,
-    /// Value at and after `at`.
-    pub after: f64,
-    /// Switching time.
-    pub at: f64,
-}
-
-impl StepVariation {
-    /// A step from `before` to `after` at time `at`.
-    pub fn new(before: f64, after: f64, at: f64) -> Self {
-        StepVariation { before, after, at }
-    }
-}
-
-impl Waveform for StepVariation {
-    fn value(&self, t: f64) -> f64 {
-        if t >= self.at {
-            self.after
-        } else {
-            self.before
-        }
-    }
-    fn amplitude_bound(&self) -> f64 {
-        self.before.abs().max(self.after.abs())
-    }
-}
-
-/// A slow linear drift, clamped at `limit` — a first-order aging model.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AgingDrift {
-    rate: f64,
-    limit: f64,
-}
-
-impl AgingDrift {
-    /// Drift at `rate` (stage units per time unit) saturating at `limit`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` and `limit` have different signs (the drift would
-    /// never reach its limit).
-    pub fn new(rate: f64, limit: f64) -> Self {
-        assert!(
-            rate * limit >= 0.0,
-            "drift rate and limit must share a sign"
-        );
-        AgingDrift { rate, limit }
-    }
-}
-
-impl Waveform for AgingDrift {
-    fn value(&self, t: f64) -> f64 {
-        let v = self.rate * t.max(0.0);
-        if self.limit >= 0.0 {
-            v.min(self.limit)
-        } else {
-            v.max(self.limit)
-        }
-    }
-    fn amplitude_bound(&self) -> f64 {
-        self.limit.abs()
-    }
-}
-
-/// Band-limited noise: a seeded random walk smoothed by a single-pole
-/// filter, pre-generated on a uniform grid and linearly interpolated.
-///
-/// Models supply noise with energy concentrated below a corner frequency.
-/// Fully deterministic given the seed.
-#[derive(Debug, Clone)]
-pub struct FilteredNoise {
-    samples: Vec<f64>,
-    dt: f64,
-    bound: f64,
-}
-
-impl FilteredNoise {
-    /// Generate noise over `[0, duration]` on a grid of spacing `dt`,
-    /// low-pass filtered with smoothing factor `alpha ∈ (0, 1]` (smaller =
-    /// smoother), scaled to peak amplitude `amplitude`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dt <= 0`, `duration <= 0` or `alpha` outside `(0, 1]`.
-    pub fn new(seed: u64, amplitude: f64, alpha: f64, duration: f64, dt: f64) -> Self {
-        assert!(dt > 0.0, "grid spacing must be positive");
-        assert!(duration > 0.0, "duration must be positive");
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        let n = (duration / dt).ceil() as usize + 2;
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut state = 0.0f64;
-        let mut samples = Vec::with_capacity(n);
-        for _ in 0..n {
-            let white: f64 = rng.gen_range(-1.0..1.0);
-            state += alpha * (white - state);
-            samples.push(state);
-        }
-        let peak = samples
-            .iter()
-            .map(|s| s.abs())
-            .fold(0.0, f64::max)
-            .max(1e-12);
-        for s in &mut samples {
-            *s *= amplitude / peak;
-        }
-        FilteredNoise {
-            samples,
-            dt,
-            bound: amplitude.abs(),
-        }
-    }
-}
-
-impl Waveform for FilteredNoise {
-    fn value(&self, t: f64) -> f64 {
-        if t <= 0.0 {
-            return self.samples[0];
-        }
-        let x = t / self.dt;
-        let i = x.floor() as usize;
-        if i + 1 >= self.samples.len() {
-            return *self.samples.last().expect("samples nonempty");
-        }
-        let frac = x - i as f64;
-        self.samples[i] + frac * (self.samples[i + 1] - self.samples[i])
-    }
-    fn amplitude_bound(&self) -> f64 {
-        self.bound
-    }
-}
-
 /// Sum of component waveforms.
 #[derive(Default)]
 pub struct Composite {
@@ -377,61 +239,9 @@ mod tests {
 
     #[test]
     fn step_and_constant() {
-        let s = StepVariation::new(-1.0, 3.0, 5.0);
-        assert_eq!(s.value(4.9), -1.0);
-        assert_eq!(s.value(5.0), 3.0);
-        assert_eq!(s.amplitude_bound(), 3.0);
         let c = ConstantOffset::new(-2.0);
         assert_eq!(c.value(123.0), -2.0);
         assert_eq!(c.amplitude_bound(), 2.0);
-    }
-
-    #[test]
-    fn aging_saturates() {
-        let a = AgingDrift::new(0.1, 5.0);
-        assert_eq!(a.value(-10.0), 0.0);
-        assert!((a.value(10.0) - 1.0).abs() < 1e-12);
-        assert_eq!(a.value(1000.0), 5.0);
-        let neg = AgingDrift::new(-0.1, -5.0);
-        assert_eq!(neg.value(1000.0), -5.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "share a sign")]
-    fn aging_rejects_mixed_signs() {
-        let _ = AgingDrift::new(0.1, -5.0);
-    }
-
-    #[test]
-    fn filtered_noise_is_deterministic_and_bounded() {
-        let n1 = FilteredNoise::new(42, 3.0, 0.2, 100.0, 1.0);
-        let n2 = FilteredNoise::new(42, 3.0, 0.2, 100.0, 1.0);
-        let n3 = FilteredNoise::new(43, 3.0, 0.2, 100.0, 1.0);
-        let mut differs = false;
-        let mut peak = 0.0f64;
-        for k in 0..200 {
-            let t = k as f64 * 0.5;
-            assert_eq!(n1.value(t), n2.value(t));
-            if (n1.value(t) - n3.value(t)).abs() > 1e-9 {
-                differs = true;
-            }
-            peak = peak.max(n1.value(t).abs());
-            assert!(n1.value(t).abs() <= 3.0 + 1e-9);
-        }
-        assert!(differs, "different seeds must differ");
-        assert!(peak > 1.0, "noise should actually move");
-    }
-
-    #[test]
-    fn filtered_noise_interpolates_and_clamps_ends() {
-        let n = FilteredNoise::new(7, 1.0, 0.5, 10.0, 1.0);
-        let mid = n.value(3.5);
-        let a = n.value(3.0);
-        let b = n.value(4.0);
-        assert!((mid - 0.5 * (a + b)).abs() < 1e-12);
-        // beyond the grid: clamps to endpoints rather than panicking
-        let _ = n.value(-5.0);
-        let _ = n.value(1e6);
     }
 
     #[test]

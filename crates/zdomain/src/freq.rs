@@ -57,11 +57,6 @@ impl FrequencyResponse {
         self.values.iter().map(|v| v.abs()).collect()
     }
 
-    /// Magnitude response in decibels.
-    pub fn magnitudes_db(&self) -> Vec<f64> {
-        self.values.iter().map(|v| 20.0 * v.abs().log10()).collect()
-    }
-
     /// Phase response in radians.
     pub fn phases(&self) -> Vec<f64> {
         self.values.iter().map(|v| v.arg()).collect()
@@ -76,33 +71,6 @@ impl FrequencyResponse {
             .map(|(&w, v)| (w, v.abs()))
             .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
             .map(|(w, m)| (m, w))
-    }
-
-    /// Group delay in samples, `−dφ/dω`, estimated by central differences
-    /// of the unwrapped phase. Returns one value per interior frequency
-    /// point (length `n − 2`); empty when fewer than 3 points were sampled.
-    ///
-    /// For a pure delay `z⁻ᵐ` this is `m` everywhere — the clock loop's
-    /// CDN depth read straight off the frequency response.
-    pub fn group_delay(&self) -> Vec<f64> {
-        if self.omegas.len() < 3 {
-            return Vec::new();
-        }
-        // unwrap phases
-        let mut phases: Vec<f64> = self.values.iter().map(|v| v.arg()).collect();
-        for k in 1..phases.len() {
-            let mut d = phases[k] - phases[k - 1];
-            while d > std::f64::consts::PI {
-                d -= std::f64::consts::TAU;
-            }
-            while d < -std::f64::consts::PI {
-                d += std::f64::consts::TAU;
-            }
-            phases[k] = phases[k - 1] + d;
-        }
-        (1..phases.len() - 1)
-            .map(|k| -(phases[k + 1] - phases[k - 1]) / (self.omegas[k + 1] - self.omegas[k - 1]))
-            .collect()
     }
 }
 
@@ -149,43 +117,6 @@ mod tests {
         let (peak_mag, peak_w) = fr.peak().unwrap();
         assert!((peak_w - w0).abs() < 0.05, "peak at {peak_w}");
         assert!(peak_mag > 5.0);
-    }
-
-    #[test]
-    fn db_conversion() {
-        let h = TransferFunction::constant(10.0);
-        let fr = FrequencyResponse::sample(&h, 4);
-        for db in fr.magnitudes_db() {
-            assert!((db - 20.0).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn group_delay_of_pure_delay_is_flat() {
-        let h = TransferFunction::delay(5);
-        // avoid ω = 0 and π endpoints where phase unwrapping is touchy
-        let omegas: Vec<f64> = (1..200).map(|k| k as f64 * 0.015).collect();
-        let fr = FrequencyResponse::at(&h, &omegas);
-        for (k, gd) in fr.group_delay().iter().enumerate() {
-            assert!((gd - 5.0).abs() < 1e-6, "k={k}: group delay {gd}");
-        }
-    }
-
-    #[test]
-    fn group_delay_needs_three_points() {
-        let h = TransferFunction::delay(1);
-        let fr = FrequencyResponse::at(&h, &[0.1, 0.2]);
-        assert!(fr.group_delay().is_empty());
-    }
-
-    #[test]
-    fn group_delay_of_one_pole_is_positive_near_dc() {
-        // H = 1/(1 - 0.5 z^-1): group delay at DC = 0.5/(1-0.5) = 1
-        let h = tf(&[1.0], &[1.0, -0.5]);
-        let omegas: Vec<f64> = (1..50).map(|k| k as f64 * 0.002).collect();
-        let fr = FrequencyResponse::at(&h, &omegas);
-        let gd = fr.group_delay();
-        assert!((gd[0] - 1.0).abs() < 0.01, "near-DC group delay {}", gd[0]);
     }
 
     #[test]

@@ -108,24 +108,6 @@ pub fn loop_margins(open_loop: &TransferFunction, n: usize) -> LoopMargins {
     }
 }
 
-/// `|H_δ(e^{jω})|` — the loop's perturbation amplification at angular
-/// frequency `ω` (rad/sample). Use
-/// [`sensitivity_at_period`] for the paper's `T_e`-based parameterization.
-pub fn sensitivity_magnitude(error_tf: &TransferFunction, omega: f64) -> f64 {
-    error_tf.eval(Complex::unit_circle(omega)).abs()
-}
-
-/// `|H_δ|` at a perturbation of period `te_periods` *clock periods*
-/// (`ω = 2π / T_e`).
-///
-/// # Panics
-///
-/// Panics if `te_periods < 2` (beyond Nyquist).
-pub fn sensitivity_at_period(error_tf: &TransferFunction, te_periods: f64) -> f64 {
-    assert!(te_periods >= 2.0, "perturbation period must be ≥ 2 samples");
-    sensitivity_magnitude(error_tf, std::f64::consts::TAU / te_periods)
-}
-
 /// Peak sensitivity `max_ω |H_δ(e^{jω})|` over `(0, π]` and the frequency
 /// where it occurs. The classical `M_s` robustness measure: the paper's
 /// "worst perturbation frequency".
@@ -134,7 +116,7 @@ pub fn sensitivity_peak(error_tf: &TransferFunction, n: usize) -> (f64, f64) {
     (1..=n)
         .map(|k| {
             let w = std::f64::consts::PI * k as f64 / n as f64;
-            (sensitivity_magnitude(error_tf, w), w)
+            (error_tf.eval(Complex::unit_circle(w)).abs(), w)
         })
         .max_by(|a, b| a.0.partial_cmp(&b.0).expect("finite magnitudes"))
         .expect("non-empty grid")
@@ -146,6 +128,17 @@ mod tests {
     use crate::closedloop;
     use crate::iir_paper_filter;
     use crate::poly::Polynomial;
+
+    /// `|H_δ(e^{jω})|` at angular frequency `ω` (rad/sample).
+    fn magnitude_at(error_tf: &TransferFunction, omega: f64) -> f64 {
+        error_tf.eval(Complex::unit_circle(omega)).abs()
+    }
+
+    /// `|H_δ|` at a perturbation of period `te_periods` clock periods
+    /// (`ω = 2π / T_e`).
+    fn at_period(error_tf: &TransferFunction, te_periods: f64) -> f64 {
+        magnitude_at(error_tf, std::f64::consts::TAU / te_periods)
+    }
 
     fn open_loop(m: usize) -> TransferFunction {
         iir_paper_filter().series(&TransferFunction::delay(m + 2))
@@ -196,14 +189,14 @@ mod tests {
     fn sensitivity_small_at_low_frequency_humped_in_middle() {
         let hd = closedloop::error_transfer(&iir_paper_filter(), 1);
         // At Te = 1000 periods: strong attenuation.
-        let low = sensitivity_at_period(&hd, 1000.0);
+        let low = at_period(&hd, 1000.0);
         assert!(low < 0.1, "low-frequency sensitivity {low}");
         // Peak above 1 somewhere (Bode integral waterbed).
         let (peak, w_peak) = sensitivity_peak(&hd, 4096);
         assert!(peak > 1.0, "sensitivity peak {peak}");
         assert!(w_peak > 0.0 && w_peak <= std::f64::consts::PI);
         // At DC-adjacent frequency the integrator kills the error entirely.
-        let near_dc = sensitivity_magnitude(&hd, 1e-4);
+        let near_dc = magnitude_at(&hd, 1e-4);
         assert!(near_dc < 1e-3, "near-DC sensitivity {near_dc}");
     }
 
@@ -212,9 +205,9 @@ mod tests {
         // The Fig. 8 lower hump: around Te ≈ 10–20 periods the loop
         // amplifies (peak ≈ 1.42 at Te ≈ 13.7); by Te = 50 it attenuates.
         let hd = closedloop::error_transfer(&iir_paper_filter(), 1);
-        assert!(sensitivity_at_period(&hd, 10.0) > 1.0);
-        assert!(sensitivity_at_period(&hd, 15.0) > 1.3);
-        assert!(sensitivity_at_period(&hd, 50.0) < 1.0);
+        assert!(at_period(&hd, 10.0) > 1.0);
+        assert!(at_period(&hd, 15.0) > 1.3);
+        assert!(at_period(&hd, 50.0) < 1.0);
         let (_, w_peak) = sensitivity_peak(&hd, 4096);
         let te_peak = std::f64::consts::TAU / w_peak;
         assert!(

@@ -1,7 +1,12 @@
 //! Guards EXPERIMENTS.md against code drift: the headline numbers quoted
 //! in the document are re-measured here with tolerances. If one of these
 //! tests fails after an intentional change, update EXPERIMENTS.md in the
-//! same commit.
+//! same commit. The cargo commands the user-facing documents quote are
+//! checked against the workspace's packages and targets the same way.
+
+use std::collections::BTreeSet;
+use std::fs;
+use std::path::Path;
 
 use experiments::config::PaperParams;
 use experiments::runner::RunCtx;
@@ -181,4 +186,112 @@ fn ext_faults_headlines_match_documentation() {
     let ro = cell("ro-stage-fail");
     assert_eq!(lane(ro, "Free RO").violations, 3148);
     assert!(lane(ro, "IIR RO").violations <= 4);
+}
+
+/// Stems of the `*.rs` files directly in `dir` (none when it is missing).
+fn rs_stems(dir: &Path) -> Vec<String> {
+    let Ok(entries) = fs::read_dir(dir) else {
+        return Vec::new();
+    };
+    entries
+        .map(|e| e.expect("readable directory entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "rs"))
+        .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
+        .collect()
+}
+
+/// The double-quoted strings of one manifest line.
+fn quoted(line: &str) -> impl Iterator<Item = String> + '_ {
+    line.split('"').skip(1).step_by(2).map(str::to_owned)
+}
+
+/// The workspace's package names, and the names of every bin, test,
+/// example and bench target of those packages: the `name`s of the
+/// manifests' `[[...]]` tables plus cargo's auto-discovered `src/main.rs`,
+/// `src/bin/`, `tests/`, `examples/` and `benches/` files.
+fn workspace_targets(root: &Path) -> (BTreeSet<String>, BTreeSet<String>) {
+    let manifest = fs::read_to_string(root.join("Cargo.toml")).expect("root manifest");
+    let members = manifest
+        .lines()
+        .find(|l| l.trim_start().starts_with("members"))
+        .expect("workspace members");
+    let mut dirs = Vec::new();
+    for member in quoted(members) {
+        match member.strip_suffix("/*") {
+            Some(parent) => {
+                for entry in fs::read_dir(root.join(parent)).expect("member glob directory") {
+                    let dir = entry.expect("readable directory entry").path();
+                    if dir.join("Cargo.toml").is_file() {
+                        dirs.push(dir);
+                    }
+                }
+            }
+            None => dirs.push(root.join(member)),
+        }
+    }
+    let (mut packages, mut targets) = (BTreeSet::new(), BTreeSet::new());
+    for dir in dirs {
+        let text = fs::read_to_string(dir.join("Cargo.toml")).expect("member manifest");
+        let mut section = "";
+        for line in text.lines().map(str::trim) {
+            if line.starts_with('[') {
+                section = line;
+            } else if line.starts_with("name") {
+                let name = quoted(line).next().expect("quoted name");
+                if section == "[package]" {
+                    if dir.join("src/main.rs").is_file() {
+                        targets.insert(name.clone());
+                    }
+                    packages.insert(name);
+                } else if section.starts_with("[[") {
+                    targets.insert(name);
+                }
+            }
+        }
+        for sub in ["src/bin", "tests", "examples", "benches"] {
+            targets.extend(rs_stems(&dir.join(sub)));
+        }
+    }
+    (packages, targets)
+}
+
+/// Every `-p <package>` and `--bin`/`--test`/`--example`/`--bench <name>`
+/// quoted in the README, DESIGN.md, EXPERIMENTS.md and the verify skill
+/// names a workspace package or target that exists, so deleting a crate or
+/// a target cannot leave a documented command behind. A `-p` followed by a
+/// path (`mkdir -p dir/`) is not a cargo package and is skipped.
+#[test]
+fn documented_cargo_targets_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let (packages, targets) = workspace_targets(&root);
+    assert!(packages.contains("experiments") && targets.contains("repro"));
+    let trim = |w: &str| {
+        w.trim_matches(|c: char| !(c.is_alphanumeric() || c == '-' || c == '_'))
+            .to_owned()
+    };
+    let mut stale = Vec::new();
+    for doc in [
+        "README.md",
+        "DESIGN.md",
+        "EXPERIMENTS.md",
+        ".claude/skills/verify/SKILL.md",
+    ] {
+        let text = fs::read_to_string(root.join(doc)).unwrap_or_else(|e| panic!("{doc}: {e}"));
+        let words: Vec<&str> = text.split_whitespace().collect();
+        for pair in words.windows(2) {
+            let (flag, name) = (trim(pair[0]), trim(pair[1]));
+            let known = match flag.as_str() {
+                "-p" | "--package" if !pair[1].contains('/') => &packages,
+                "--bin" | "--test" | "--example" | "--bench" => &targets,
+                _ => continue,
+            };
+            if !known.contains(&name) {
+                stale.push(format!("{doc}: {flag} {name}"));
+            }
+        }
+    }
+    assert!(
+        stale.is_empty(),
+        "documented cargo targets that do not exist: {stale:?}"
+    );
 }
