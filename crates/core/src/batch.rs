@@ -6,14 +6,17 @@
 //! (seed, μ, T_e, scheme) points. [`BatchLoop`] runs `B` such lanes
 //! together in a structure-of-arrays layout:
 //!
-//! * e/μ input closures are **deduplicated by identity and sampled once
-//!   into a small ring buffer** of the few sequence rows the recurrence
-//!   can still read, so a sweep whose lanes share a variation source pays
-//!   for each closure row once, not once per lane;
+//! * input closures are **deduplicated by identity and sampled once per
+//!   row**, a tile of [`Sink::TILE`] periods at a time, into one
+//!   contiguous column per closure, so a sweep whose lanes share a
+//!   variation source pays for each closure row once, not once per lane;
 //! * clean lanes are packed into fixed-width **lane blocks** of
 //!   [`BLOCK_WIDTH`] and stepped by straight-line SoA kernels (the
 //!   private `blocked` submodule) that mirror the shared
-//!   [`Controller`] arithmetic bit for bit;
+//!   [`Controller`] arithmetic bit for bit. The loop nest is
+//!   block-major: each block steps through a whole tile of periods,
+//!   holding its controller state, `l_RO` history and summary folds
+//!   itself, before the next block starts;
 //!   faulted/hardened lanes and block tails stay on the per-lane scalar
 //!   path, so every lane — blocked or not — is **bit-identical** to the
 //!   `DiscreteLoop` it replaces (asserted by the differential tests below
@@ -56,7 +59,7 @@ pub enum BatchInputs<'a> {
     ///
     /// Equivalent per-lane `constant(mu[k])` closures produce the same
     /// bits — the engine adds the identical f64 in the identical
-    /// association order — but cost one indirect call plus one ring store
+    /// association order — but cost one indirect call plus one row store
     /// per lane per period, because per-lane closures are all distinct and
     /// cannot deduplicate. For a thousands-of-lanes sample panel that
     /// overhead is the difference the `mc-panel-*` benchmark pair tracks.
@@ -393,9 +396,9 @@ impl BatchLoop {
     /// `inputs` is a [`BatchInputs`]: a slice of [`LoopInputs`] (one per
     /// lane) converts directly. The input closures are deduplicated by
     /// reference identity and sampled once per unique closure per sequence
-    /// row (into a cache-resident ring of the rows the recurrence can
-    /// still read), so they must be pure functions of the row index — how
-    /// many times and in which order a closure is invoked is unspecified.
+    /// row (a tile of rows at a time, before the lanes step through the
+    /// tile), so they must be pure functions of the row index — how many
+    /// times and in which order a closure is invoked is unspecified.
     /// Every closure the engines accept already satisfies this; the scalar
     /// loop relies on it too (it re-samples rows freely).
     ///

@@ -3,15 +3,14 @@
 //!
 //! Clean lanes of a batch are grouped by control scheme and packed into
 //! [`BLOCK_WIDTH`]-wide structure-of-arrays blocks (`[f64; W]` /
-//! `[i64; W]` columns). Each period then advances a block with
-//! straight-line kernels — TDC sample, error computation, controller
-//! update, period write-back — whose per-lane arithmetic is a verbatim
-//! transcription of the shared [`Controller`] step bodies, so a blocked
-//! lane produces the same bit pattern as its scalar
-//! [`DiscreteLoop`](crate::loopsim::DiscreteLoop) twin:
+//! `[i64; W]` columns). A block advances with straight-line kernels —
+//! TDC sample, error computation, controller update, period write-back —
+//! whose per-lane arithmetic is a verbatim transcription of the shared
+//! [`Controller`] step bodies, so a blocked lane produces the same bit
+//! pattern as its scalar [`DiscreteLoop`](crate::loopsim::DiscreteLoop)
+//! twin:
 //!
-//! * integer shifts ([`shift`]) are exact, so the Fig. 5 integer IIR
-//!   cannot diverge;
+//! * integer shifts are exact, so the Fig. 5 integer IIR cannot diverge;
 //! * the float IIR accumulates `δ + Σ wᵢ·kᵢ` in the same tap order per
 //!   lane, and f64 addition/multiplication give one correctly-rounded
 //!   result regardless of which lanes sit alongside in the block;
@@ -29,15 +28,27 @@
 //! if-converted selects, which is what lets the kernels autovectorize on
 //! a stable toolchain without `std::simd`.
 //!
+//! The loop nest is *block-major*: the run is cut into tiles of
+//! [`Sink::TILE`] periods, and within a tile each block — then each
+//! scalar-path lane — steps through every period of the tile before the
+//! next one starts. A block keeps its controller state, its `l_RO`
+//! history ring and its summary [`Fold`]s in itself for the whole run, so
+//! a summary run's hot loop touches one block's few cache lines and
+//! nothing lane-indexed (a traced run adds its tile's staging rows). The
+//! kernel `match` sits outside the period loop: every scheme gets its own
+//! monomorphic loop over the one shared period body.
+//!
 //! Input closures are deduplicated by reference identity
 //! ([`std::ptr::eq`] on the fat pointer: same closure object *and* same
-//! vtable) and sampled once per unique closure per sequence row. Sweeps
+//! vtable) and sampled once per unique closure per sequence row, a tile
+//! of rows at a time into one contiguous column per closure. Sweeps
 //! whose lanes share a variation source — the common case — pay for each
 //! `sin` row once instead of once per lane; closures that merely look
 //! alike are conservatively kept separate.
 
-use crate::controller::kernel::shift;
-use crate::controller::Controller;
+use std::ops::Range;
+
+use crate::controller::{Controller, IirConfig};
 use crate::resilience::FaultPath;
 use crate::tdc::Quantization;
 
@@ -57,10 +68,12 @@ const W: usize = BLOCK_WIDTH;
 
 /// Scheme key for grouping blockable lanes: lanes in one block must share
 /// a kernel shape (same law, same delay-line length) and TDC quantization
-/// so the block body is uniform straight-line code.
+/// so the block body is uniform straight-line code. Integer-IIR lanes
+/// also share their exponents, so every shift direction in a block is
+/// decided once per exponent, not per column.
 #[derive(PartialEq, Eq)]
 enum GroupKey {
-    IntIir { taps: usize },
+    IntIir(IirConfig),
     FloatIir { taps: usize },
     TeaTime,
     Free,
@@ -68,9 +81,7 @@ enum GroupKey {
 
 fn group_key(c: &Controller) -> GroupKey {
     match c {
-        Controller::IntIir(k) => GroupKey::IntIir {
-            taps: k.state().len(),
-        },
+        Controller::IntIir(k) => GroupKey::IntIir(k.config().clone()),
         Controller::FloatIir(k) => GroupKey::FloatIir {
             taps: k.state().len(),
         },
@@ -79,201 +90,156 @@ fn group_key(c: &Controller) -> GroupKey {
     }
 }
 
-/// SoA controller state of one block: the `Controller` arithmetic with
-/// the lane index innermost. `state[t][j]` is delay word `t` of lane
-/// column `j`, most recent first relative to `head` — `head` rotation
-/// replaces the scalar `rotate_right(1)` (the scalar window
-/// `s[0..T]` is always `state[(head+t) % T]` here, so stepping
-/// `head ← head−1; state[head] ← w_new` is the same delay line without
-/// moving `T·W` words every period).
-enum Kernel {
-    IntIir {
-        kexp: [i32; W],
-        kstar: [i32; W],
-        taps: Vec<[i32; W]>,
-        state: Vec<[i64; W]>,
-        head: usize,
-        /// All columns share one `(kexp, k*, taps)` exponent set — the
-        /// shape of every Monte Carlo panel and of any batch built from a
-        /// single config. When set, `step` reads each exponent once per
-        /// tap row instead of per column, so the shift direction check
-        /// hoists out of the inner loops and the tap accumulation runs
-        /// branch-free. Same `shift` arithmetic, bit-identical output.
-        uniform: bool,
-    },
-    FloatIir {
-        kstar: [f64; W],
-        taps: Vec<[f64; W]>,
-        state: Vec<[f64; W]>,
-        head: usize,
-    },
-    TeaTime {
-        step: [f64; W],
-        length: [f64; W],
-    },
-    Free {
-        length: [f64; W],
-    },
+/// Push `w_new` onto a mirrored delay line (see [`IntIir`]) whose window
+/// starts at `head`.
+#[inline(always)]
+fn push_delay<T: Copy>(state: &mut [[T; W]], head: &mut usize, w_new: [T; W]) {
+    let t_len = state.len() / 2;
+    *head = if *head == 0 { t_len - 1 } else { *head - 1 };
+    state[*head] = w_new;
+    state[*head + t_len] = w_new;
 }
 
-/// `(head + t) mod t_len` for `head < t_len` and `t < t_len`: the sum is
-/// below `2·t_len`, so one conditional subtract replaces the `%` — which
-/// would otherwise be a hardware divide by a runtime divisor in the
-/// innermost kernel loop, several times per block per period.
-#[inline]
-fn wrap(sum: usize, t_len: usize) -> usize {
-    if sum >= t_len {
-        sum - t_len
-    } else {
-        sum
+/// SoA integer-IIR state of one block: the `Controller` arithmetic with
+/// the lane index innermost, every column on the block's one `cfg`.
+/// `state` is a mirrored delay line of `2·T` rows: row `i` and row `i + T`
+/// always hold the same word, and the scalar window `s[0..T]` (most recent
+/// first) of column `j` is `state[head + t][j]`. Stepping
+/// `head ← head − 1 (mod T)` and writing `w_new` to rows `head` and
+/// `head + T` is the scalar `rotate_right(1)` without moving `T·W` words
+/// every period, and the window is one contiguous slice, so the tap loop
+/// needs no wrap-around.
+struct IntIir {
+    cfg: IirConfig,
+    state: Vec<[i64; W]>,
+    head: usize,
+}
+
+impl IntIir {
+    /// Advance every column one period: consume `δ[n]`, produce the
+    /// unclamped `l_RO[n+1]`, bit for bit [`Controller::step`] (whose
+    /// `shift` is `<<` for a non-negative exponent and `>>` for a
+    /// negative one).
+    #[inline(always)]
+    fn step(&mut self, delta: &[f64; W], next: &mut [f64; W]) {
+        let ke = self.cfg.kexp_exp;
+        let mut acc = delta.map(|d| (d.round() as i64) << ke);
+        for (row, &e) in self.state[self.head..].iter().zip(&self.cfg.tap_exps) {
+            if e >= 0 {
+                for j in 0..W {
+                    acc[j] += row[j] << e;
+                }
+            } else {
+                for j in 0..W {
+                    acc[j] += row[j] >> -e;
+                }
+            }
+        }
+        let ks = self.cfg.k_star_exp;
+        let w_new = if ks >= 0 {
+            acc.map(|a| a << ks)
+        } else {
+            acc.map(|a| a >> -ks)
+        };
+        for j in 0..W {
+            next[j] = (w_new[j] >> ke) as f64;
+        }
+        push_delay(&mut self.state, &mut self.head, w_new);
     }
 }
 
-impl Kernel {
-    /// Advance every lane column one period: consume `δ[n]` per lane,
-    /// produce the unclamped `l_RO[n+1]`. Each arm mirrors the matching
-    /// [`Controller::step`] body bit for bit.
-    #[inline]
+/// SoA float-IIR state of one block, delay line as in [`IntIir`].
+struct FloatIir {
+    kstar: [f64; W],
+    taps: Vec<[f64; W]>,
+    state: Vec<[f64; W]>,
+    head: usize,
+}
+
+impl FloatIir {
+    #[inline(always)]
     fn step(&mut self, delta: &[f64; W], next: &mut [f64; W]) {
-        match self {
-            Kernel::IntIir {
-                kexp,
-                kstar,
-                taps,
-                state,
-                head,
-                uniform,
-            } => {
-                let t_len = state.len();
-                let mut acc = [0i64; W];
-                if *uniform {
-                    // One exponent set for the whole block: every shift
-                    // direction is decided once per tap row, not once per
-                    // column, and the inner loops are straight shift+add.
-                    let ke = kexp[0];
-                    for j in 0..W {
-                        acc[j] = (delta[j].round() as i64) << ke;
-                    }
-                    for (t, te) in taps.iter().enumerate() {
-                        let row = &state[wrap(*head + t, t_len)];
-                        let e = te[0];
-                        if e >= 0 {
-                            for j in 0..W {
-                                acc[j] += row[j] << e;
-                            }
-                        } else {
-                            let s = -e;
-                            for j in 0..W {
-                                acc[j] += row[j] >> s;
-                            }
-                        }
-                    }
-                    *head = wrap(*head + t_len - 1, t_len);
-                    let row = &mut state[*head];
-                    let ks = kstar[0];
-                    if ks >= 0 {
-                        for j in 0..W {
-                            let w_new = acc[j] << ks;
-                            row[j] = w_new;
-                            next[j] = (w_new >> ke) as f64;
-                        }
-                    } else {
-                        let s = -ks;
-                        for j in 0..W {
-                            let w_new = acc[j] >> s;
-                            row[j] = w_new;
-                            next[j] = (w_new >> ke) as f64;
-                        }
-                    }
-                } else {
-                    for j in 0..W {
-                        acc[j] = shift(delta[j].round() as i64, kexp[j]);
-                    }
-                    for (t, te) in taps.iter().enumerate() {
-                        let row = &state[wrap(*head + t, t_len)];
-                        for j in 0..W {
-                            acc[j] += shift(row[j], te[j]);
-                        }
-                    }
-                    *head = wrap(*head + t_len - 1, t_len);
-                    let row = &mut state[*head];
-                    for j in 0..W {
-                        let w_new = shift(acc[j], kstar[j]);
-                        row[j] = w_new;
-                        next[j] = shift(w_new, -kexp[j]) as f64;
-                    }
-                }
+        let mut acc = *delta;
+        for (row, te) in self.state[self.head..].iter().zip(&self.taps) {
+            for j in 0..W {
+                acc[j] += row[j] * te[j];
             }
-            Kernel::FloatIir {
-                kstar,
-                taps,
-                state,
-                head,
-            } => {
-                let t_len = state.len();
-                let mut acc = *delta;
-                for (t, te) in taps.iter().enumerate() {
-                    let row = &state[wrap(*head + t, t_len)];
-                    for j in 0..W {
-                        acc[j] += row[j] * te[j];
-                    }
-                }
-                *head = wrap(*head + t_len - 1, t_len);
-                let row = &mut state[*head];
-                for j in 0..W {
-                    let w_new = acc[j] * kstar[j];
-                    row[j] = w_new;
-                    next[j] = w_new;
-                }
+        }
+        for j in 0..W {
+            next[j] = acc[j] * self.kstar[j];
+        }
+        push_delay(&mut self.state, &mut self.head, *next);
+    }
+}
+
+/// SoA TEAtime state of one block.
+#[derive(Clone, Copy)]
+struct TeaTime {
+    step: [f64; W],
+    length: [f64; W],
+}
+
+impl TeaTime {
+    #[inline(always)]
+    fn step(&mut self, delta: &[f64; W], next: &mut [f64; W]) {
+        for j in 0..W {
+            // Exact scalar branch form (not `length += select`): adding a
+            // signed zero could alter the sign of a ±0.0 length and
+            // addition with a NaN δ must leave the length word untouched,
+            // exactly as the branch does.
+            if delta[j] > 0.0 {
+                self.length[j] += self.step[j];
+            } else if delta[j] < 0.0 {
+                self.length[j] -= self.step[j];
             }
-            Kernel::TeaTime { step, length } => {
-                for j in 0..W {
-                    // Exact scalar branch form (not `length += select`):
-                    // adding a signed zero could alter the sign of a ±0.0
-                    // length and addition with a NaN δ must leave the
-                    // length word untouched, exactly as the branch does.
-                    if delta[j] > 0.0 {
-                        length[j] += step[j];
-                    } else if delta[j] < 0.0 {
-                        length[j] -= step[j];
-                    }
-                    next[j] = length[j];
-                }
-            }
-            Kernel::Free { length } => {
-                next.copy_from_slice(length);
-            }
+            next[j] = self.length[j];
         }
     }
 }
 
-/// One packed block: `W` same-scheme lanes with their per-lane loop
-/// parameters in column order.
-struct Block {
-    /// Batch lane index per column (scatter target in the flat trace).
+/// The controller state of one block, one variant per [`GroupKey`]
+/// scheme. A free-running block carries its constant lengths.
+enum Kernel {
+    IntIir(IntIir),
+    FloatIir(FloatIir),
+    TeaTime(TeaTime),
+    Free([f64; W]),
+}
+
+/// Where one block's columns read their inputs and write their samples:
+/// fixed for the whole run.
+struct Columns {
+    /// Batch lane index per column (the sink's lane index).
     lane: [usize; W],
     /// Loop delay `mm = m + 2` per column.
-    mm: [i64; W],
-    /// Unique-closure index per column, per input role.
-    h_idx: [usize; W],
-    mu_idx: [usize; W],
-    sp_idx: [usize; W],
+    mm: [usize; W],
+    /// Per input stream (`e[n−mm]`, `e[n−1]`, `μ[n−mm]`, `c[n]`), each
+    /// column's offset of tile row 0 in [`Inputs::rows`]; period `n0 + t`
+    /// reads offset `+ t`.
+    off: [[usize; W]; 4],
     /// Static per-column heterogeneous offset (the `static_mu` mode);
     /// zeros — and never read — in closure mode.
     mu_c: [f64; W],
     /// TDC quantization, uniform across the block (part of the group key).
     quant: Quantization,
+}
+
+/// One packed block: `W` same-scheme lanes, their input wiring, and
+/// everything they carry from one tile to the next.
+struct Block {
+    cols: Columns,
     /// `l_RO[n]` of the period being generated, per column.
     cur: [f64; W],
     /// Block-local `l_RO` history ring: row `n mod hist.len()` holds
-    /// `l_RO[n]`. The gather reads `hist[(n − mm) & mask]` instead of the
-    /// flat trace — a few cache-hot rows instead of a streamed megabyte
-    /// vector, no pre-start branch (every row is prefilled with the lane's
-    /// initial length, which is exactly what `l_RO[i]`, `i < 0`, means).
-    /// `hist.len()` is the power-of-two global ring depth ≥ every `mm`, and
-    /// each period gathers before it writes, so row `n` can never clobber a
-    /// row the block still reads.
+    /// `l_RO[n]`. The gather reads `hist[(n − mm) & mask]` — a few
+    /// cache-hot rows, no pre-start branch (every row is prefilled with
+    /// the lane's initial length, which is exactly what `l_RO[i]`,
+    /// `i < 0`, means). `hist.len()` is the power-of-two global ring depth
+    /// ≥ every `mm`, and each period gathers before it writes, so row `n`
+    /// can never clobber a row the block still reads.
     hist: Vec<[f64; W]>,
+    /// Per-column summary folds (unused by the traced sink).
+    folds: [Fold; W],
     kernel: Kernel,
 }
 
@@ -281,121 +247,136 @@ impl Block {
     /// Pack `W` lanes (indices `members`, all sharing a group key) into
     /// column order, lifting each lane's controller state into the SoA
     /// kernel.
-    fn pack(
-        batch: &BatchLoop,
-        members: &[usize],
-        h_idx: &[usize],
-        mu_idx: &[usize],
-        sp_idx: &[usize],
-        static_mu: Option<&[f64]>,
-        hist_rows: usize,
-    ) -> Block {
+    fn pack(batch: &BatchLoop, members: &[usize], inputs: &Inputs<'_>, hist_rows: usize) -> Block {
         debug_assert_eq!(members.len(), W);
-        let mut lane = [0usize; W];
-        let mut mm = [0i64; W];
+        let mut cols = Columns {
+            lane: [0; W],
+            mm: [0; W],
+            off: [[0; W]; 4],
+            mu_c: [0.0; W],
+            quant: batch.bank.domains[members[0]].quantization,
+        };
         let mut init = [0.0f64; W];
-        let mut h = [0usize; W];
-        let mut mu = [0usize; W];
-        let mut sp = [0usize; W];
-        let mut mu_c = [0.0f64; W];
         let mut cur = [0.0f64; W];
         for (j, &k) in members.iter().enumerate() {
             let l = &batch.bank.domains[k];
-            lane[j] = k;
-            mm[j] = (l.m + 2) as i64;
-            init[j] = l.initial_length;
-            h[j] = h_idx[k];
-            mu[j] = mu_idx[k];
-            sp[j] = sp_idx[k];
-            if let Some(ms) = static_mu {
-                mu_c[j] = ms[k];
+            cols.lane[j] = k;
+            let (mm, off) = inputs.lanes[k];
+            cols.mm[j] = mm;
+            for (o, lane_o) in cols.off.iter_mut().zip(off) {
+                o[j] = lane_o;
             }
+            if let Some(ms) = inputs.static_mu {
+                cols.mu_c[j] = ms[k];
+            }
+            init[j] = l.initial_length;
             cur[j] = l.controller.length();
         }
+        let lanes = || members.iter().map(|&k| &batch.bank.domains[k].controller);
         let kernel = match &batch.bank.domains[members[0]].controller {
             Controller::IntIir(c0) => {
                 let t_len = c0.state().len();
-                let mut kexp = [0i32; W];
-                let mut kstar = [0i32; W];
-                let mut taps = vec![[0i32; W]; t_len];
-                let mut state = vec![[0i64; W]; t_len];
-                for (j, &k) in members.iter().enumerate() {
-                    let Controller::IntIir(c) = &batch.bank.domains[k].controller else {
+                let mut state = vec![[0; W]; 2 * t_len];
+                for (j, c) in lanes().enumerate() {
+                    let Controller::IntIir(c) = c else {
                         unreachable!("group key guarantees a uniform scheme");
                     };
-                    kexp[j] = c.config().kexp_exp as i32;
-                    kstar[j] = c.config().k_star_exp;
-                    for t in 0..t_len {
-                        taps[t][j] = c.config().tap_exps[t];
-                        state[t][j] = c.state()[t];
+                    for (t, &w) in c.state().iter().enumerate() {
+                        state[t][j] = w;
+                        state[t + t_len][j] = w;
                     }
                 }
-                let uniform = kexp.iter().all(|&e| e == kexp[0])
-                    && kstar.iter().all(|&e| e == kstar[0])
-                    && taps.iter().all(|row| row.iter().all(|&e| e == row[0]));
-                Kernel::IntIir {
-                    kexp,
-                    kstar,
-                    taps,
+                Kernel::IntIir(IntIir {
+                    cfg: c0.config().clone(),
                     state,
                     head: 0,
-                    uniform,
-                }
+                })
             }
             Controller::FloatIir(c0) => {
                 let t_len = c0.state().len();
-                let mut kstar = [0.0f64; W];
-                let mut taps = vec![[0.0f64; W]; t_len];
-                let mut state = vec![[0.0f64; W]; t_len];
-                for (j, &k) in members.iter().enumerate() {
-                    let Controller::FloatIir(c) = &batch.bank.domains[k].controller else {
+                let mut k = FloatIir {
+                    kstar: [0.0; W],
+                    taps: vec![[0.0; W]; t_len],
+                    state: vec![[0.0; W]; 2 * t_len],
+                    head: 0,
+                };
+                for (j, c) in lanes().enumerate() {
+                    let Controller::FloatIir(c) = c else {
                         unreachable!("group key guarantees a uniform scheme");
                     };
-                    kstar[j] = c.k_star();
+                    k.kstar[j] = c.k_star();
                     for t in 0..t_len {
-                        taps[t][j] = c.taps()[t];
-                        state[t][j] = c.state()[t];
+                        k.taps[t][j] = c.taps()[t];
+                        k.state[t][j] = c.state()[t];
+                        k.state[t + t_len][j] = c.state()[t];
                     }
                 }
-                Kernel::FloatIir {
-                    kstar,
-                    taps,
-                    state,
-                    head: 0,
-                }
+                Kernel::FloatIir(k)
             }
             Controller::TeaTime(_) => {
-                let mut step = [0.0f64; W];
-                let mut length = [0.0f64; W];
-                for (j, &k) in members.iter().enumerate() {
-                    let Controller::TeaTime(c) = &batch.bank.domains[k].controller else {
+                let mut k = TeaTime {
+                    step: [0.0; W],
+                    length: [0.0; W],
+                };
+                for (j, c) in lanes().enumerate() {
+                    let Controller::TeaTime(c) = c else {
                         unreachable!("group key guarantees a uniform scheme");
                     };
-                    step[j] = c.step_size();
-                    length[j] = c.length();
+                    k.step[j] = c.step_size();
+                    k.length[j] = c.length();
                 }
-                Kernel::TeaTime { step, length }
+                Kernel::TeaTime(k)
             }
-            Controller::Free(_) => {
-                let mut length = [0.0f64; W];
-                for (j, &k) in members.iter().enumerate() {
-                    length[j] = batch.bank.domains[k].controller.length();
-                }
-                Kernel::Free { length }
-            }
+            Controller::Free(_) => Kernel::Free(cur),
         };
         Block {
-            lane,
-            mm,
-            h_idx: h,
-            mu_idx: mu,
-            sp_idx: sp,
-            mu_c,
-            quant: batch.bank.domains[members[0]].quantization,
+            cols,
             cur,
             hist: vec![init; hist_rows],
+            folds: [Fold::new(); W],
             kernel,
         }
+    }
+
+    /// Step every column through the tile's `periods`, handing each one to
+    /// `sink`. The kernel `match` is outside the period loop, so each
+    /// scheme runs its own monomorphic copy of [`period_loop`].
+    fn run_tile<S: Sink>(&mut self, inputs: &Inputs<'_>, periods: Range<usize>, sink: &mut S) {
+        let Block {
+            cols,
+            cur,
+            hist,
+            folds,
+            kernel,
+        } = self;
+        let mut state = (*cur, &mut hist[..], *folds);
+        macro_rules! each_period {
+            (|$d:pat_param, $next:ident| $step:expr) => {
+                period_loop(
+                    cols,
+                    &mut state,
+                    inputs,
+                    periods,
+                    sink,
+                    #[inline(always)]
+                    |$d: &[f64; W], $next: &mut [f64; W]| $step,
+                )
+            };
+        }
+        match kernel {
+            Kernel::IntIir(k) => each_period!(|d, next| k.step(d, next)),
+            Kernel::FloatIir(k) => each_period!(|d, next| k.step(d, next)),
+            Kernel::TeaTime(k) => {
+                let mut local = *k;
+                each_period!(|d, next| local.step(d, next));
+                *k = local;
+            }
+            Kernel::Free(length) => {
+                let length = *length;
+                each_period!(|_, next| *next = length)
+            }
+        }
+        (*cur, _, *folds) = state;
     }
 
     /// Write column `j`'s kernel state back into the lane's controller so
@@ -403,23 +384,237 @@ impl Block {
     /// scalar run (chained runs, `length()` queries, later resets).
     fn store_lane(&self, j: usize, ctrl: &mut Controller) {
         match (&self.kernel, ctrl) {
-            (Kernel::IntIir { state, head, .. }, Controller::IntIir(c)) => {
-                let t_len = state.len();
-                for (t, s) in c.state_mut().iter_mut().enumerate() {
-                    *s = state[(*head + t) % t_len][j];
+            (Kernel::IntIir(k), Controller::IntIir(c)) => {
+                for (s, row) in c.state_mut().iter_mut().zip(&k.state[k.head..]) {
+                    *s = row[j];
                 }
             }
-            (Kernel::FloatIir { state, head, .. }, Controller::FloatIir(c)) => {
-                let t_len = state.len();
-                for (t, s) in c.state_mut().iter_mut().enumerate() {
-                    *s = state[(*head + t) % t_len][j];
+            (Kernel::FloatIir(k), Controller::FloatIir(c)) => {
+                for (s, row) in c.state_mut().iter_mut().zip(&k.state[k.head..]) {
+                    *s = row[j];
                 }
             }
-            (Kernel::TeaTime { length, .. }, Controller::TeaTime(c)) => {
-                c.set_length(length[j]);
-            }
-            (Kernel::Free { .. }, Controller::Free(_)) => {}
+            (Kernel::TeaTime(k), Controller::TeaTime(c)) => c.set_length(k.length[j]),
+            (Kernel::Free(_), Controller::Free(_)) => {}
             _ => unreachable!("block kernel / lane controller scheme mismatch"),
+        }
+    }
+}
+
+/// The period body every block runs, once per period of the tile: gather
+/// `l_RO[n−mm]` and the input rows, quantize, form `δ`, `step` the kernel,
+/// record `l_RO[n]` in the history ring and hand the period's columns to
+/// the sink.
+///
+/// The gather keeps the scalar engines' association order
+/// `((l_RO + e[n−mm]) − e[n−1]) + μ[n−mm]`; in the static-μ mode `μ` is
+/// the column constant, the same f64 a `constant(μ)` closure returns, so
+/// both forms are bit-identical.
+#[inline(always)]
+fn period_loop<'a, S: Sink>(
+    cols: &Columns,
+    (cur, hist, folds): &mut ([f64; W], &mut [[f64; W]], [Fold; W]),
+    inputs: &'a Inputs<'_>,
+    tile: Range<usize>,
+    sink: &mut S,
+    mut step: impl FnMut(&[f64; W], &mut [f64; W]),
+) {
+    let mask = hist.len() - 1;
+    let static_mu = inputs.static_mu.is_some();
+    // Each column's input streams cut to the tile, so the row reads need
+    // no bounds checks inside the loop.
+    let len = tile.len();
+    let col = |rows: &'a [f64], off: &[usize; W]| -> [&'a [f64]; W] {
+        std::array::from_fn(|j| &rows[off[j]..][..len])
+    };
+    let [e, mu, c] = &inputs.rows;
+    let (e_nmm, e_n1, sp) = (
+        col(e, &cols.off[0]),
+        col(e, &cols.off[1]),
+        col(c, &cols.off[3]),
+    );
+    let mu = if static_mu {
+        [&[][..]; W]
+    } else {
+        col(mu, &cols.off[2])
+    };
+    for (t, n) in tile.enumerate() {
+        let mut raw = [0.0f64; W];
+        for j in 0..W {
+            let lro_past = hist[n.wrapping_sub(cols.mm[j]) & mask][j];
+            raw[j] = lro_past + e_nmm[j][t] - e_n1[j][t];
+        }
+        if static_mu {
+            for (r, m) in raw.iter_mut().zip(&cols.mu_c) {
+                *r += m;
+            }
+        } else {
+            for j in 0..W {
+                raw[j] += mu[j][t];
+            }
+        }
+        let mut tau = [0.0f64; W];
+        let mut delta = [0.0f64; W];
+        for j in 0..W {
+            tau[j] = cols.quant.apply(raw[j]);
+            delta[j] = sp[j][t] - tau[j];
+        }
+        let mut next = [0.0f64; W];
+        step(&delta, &mut next);
+        hist[n & mask] = *cur;
+        for j in 0..W {
+            sink.put(&mut folds[j], n, t, cols.lane[j], tau[j], delta[j], cur[j]);
+        }
+        *cur = next;
+    }
+}
+
+/// One scalar-path lane: a faulted or hardened lane, or a group tail,
+/// stepped through [`crate::bank::step_domain`] like the scalar engines,
+/// with what it carries from one tile to the next.
+struct ScalarLane {
+    k: usize,
+    cur: f64,
+    /// `l_RO` history ring, as in [`Block::hist`].
+    hist: Vec<f64>,
+    fold: Fold,
+    path: Option<FaultPath>,
+}
+
+impl ScalarLane {
+    fn run_tile<S: Sink>(
+        &mut self,
+        batch: &mut BatchLoop,
+        inputs: &Inputs<'_>,
+        tile: Range<usize>,
+        sink: &mut S,
+    ) {
+        let lane = &mut batch.bank.domains[self.k];
+        let mask = self.hist.len() - 1;
+        let (mm, [e_nmm, e_n1, mu_nmm, sp]) = inputs.lanes[self.k];
+        let [e, mu, c] = &inputs.rows;
+        let static_mu = inputs.static_mu.map(|ms| ms[self.k]);
+        for (t, n) in tile.enumerate() {
+            let (tau, delta, next) = crate::bank::step_domain(
+                lane.quantization,
+                &mut lane.controller,
+                self.path.as_mut(),
+                n as i64,
+                n as i64 - mm as i64,
+                self.hist[n.wrapping_sub(mm) & mask],
+                e[e_nmm + t],
+                e[e_n1 + t],
+                static_mu.unwrap_or_else(|| mu[mu_nmm + t]),
+                c[sp + t],
+            );
+            sink.put(&mut self.fold, n, t, self.k, tau, delta, self.cur);
+            self.hist[n & mask] = self.cur;
+            self.cur = next;
+        }
+    }
+}
+
+/// The run's deduplicated input closures and one tile's rows of them,
+/// sampled once per unique closure per row.
+///
+/// The recurrence at period `n` reads `e`/`μ` rows `n − mm`
+/// (`mm ≤ max_off`) and `n − 1`, and set-point row `n`. So for the tile
+/// `n0..n1` each `e`/`μ` closure gets a column of rows
+/// `n0 − max_off .. n1 − 1` (`tile + max_off − 1` rows, row `r` at
+/// `r − n0 + max_off`), and each set-point closure a column of rows
+/// `n0..n1`. A column is contiguous, so a block walking its periods reads
+/// each input as one sequential stream.
+struct Inputs<'a> {
+    /// Unique closures of the `e`, `μ` (none in the static-μ mode) and
+    /// `c` inputs, and their rows, one column per closure.
+    fns: [Vec<&'a dyn Fn(i64) -> f64>; 3],
+    rows: [Vec<f64>; 3],
+    /// Per lane: `mm`, and the offsets of its `e[n−mm]`, `e[n−1]`,
+    /// `μ[n−mm]` and `c[n]` at tile row 0.
+    lanes: Vec<(usize, [usize; 4])>,
+    static_mu: Option<&'a [f64]>,
+    max_off: usize,
+    /// Periods per tile (every tile but the last).
+    tile: usize,
+}
+
+/// How many input rows (f64s) a run stages at once, over all its unique
+/// closures: 1 MiB. A run whose closures are too many for tiles of
+/// `max_tile` rows each runs shorter tiles, down to [`TraceSink::TILE`].
+const STAGED_ROWS: usize = 1 << 17;
+
+impl<'a> Inputs<'a> {
+    /// Deduplicate the run's closures, pick the tile height (`max_tile`,
+    /// or less when the closures' columns would exceed [`STAGED_ROWS`])
+    /// and size the tile's columns.
+    fn new(batch: &BatchLoop, inputs: BatchInputs<'a>, max_tile: usize) -> Inputs<'a> {
+        let b = batch.bank.domains.len();
+        let ((e, e_idx), (mu, mu_idx), (c, c_idx), static_mu) = match inputs {
+            BatchInputs::PerLane(li) => (
+                dedup(li.iter().map(|li| li.homogeneous)),
+                dedup(li.iter().map(|li| li.heterogeneous)),
+                dedup(li.iter().map(|li| li.setpoint)),
+                None,
+            ),
+            // Static μ: every lane shares one setpoint and one homogeneous
+            // closure, and there are no μ closures to sample. The per-lane
+            // μ offset still exists but is never read; the gather reads
+            // the lane's constant instead.
+            BatchInputs::StaticMu {
+                setpoint,
+                homogeneous,
+                mu,
+            } => (
+                (vec![homogeneous], vec![0; b]),
+                (Vec::new(), vec![0; b]),
+                (vec![setpoint], vec![0; b]),
+                Some(mu),
+            ),
+        };
+        let mm = |k: usize| batch.bank.domains[k].m + 2;
+        let max_off = (0..b).map(mm).max().expect("at least one lane");
+        let closures = e.len() + mu.len() + c.len();
+        let tile = max_tile.min((STAGED_ROWS / closures).max(TraceSink::TILE));
+        let stride = tile + max_off - 1;
+        let lanes = (0..b)
+            .map(|k| {
+                let lead = max_off - mm(k);
+                let off = [
+                    e_idx[k] * stride + lead,
+                    e_idx[k] * stride + max_off - 1,
+                    mu_idx[k] * stride + lead,
+                    c_idx[k] * tile,
+                ];
+                (mm(k), off)
+            })
+            .collect();
+        Inputs {
+            rows: [e.len() * stride, mu.len() * stride, c.len() * tile].map(|n| vec![0.0; n]),
+            fns: [e, mu, c],
+            lanes,
+            static_mu,
+            max_off,
+            tile,
+        }
+    }
+
+    /// Sample the rows of tile `n0..n1`. Every tile but the last is
+    /// `tile` periods long, so the `max_off − 1` rows an `e`/`μ` column
+    /// shares with the previous tile sit at `tile..` and move to its front
+    /// instead of being sampled again.
+    fn fill(&mut self, n0: usize, n1: usize) {
+        for (s, (fns, rows)) in self.fns.iter().zip(&mut self.rows).enumerate() {
+            // Rows `n0 − lead .. n1 − trail` of every column.
+            let (lead, trail) = if s == 2 { (0, 0) } else { (self.max_off, 1) };
+            let kept = if n0 == 0 { 0 } else { lead - trail };
+            let first = n0 as i64 - lead as i64;
+            for (col, f) in rows.chunks_exact_mut(self.tile + lead - trail).zip(fns) {
+                col.copy_within(self.tile..self.tile + kept, 0);
+                let fresh = first + kept as i64..(n1 - trail) as i64;
+                for (slot, r) in col[kept..].iter_mut().zip(fresh) {
+                    *slot = f(r);
+                }
+            }
         }
     }
 }
@@ -508,9 +703,9 @@ mod sealed {
 
 /// Where a [`BatchLoop::run`] sends each period's per-lane samples, and
 /// what the run returns. The engine body is generic over the sink, so the
-/// traced and traceless modes share one gather/kernel/scatter code path —
-/// the per-lane arithmetic, and therefore every recorded or summarized
-/// bit, is common by construction; only the destination differs.
+/// traced and traceless modes share one loop nest and one per-lane
+/// arithmetic body — every recorded or summarized bit is common by
+/// construction; only the destination differs.
 ///
 /// The trait is sealed: [`TraceSink`] and [`SummarySink`] are the only
 /// sinks. The `#[doc(hidden)]` methods are the engine's side of the
@@ -519,20 +714,10 @@ pub trait Sink: sealed::Sealed {
     /// What [`BatchLoop::run`] returns with this sink.
     type Output;
 
-    /// Whether the sink reads the `tau` staging row. When `false`
-    /// (the summary sink — it folds `δ`, not `τ`), the engine
-    /// body skips the per-lane τ scatter stores entirely; the `tau` slice
-    /// the sink receives then holds stale rows and must not be read.
-    const NEEDS_TAU: bool;
-
-    /// Whether the sink consumes whole lane-indexed staging rows via
-    /// `row`. When `false` the engine never writes the staging rows at
-    /// all: blocks hand their `W` columns straight to `block` and scalar
-    /// lanes to `lane`, saving one scattered store plus one re-load per
-    /// lane per period. Per-lane fold results are unchanged either way —
-    /// every lane is still visited exactly once per period, in period
-    /// order, and the folds are per-lane accumulators.
-    const PER_ROW: bool;
+    /// Periods per tile: every block, then every scalar-path lane, steps
+    /// this many periods before the engine hands the tile to the sink and
+    /// moves on (the last tile may be shorter).
+    const TILE: usize;
 
     /// Telemetry span the run lands under.
     #[doc(hidden)]
@@ -543,33 +728,32 @@ pub trait Sink: sealed::Sealed {
     #[doc(hidden)]
     fn begin(&mut self, lanes: usize, steps: usize);
 
-    /// Consume period `n`'s staging rows (lane-indexed, length `B`).
-    /// Called only when `PER_ROW` is `true`.
+    /// Take lane `k`'s period-`n` sample, row `t` of the current tile.
+    /// `fold` is the lane's running summary, which the engine keeps with
+    /// the lane for the whole run.
     #[doc(hidden)]
-    fn row(&mut self, n: usize, steps: usize, tau: &[f64], delta: &[f64], lro: &[f64]) {
-        let _ = (n, steps, tau, delta, lro);
-    }
-
-    /// Consume one block's columns for period `n` (`lane[j]` maps column
-    /// `j` to its batch lane index). Called only when `PER_ROW` is
-    /// `false`.
-    #[doc(hidden)]
-    fn block(
+    #[allow(clippy::too_many_arguments)]
+    fn put(
         &mut self,
+        fold: &mut Fold,
         n: usize,
-        steps: usize,
-        lane: &[usize; W],
-        delta: &[f64; W],
-        lro: &[f64; W],
-    ) {
-        let _ = (n, steps, lane, delta, lro);
+        t: usize,
+        k: usize,
+        tau: f64,
+        delta: f64,
+        lro: f64,
+    );
+
+    /// Every lane has stepped the current tile's `rows` periods.
+    #[doc(hidden)]
+    fn end_tile(&mut self, rows: usize) {
+        let _ = rows;
     }
 
-    /// Consume one scalar-path lane's period-`n` sample. Called only
-    /// when `PER_ROW` is `false`.
+    /// Lane `k` finished a non-empty run with `fold` and last `l_RO`.
     #[doc(hidden)]
-    fn lane(&mut self, n: usize, steps: usize, k: usize, delta: f64, lro: f64) {
-        let _ = (n, steps, k, delta, lro);
+    fn end_lane(&mut self, k: usize, fold: Fold, last: f64) {
+        let _ = (k, fold, last);
     }
 
     /// Hand back the run's result (`inputs` are the run's inputs).
@@ -612,6 +796,9 @@ pub trait Sink: sealed::Sealed {
 pub struct TraceSink {
     trace: BatchTrace,
     stream: bool,
+    /// Lane-indexed `[t · lanes + k]` staging rows of the current tile:
+    /// `τ`, `δ` and `l_RO`.
+    stage: [Vec<f64>; 3],
 }
 
 impl TraceSink {
@@ -619,7 +806,7 @@ impl TraceSink {
     pub fn recycling(spare: BatchTrace) -> TraceSink {
         TraceSink {
             trace: spare,
-            stream: false,
+            ..TraceSink::default()
         }
     }
 }
@@ -628,18 +815,19 @@ impl sealed::Sealed for TraceSink {}
 
 impl Sink for TraceSink {
     type Output = BatchTrace;
-    const NEEDS_TAU: bool = true;
-    const PER_ROW: bool = true;
+    /// Short enough that a tile's `16 · B` staging rows — 96 KiB for the
+    /// 256-lane benchmark bank — stay cache-resident until they are
+    /// appended.
+    const TILE: usize = 16;
     const SPAN: &'static str = "engine.batch";
 
     fn begin(&mut self, lanes: usize, steps: usize) {
-        // The trace is appended one row per period from small staging
-        // buffers (see `run_impl`): blocks scatter by lane index into the
-        // cache-resident row, and the row is then memcpy'd onto the flat
-        // arrays. Appending instead of preallocating `vec![0.0; steps·b]`
-        // skips a full zero-init pass over a trace that every lane
-        // overwrites anyway — at long horizons that pass alone streams
-        // megabytes through the cache hierarchy twice.
+        // Blocks scatter each period by lane index into the cache-resident
+        // staging rows, and a finished tile is appended onto the flat
+        // arrays in one go. Appending instead of preallocating
+        // `vec![0.0; steps·b]` skips a full zero-init pass over a trace
+        // that every lane overwrites anyway — at long horizons that pass
+        // alone streams megabytes through the cache hierarchy twice.
         let len = steps * lanes;
         let t = &mut self.trace;
         t.lanes = lanes;
@@ -661,21 +849,33 @@ impl Sink for TraceSink {
         }
         // Streaming eligibility: an even lane count keeps every row start
         // on a 16-byte boundary once the base is aligned. Nothing reads the
-        // trace back during the run — scalar-path lanes gather
-        // `l_RO[n−mm]` from their own history ring in `run_impl` — so all
-        // three arrays stream.
+        // trace back during the run — every lane gathers `l_RO[n−mm]` from
+        // its own history ring in the engine — so all three arrays stream.
         self.stream = cfg!(target_arch = "x86_64")
             && lanes.is_multiple_of(2)
             && [&t.tau, &t.delta, &t.lro]
                 .iter()
                 .all(|v| (v.as_ptr() as usize).is_multiple_of(16));
+        self.stage = std::array::from_fn(|_| vec![0.0; Self::TILE.min(steps) * lanes]);
     }
 
-    #[inline]
-    fn row(&mut self, _n: usize, _steps: usize, tau: &[f64], delta: &[f64], lro: &[f64]) {
-        append_row(&mut self.trace.tau, tau, self.stream);
-        append_row(&mut self.trace.delta, delta, self.stream);
-        append_row(&mut self.trace.lro, lro, self.stream);
+    #[inline(always)]
+    fn put(&mut self, _: &mut Fold, _: usize, t: usize, k: usize, tau: f64, delta: f64, lro: f64) {
+        let i = t * self.trace.lanes + k;
+        self.stage[0][i] = tau;
+        self.stage[1][i] = delta;
+        self.stage[2][i] = lro;
+    }
+
+    fn end_tile(&mut self, rows: usize) {
+        let len = rows * self.trace.lanes;
+        let t = &mut self.trace;
+        for (v, stage) in [&mut t.tau, &mut t.delta, &mut t.lro]
+            .into_iter()
+            .zip(&self.stage)
+        {
+            append_row(v, &stage[..len], self.stream);
+        }
     }
 
     fn drive(self, batch: &mut BatchLoop, inputs: BatchInputs<'_>, steps: usize) -> BatchTrace {
@@ -737,8 +937,13 @@ impl sealed::Sealed for SummarySink {}
 
 impl Sink for SummarySink {
     type Output = Vec<RunSummary>;
-    const NEEDS_TAU: bool = false;
-    const PER_ROW: bool = false;
+    /// A summary stages nothing per lane, only the tile's input rows —
+    /// `TILE` f64s per unique closure, 64 KiB — so a tile covers a whole
+    /// Monte Carlo panel's 8 000 periods, and a block walks its lanes'
+    /// entire run in one go. A run with more than 16 unique closures
+    /// (say, one μ closure per lane) runs shorter tiles, so that its
+    /// staged rows stay within 1 MiB.
+    const TILE: usize = 8192;
     const SPAN: &'static str = "engine.batch.summaries";
 
     fn begin(&mut self, lanes: usize, steps: usize) {
@@ -751,35 +956,16 @@ impl Sink for SummarySink {
         self.last = vec![f64::NAN; lanes];
     }
 
-    #[inline]
-    fn block(
-        &mut self,
-        n: usize,
-        steps: usize,
-        lane: &[usize; W],
-        delta: &[f64; W],
-        lro: &[f64; W],
-    ) {
+    #[inline(always)]
+    fn put(&mut self, fold: &mut Fold, n: usize, _: usize, _: usize, _: f64, delta: f64, lro: f64) {
         if n >= self.warmup {
-            for j in 0..W {
-                self.folds[lane[j]].push(delta[j], -delta[j], lro[j]);
-            }
-        }
-        if n + 1 == steps {
-            for j in 0..W {
-                self.last[lane[j]] = lro[j];
-            }
+            fold.push(delta, -delta, lro);
         }
     }
 
-    #[inline]
-    fn lane(&mut self, n: usize, steps: usize, k: usize, delta: f64, lro: f64) {
-        if n >= self.warmup {
-            self.folds[k].push(delta, -delta, lro);
-        }
-        if n + 1 == steps {
-            self.last[k] = lro;
-        }
+    fn end_lane(&mut self, k: usize, fold: Fold, last: f64) {
+        self.folds[k] = fold;
+        self.last[k] = last;
     }
 
     fn drive(
@@ -817,16 +1003,29 @@ fn run<S: Sink>(
     sink.finish(inputs, steps)
 }
 
-/// The shared engine body: input dedup and ring-buffering, lane
-/// partition, the per-period gather → kernel → scatter loop, controller
-/// state write-back and telemetry — generic over the [`Sink`] receiving
-/// each period's samples.
+/// The shared engine body: input dedup, lane partition, the block-major
+/// tile loop, controller state write-back and telemetry — generic over
+/// the [`Sink`] receiving each period's samples.
+///
+/// Loop order: for each tile of [`Sink::TILE`] periods (fewer when the
+/// run has many unique closures, see [`Inputs::new`]), sample the
+/// tile's input rows ([`Inputs::fill`]), step every block through the
+/// whole tile ([`Block::run_tile`]), then every scalar-path lane
+/// ([`ScalarLane::run_tile`]), and let the sink take the tile
+/// ([`Sink::end_tile`]: the traced sink appends its staging rows). Lanes
+/// are independent, so the order in which lanes visit periods changes no
+/// bit: each lane still steps its periods in order, reading only its own
+/// history and the shared inputs.
+///
+/// Folds live with the lanes: a block's `W` [`Fold`]s and a scalar lane's
+/// one stay in the block or lane for the whole run and reach the sink
+/// once, with the lane's last `l_RO`, at the end ([`Sink::end_lane`]).
 ///
 /// [`BatchInputs::StaticMu`] holds one **step-invariant** heterogeneous
-/// offset per lane: no μ closure is sampled, no μ ring is kept, and the
-/// gather adds the per-lane constant directly — deleting one indirect
-/// call and one ring store per lane per period for workloads (Monte Carlo
-/// sample panels) whose per-lane mismatch is a sampled constant. Because
+/// offset per lane: no μ closure is sampled and the gather adds the
+/// per-lane constant directly — deleting one indirect call and one row
+/// store per lane per period for workloads (Monte Carlo sample panels)
+/// whose per-lane mismatch is a sampled constant. Because
 /// `μ[n − mm] = μ` for every row, adding the same f64 the equivalent
 /// `constant(μ)` closure would have produced, in the same association
 /// order, keeps the run bit-identical to the closure form.
@@ -834,63 +1033,12 @@ fn run_impl<S: Sink>(batch: &mut BatchLoop, inputs: BatchInputs<'_>, steps: usiz
     let b = batch.bank.domains.len();
     debug_assert!(b > 0 && steps > 0, "empty cases are handled by the caller");
 
-    // --- Input plumbing: dedup closures, then ring-buffer their rows. ---
-    let (h_uniq, h_idx, mu_uniq, mu_idx, sp_uniq, sp_idx, static_mu) = match inputs {
-        BatchInputs::PerLane(li) => {
-            let (h_uniq, h_idx) = dedup(li.iter().map(|li| li.homogeneous));
-            let (mu_uniq, mu_idx) = dedup(li.iter().map(|li| li.heterogeneous));
-            let (sp_uniq, sp_idx) = dedup(li.iter().map(|li| li.setpoint));
-            (h_uniq, h_idx, mu_uniq, mu_idx, sp_uniq, sp_idx, None)
-        }
-        // Static μ: every lane shares one setpoint and one homogeneous
-        // closure, and there are no μ closures to dedup or ring-buffer.
-        // The per-lane μ index vector still exists (blocks capture it) but
-        // indexes into nothing; the gather reads the block-resident
-        // constants instead.
-        BatchInputs::StaticMu {
-            setpoint,
-            homogeneous,
-            mu,
-        } => (
-            vec![homogeneous],
-            vec![0usize; b],
-            Vec::new(),
-            vec![0usize; b],
-            vec![setpoint],
-            vec![0usize; b],
-            Some(mu),
-        ),
-    };
-    let (nh, nmu, nsp) = (h_uniq.len(), mu_uniq.len(), sp_uniq.len());
-
-    let mm: Vec<i64> = batch
-        .bank
-        .domains
-        .iter()
-        .map(|l| (l.m + 2) as i64)
-        .collect();
-    let max_off = mm.iter().copied().max().expect("at least one lane");
-    // Rows are unique-closure-interleaved: the recurrence only reads rows
-    // n−mm (mm ≤ max_off) and n−1, so a handful of rows stay
-    // cache-resident. Row n−1 overwrites row n−1−ring_rows, which nothing
-    // can read any more, and mm ≥ 2 keeps it clear of every lane's n−mm
-    // row. The row count is rounded up to a power of two so the slot
-    // computation — two of them per lane per period — is a mask, not a
-    // division (`r & (2^k − 1)` equals `r.rem_euclid(2^k)` for any sign).
-    let ring_rows = (max_off as usize).next_power_of_two() as i64;
-    let mut e_ring = vec![0.0f64; ring_rows as usize * nh];
-    let mut mu_ring = vec![0.0f64; ring_rows as usize * nmu];
-    let hslot = move |r: i64| (r & (ring_rows - 1)) as usize * nh;
-    let mslot = move |r: i64| (r & (ring_rows - 1)) as usize * nmu;
-    for r in -max_off..=-2 {
-        for (u, f) in h_uniq.iter().enumerate() {
-            e_ring[hslot(r) + u] = f(r);
-        }
-        for (u, f) in mu_uniq.iter().enumerate() {
-            mu_ring[mslot(r) + u] = f(r);
-        }
-    }
-    let mut sp_vals = vec![0.0f64; nsp];
+    let mut inputs = Inputs::new(batch, inputs, S::TILE.min(steps));
+    let tile = inputs.tile;
+    // The `l_RO` history rings are rounded up to a power of two so the
+    // slot computation is a mask, not a division (`r & (2^k − 1)` equals
+    // `r.rem_euclid(2^k)` for any sign, also through `wrapping_sub`).
+    let ring_rows = inputs.max_off.next_power_of_two();
 
     // --- Partition lanes: faulted/hardened → scalar path; clean lanes
     // grouped by scheme into W-wide blocks, remainders → scalar path. ---
@@ -917,15 +1065,7 @@ fn run_impl<S: Sink>(batch: &mut BatchLoop, inputs: BatchInputs<'_>, steps: usiz
     for (_, members) in &groups {
         let mut chunks = members.chunks_exact(W);
         for chunk in &mut chunks {
-            blocks.push(Block::pack(
-                batch,
-                chunk,
-                &h_idx,
-                &mu_idx,
-                &sp_idx,
-                static_mu,
-                ring_rows as usize,
-            ));
+            blocks.push(Block::pack(batch, chunk, &inputs, ring_rows));
         }
         scalar.extend_from_slice(chunks.remainder());
     }
@@ -933,152 +1073,48 @@ fn run_impl<S: Sink>(batch: &mut BatchLoop, inputs: BatchInputs<'_>, steps: usiz
     // would produce the same bits — keeping batch order just makes the
     // fallback path read like the scalar engine it reproduces.
     scalar.sort_unstable();
+    let mut scalars: Vec<ScalarLane> = scalar
+        .iter()
+        .map(|&k| {
+            let l = &batch.bank.domains[k];
+            ScalarLane {
+                k,
+                cur: l.controller.length(),
+                hist: vec![l.initial_length; ring_rows],
+                fold: Fold::new(),
+                path: paths[k].take(),
+            }
+        })
+        .collect();
 
     let mut block_scope = batch.telemetry.scope("engine.batch.blocked");
     block_scope.attr("blocks", blocks.len());
-    block_scope.attr("scalar_lanes", scalar.len());
+    block_scope.attr("scalar_lanes", scalars.len());
 
-    // Scalar-path lanes keep their own `l_RO` history ring — one column
-    // per scalar lane, mirroring the block-local rings: row
-    // `n mod ring_rows` holds `l_RO[n]`, every row is prefilled with the
-    // lane's initial length (which is exactly what `l_RO[i]`, `i < 0`,
-    // means), and each period gathers its `n − mm` row before writing row
-    // `n`, so a row is never clobbered while still readable. This is what
-    // frees the engine from reading the trace back during a run: the
-    // summary sink has no trace at all, and the traced sink can stream
-    // all three arrays around the cache.
-    let ns = scalar.len();
-    let mut sring = vec![0.0f64; ring_rows as usize * ns];
-    for (s_pos, &k) in scalar.iter().enumerate() {
-        let init = batch.bank.domains[k].initial_length;
-        for row in 0..ring_rows as usize {
-            sring[row * ns + s_pos] = init;
-        }
-    }
-    let sslot = move |r: i64| (r & (ring_rows - 1)) as usize * ns;
-
-    let mut row_tau = vec![0.0f64; b];
-    let mut row_delta = vec![0.0f64; b];
-    let mut row_lro = vec![0.0f64; b];
-    let mut cur: Vec<f64> = batch
-        .bank
-        .domains
-        .iter()
-        .map(|l| l.controller.length())
-        .collect();
-
-    for n in 0..steps as i64 {
-        let base_n1_h = hslot(n - 1);
-        let base_n1_mu = mslot(n - 1);
-        for (u, f) in h_uniq.iter().enumerate() {
-            e_ring[base_n1_h + u] = f(n - 1);
-        }
-        for (u, f) in mu_uniq.iter().enumerate() {
-            mu_ring[base_n1_mu + u] = f(n - 1);
-        }
-        for (u, f) in sp_uniq.iter().enumerate() {
-            sp_vals[u] = f(n);
-        }
+    for n0 in (0..steps).step_by(tile) {
+        let n1 = (n0 + tile).min(steps);
+        inputs.fill(n0, n1);
         for blk in &mut blocks {
-            // Gather: l_RO[n−mm] from the block-local history ring
-            // (pre-start rows are prefilled with the initial length).
-            // Split into the shared part and the μ add so the static-μ
-            // mode branches once per block, not per lane — the
-            // association order ((l_RO + e[n−mm]) − e[n−1]) + μ[n−mm] is
-            // the scalar engines', identical in both arms.
-            let mut raw = [0.0f64; W];
-            let hist_mask = blk.hist.len() - 1;
-            for j in 0..W {
-                let i = n - blk.mm[j];
-                let lro_past = blk.hist[(i & hist_mask as i64) as usize][j];
-                raw[j] =
-                    lro_past + e_ring[hslot(i) + blk.h_idx[j]] - e_ring[base_n1_h + blk.h_idx[j]];
-            }
-            if static_mu.is_some() {
-                for (r, m) in raw.iter_mut().zip(&blk.mu_c) {
-                    *r += m;
-                }
-            } else {
-                for j in 0..W {
-                    raw[j] += mu_ring[mslot(n - blk.mm[j]) + blk.mu_idx[j]];
-                }
-            }
-            let quant = blk.quant;
-            let mut tau = [0.0f64; W];
-            let mut delta = [0.0f64; W];
-            for j in 0..W {
-                tau[j] = quant.apply(raw[j]);
-                delta[j] = sp_vals[blk.sp_idx[j]] - tau[j];
-            }
-            let mut next = [0.0f64; W];
-            blk.kernel.step(&delta, &mut next);
-            // Record l_RO[n] in the history ring, hand the period's
-            // columns to the sink, and roll the period forward. Row sinks
-            // get a lane-indexed staging scatter; direct sinks fold off
-            // the block registers with no staging round trip.
-            let lro = blk.cur;
-            blk.hist[(n & hist_mask as i64) as usize] = lro;
-            blk.cur = next;
-            if S::PER_ROW {
-                for j in 0..W {
-                    let k = blk.lane[j];
-                    if S::NEEDS_TAU {
-                        row_tau[k] = tau[j];
-                    }
-                    row_delta[k] = delta[j];
-                    row_lro[k] = lro[j];
-                }
-            } else {
-                sink.block(n as usize, steps, &blk.lane, &delta, &lro);
-            }
+            blk.run_tile(&inputs, n0..n1, sink);
         }
-
-        for (s_pos, &k) in scalar.iter().enumerate() {
-            let lane = &mut batch.bank.domains[k];
-            let i = n - mm[k];
-            let lro_past = sring[sslot(i) + s_pos];
-            let e_nmm = e_ring[hslot(i) + h_idx[k]];
-            let e_n1 = e_ring[base_n1_h + h_idx[k]];
-            let mu_nmm = match static_mu {
-                Some(ms) => ms[k],
-                None => mu_ring[mslot(i) + mu_idx[k]],
-            };
-            let sp = sp_vals[sp_idx[k]];
-            let (tau, delta, next) = crate::bank::step_domain(
-                lane.quantization,
-                &mut lane.controller,
-                paths[k].as_mut(),
-                n,
-                i,
-                lro_past,
-                e_nmm,
-                e_n1,
-                mu_nmm,
-                sp,
-            );
-            if S::PER_ROW {
-                if S::NEEDS_TAU {
-                    row_tau[k] = tau;
-                }
-                row_delta[k] = delta;
-                row_lro[k] = cur[k];
-            } else {
-                sink.lane(n as usize, steps, k, delta, cur[k]);
-            }
-            sring[sslot(n) + s_pos] = cur[k];
-            cur[k] = next;
+        for lane in &mut scalars {
+            lane.run_tile(batch, &inputs, n0..n1, sink);
         }
-
-        if S::PER_ROW {
-            sink.row(n as usize, steps, &row_tau, &row_delta, &row_lro);
-        }
+        sink.end_tile(n1 - n0);
     }
 
-    // Write the block kernels' final state back into the lane controllers.
+    // Hand every lane's fold and last `l_RO` to the sink, and write the
+    // block kernels' final state back into the lane controllers.
+    let last = (steps - 1) & (ring_rows - 1);
     for blk in &blocks {
         for j in 0..W {
-            blk.store_lane(j, &mut batch.bank.domains[blk.lane[j]].controller);
+            let k = blk.cols.lane[j];
+            blk.store_lane(j, &mut batch.bank.domains[k].controller);
+            sink.end_lane(k, blk.folds[j], blk.hist[last][j]);
         }
+    }
+    for lane in &scalars {
+        sink.end_lane(lane.k, lane.fold, lane.hist[last]);
     }
 
     batch.bank.note_steps(steps as u64);
@@ -1093,8 +1129,9 @@ fn run_impl<S: Sink>(batch: &mut BatchLoop, inputs: BatchInputs<'_>, steps: usiz
     batch
         .telemetry
         .counter("batch.scalar_tail_lanes")
-        .add(scalar.len() as u64);
-    let (injected, relocks) = paths.iter().flatten().fold((0u64, 0u64), |(i, r), fp| {
+        .add(scalars.len() as u64);
+    let paths = scalars.iter().filter_map(|l| l.path.as_ref());
+    let (injected, relocks) = paths.fold((0u64, 0u64), |(i, r), fp| {
         (
             i + fp.schedule().injected_before(steps as u64),
             r + fp.relocks(),

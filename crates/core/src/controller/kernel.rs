@@ -21,8 +21,9 @@ const STATE_BIT_SPAN: u32 = 41;
 
 /// Shift an `i64` by a signed power-of-two exponent (arithmetic shift right
 /// for negative exponents — i.e. floor division, exactly what a hardware
-/// shifter does). Shared with the lane-block kernels in
-/// [`crate::batch`], which must reproduce this flooring bit for bit.
+/// shifter does). The integer-IIR step of the lane-block engine in
+/// [`crate::batch`] reproduces this flooring inline and must stay
+/// bit-identical to it.
 #[inline]
 pub(crate) fn shift(v: i64, exp: i32) -> i64 {
     if exp >= 0 {

@@ -133,7 +133,7 @@ impl McPanel {
         let setpoint = constant(self.setpoint as f64);
         let hodv = self.hodv();
         let parts = run_chunks(self.instances, self.chunk.max(1), telemetry, |r| {
-            let mut batch = BatchLoop::new();
+            let mut batch = BatchLoop::new().with_telemetry(telemetry.clone());
             for _ in r.clone() {
                 batch.push(
                     self.m,
@@ -386,6 +386,14 @@ mod tests {
         for name in ["batch.dispatch", "batch.recombine"] {
             assert!(spans.iter().any(|s| s.name == name), "{name} span missing");
         }
+        // The chunk engines run on the panel's telemetry: one summary span
+        // per chunk, and every lane-step on the engine's own counter.
+        let runs = spans
+            .iter()
+            .filter(|s| s.name == "engine.batch.summaries")
+            .count();
+        assert_eq!(runs, 5, "one engine.batch.summaries span per chunk");
+        assert_eq!(snap.counter("batch.controller_steps"), Some(37 * 120));
     }
 
     #[test]
