@@ -173,27 +173,24 @@ impl SweepCache {
     /// a record of any other arity (a stale or foreign payload) is treated
     /// as a miss and will be overwritten by the recompute.
     pub fn get_f64s(&self, key: Key, expect_len: usize) -> Option<Vec<f64>> {
-        let store = self.store.as_ref()?;
-        let _scope = self.telemetry.scope("cache.get");
-        let decoded = store
-            .get(key)
-            .and_then(|bytes| payload::decode_f64s(&bytes))
-            .filter(|values| values.len() == expect_len);
-        match &decoded {
-            Some(_) => self.telemetry.counter("cache.hits").inc(),
-            None => self.telemetry.counter("cache.misses").inc(),
-        }
-        decoded
+        self.lookup(key, Some(expect_len))
     }
 
     /// Look up a flat float record whose arity is data-dependent (windowed
     /// trace series); the caller owns schema validation.
     pub fn get_f64s_any(&self, key: Key) -> Option<Vec<f64>> {
+        self.lookup(key, None)
+    }
+
+    /// The one lookup body: a record that is absent, undecodable or of the
+    /// wrong arity counts as a miss.
+    fn lookup(&self, key: Key, expect_len: Option<usize>) -> Option<Vec<f64>> {
         let store = self.store.as_ref()?;
         let _scope = self.telemetry.scope("cache.get");
         let decoded = store
             .get(key)
-            .and_then(|bytes| payload::decode_f64s(&bytes));
+            .and_then(|bytes| payload::decode_f64s(&bytes))
+            .filter(|values| expect_len.is_none_or(|n| values.len() == n));
         match &decoded {
             Some(_) => self.telemetry.counter("cache.hits").inc(),
             None => self.telemetry.counter("cache.misses").inc(),

@@ -17,8 +17,7 @@ use variation::sources::Harmonic;
 use crate::cache::CacheKeyExt as _;
 use crate::config::PaperParams;
 use crate::render::{fmt, Table};
-use crate::runner::RunCtx;
-use crate::sweep::{parallel_map_planned, Plan};
+use crate::runner::{cached_map, Codec, RunCtx};
 
 /// One measured operating point.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,16 +101,21 @@ pub fn run(ctx: &RunCtx) -> Vec<CouplingRow> {
             .u64("budget.warmup", params.warmup as u64)
             .finish()
     };
-    let margins = parallel_map_planned(
+    let pair_codec = Codec {
+        arity: Some(2),
+        encode: |pair: &[f64; 2]| pair.to_vec(),
+        decode: |_, v| [v[0], v[1]],
+    };
+    let margins = cached_map(
+        ctx,
         &tasks,
-        |t| match ctx.cache.get_f64s(task_key(t), 2) {
-            Some(v) => Plan::Ready([v[0], v[1]]),
-            // Both couplings are simulated, so the point costs two runs.
-            None => Plan::Compute(2 * params.samples_for(t.te) as u64),
-        },
+        pair_codec,
+        |t| vec![task_key(t)],
+        // Both couplings are simulated, so the point costs two runs.
+        |t| 2 * params.samples_for(t.te) as u64,
         |t| {
             let c_ref = params.setpoint;
-            let pair = [
+            vec![[
                 margin_with(params, Coupling::Additive, t.scheme.clone(), t.te, t.mu),
                 margin_with(
                     params,
@@ -120,11 +124,8 @@ pub fn run(ctx: &RunCtx) -> Vec<CouplingRow> {
                     t.te,
                     t.mu,
                 ),
-            ];
-            ctx.cache.put_f64s(task_key(t), &pair);
-            pair
+            ]]
         },
-        &ctx.telemetry,
     );
     tasks
         .iter()

@@ -40,8 +40,7 @@ use clock_rescache::Key;
 
 use crate::cache::{key, CacheKeyExt};
 use crate::render::{fmt, Table};
-use crate::runner::RunCtx;
-use crate::sweep::{parallel_map_planned, Plan};
+use crate::runner::{cached_map, Codec, RunCtx};
 
 /// The fixed chaos seed: every strike plan derives from it, so the whole
 /// table is reproducible run-to-run and machine-to-machine.
@@ -94,34 +93,6 @@ pub struct FaultCell {
 const LANE_FIELDS: usize = 9;
 const PAYLOAD: usize = 1 + SCHEMES.len() * LANE_FIELDS;
 
-fn report_to_values(r: &ViolationReport) -> [f64; LANE_FIELDS] {
-    [
-        r.samples as f64,
-        r.dropped as f64,
-        r.violations as f64,
-        r.violation_rate,
-        r.worst_excursion,
-        r.relock_events as f64,
-        r.mean_time_to_relock,
-        r.max_time_to_relock,
-        if r.unresolved { 1.0 } else { 0.0 },
-    ]
-}
-
-fn report_from_values(v: &[f64]) -> ViolationReport {
-    ViolationReport {
-        samples: v[0] as usize,
-        dropped: v[1] as usize,
-        violations: v[2] as usize,
-        violation_rate: v[3],
-        worst_excursion: v[4],
-        relock_events: v[5] as usize,
-        mean_time_to_relock: v[6],
-        max_time_to_relock: v[7],
-        unresolved: v[8] != 0.0,
-    }
-}
-
 fn schedule_for(class: FaultClass, rate: f64, horizon: usize) -> FaultSchedule {
     FaultSchedule::random(
         CHAOS_SEED ^ rate.to_bits(),
@@ -154,27 +125,51 @@ fn cell_key(ctx: &RunCtx, class: FaultClass, rate: f64, horizon: usize) -> Key {
         .finish()
 }
 
-fn probe_cell(ctx: &RunCtx, class: FaultClass, rate: f64, horizon: usize) -> Plan<FaultCell> {
-    match ctx
-        .cache
-        .get_f64s(cell_key(ctx, class, rate, horizon), PAYLOAD)
-    {
-        Some(v) => Plan::Ready(FaultCell {
-            class,
-            rate,
-            injected: v[0] as u64,
-            lanes: SCHEMES
-                .iter()
-                .enumerate()
-                .map(|(i, &scheme)| LaneOutcome {
-                    scheme,
-                    report: report_from_values(&v[1 + i * LANE_FIELDS..1 + (i + 1) * LANE_FIELDS]),
-                })
-                .collect(),
-        }),
-        None => Plan::Compute((SCHEMES.len() * horizon) as u64),
-    }
-}
+/// A cell's payload: the injected count, then [`LANE_FIELDS`] values per
+/// lane in [`SCHEMES`] order.
+const CELL: Codec<(FaultClass, f64), FaultCell> = Codec {
+    arity: Some(PAYLOAD),
+    encode: |cell| {
+        let mut values = vec![cell.injected as f64];
+        for r in cell.lanes.iter().map(|lane| &lane.report) {
+            values.extend([
+                r.samples as f64,
+                r.dropped as f64,
+                r.violations as f64,
+                r.violation_rate,
+                r.worst_excursion,
+                r.relock_events as f64,
+                r.mean_time_to_relock,
+                r.max_time_to_relock,
+                if r.unresolved { 1.0 } else { 0.0 },
+            ]);
+        }
+        values
+    },
+    decode: |&(class, rate), v| FaultCell {
+        class,
+        rate,
+        injected: v[0] as u64,
+        lanes: SCHEMES
+            .iter()
+            .zip(v[1..].chunks(LANE_FIELDS))
+            .map(|(&scheme, v)| LaneOutcome {
+                scheme,
+                report: ViolationReport {
+                    samples: v[0] as usize,
+                    dropped: v[1] as usize,
+                    violations: v[2] as usize,
+                    violation_rate: v[3],
+                    worst_excursion: v[4],
+                    relock_events: v[5] as usize,
+                    mean_time_to_relock: v[6],
+                    max_time_to_relock: v[7],
+                    unresolved: v[8] != 0.0,
+                },
+            })
+            .collect(),
+    },
+};
 
 fn compute_cell(ctx: &RunCtx, class: FaultClass, rate: f64, horizon: usize) -> FaultCell {
     let c = ctx.params.setpoint;
@@ -243,16 +238,6 @@ fn compute_cell(ctx: &RunCtx, class: FaultClass, rate: f64, horizon: usize) -> F
     }
 }
 
-fn store_cell(ctx: &RunCtx, cell: &FaultCell, horizon: usize) {
-    let mut values = Vec::with_capacity(PAYLOAD);
-    values.push(cell.injected as f64);
-    for lane in &cell.lanes {
-        values.extend_from_slice(&report_to_values(&lane.report));
-    }
-    ctx.cache
-        .put_f64s(cell_key(ctx, cell.class, cell.rate, horizon), &values);
-}
-
 /// Run the chaos grid: every [`FaultClass`] at one rate (quick) or two
 /// rates (full), horizon 4 000 (quick) or 12 000 (full) periods.
 pub fn run(ctx: &RunCtx, quick: bool) -> Vec<FaultCell> {
@@ -262,15 +247,13 @@ pub fn run(ctx: &RunCtx, quick: bool) -> Vec<FaultCell> {
         .iter()
         .flat_map(|&class| rates.iter().map(move |&rate| (class, rate)))
         .collect();
-    parallel_map_planned(
+    cached_map(
+        ctx,
         &grid,
-        |&(class, rate)| probe_cell(ctx, class, rate, horizon),
-        |&(class, rate)| {
-            let cell = compute_cell(ctx, class, rate, horizon);
-            store_cell(ctx, &cell, horizon);
-            cell
-        },
-        &ctx.telemetry,
+        CELL,
+        |&(class, rate)| vec![cell_key(ctx, class, rate, horizon)],
+        |_| (SCHEMES.len() * horizon) as u64,
+        |&(class, rate)| vec![compute_cell(ctx, class, rate, horizon)],
     )
 }
 

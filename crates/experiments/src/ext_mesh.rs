@@ -31,8 +31,7 @@ use clock_rescache::Key;
 
 use crate::cache::{key, CacheKeyExt};
 use crate::render::{fmt, Table};
-use crate::runner::RunCtx;
-use crate::sweep::{parallel_map_planned, Plan};
+use crate::runner::{cached_map, Codec, RunCtx};
 
 /// Seed for the per-domain variation spread and the Byzantine strike
 /// plan — the whole table derives from it.
@@ -181,8 +180,28 @@ fn cell_key(ctx: &RunCtx, scenario: &str, topology: &str, horizon: usize) -> Key
         .finish()
 }
 
-fn cell_from_values(scenario: &'static str, topology: &'static str, v: &[f64]) -> MeshCell {
-    MeshCell {
+/// A cell's payload: its eleven fields in declaration order, then two
+/// zeros.
+const CELL: Codec<(&str, &str), MeshCell> = Codec {
+    arity: Some(PAYLOAD),
+    encode: |cell| {
+        vec![
+            cell.domains as f64,
+            cell.links as f64,
+            cell.injected as f64,
+            cell.relocks as f64,
+            cell.boundary_violations as f64,
+            cell.quarantined as f64,
+            if cell.contained { 1.0 } else { 0.0 },
+            cell.unresolved_healthy as f64,
+            cell.worst_skew,
+            cell.mean_risk,
+            cell.max_ttr,
+            0.0,
+            0.0,
+        ]
+    },
+    decode: |&(scenario, topology), v| MeshCell {
         scenario,
         topology,
         domains: v[0] as usize,
@@ -196,44 +215,8 @@ fn cell_from_values(scenario: &'static str, topology: &'static str, v: &[f64]) -
         worst_skew: v[8],
         mean_risk: v[9],
         max_ttr: v[10],
-    }
-}
-
-fn cell_to_values(cell: &MeshCell) -> [f64; PAYLOAD] {
-    [
-        cell.domains as f64,
-        cell.links as f64,
-        cell.injected as f64,
-        cell.relocks as f64,
-        cell.boundary_violations as f64,
-        cell.quarantined as f64,
-        if cell.contained { 1.0 } else { 0.0 },
-        cell.unresolved_healthy as f64,
-        cell.worst_skew,
-        cell.mean_risk,
-        cell.max_ttr,
-        0.0,
-        0.0,
-    ]
-}
-
-fn probe_cell(
-    ctx: &RunCtx,
-    scenario: &'static str,
-    topology: &'static str,
-    horizon: usize,
-) -> Plan<MeshCell> {
-    match ctx
-        .cache
-        .get_f64s(cell_key(ctx, scenario, topology, horizon), PAYLOAD)
-    {
-        Some(v) => Plan::Ready(cell_from_values(scenario, topology, &v)),
-        None => {
-            let domains = topology_for(topology, ctx.params.setpoint as f64).domains();
-            Plan::Compute((domains * horizon) as u64)
-        }
-    }
-}
+    },
+};
 
 fn compute_cell(
     ctx: &RunCtx,
@@ -283,13 +266,6 @@ fn compute_cell(
     }
 }
 
-fn store_cell(ctx: &RunCtx, cell: &MeshCell, horizon: usize) {
-    ctx.cache.put_f64s(
-        cell_key(ctx, cell.scenario, cell.topology, horizon),
-        &cell_to_values(cell),
-    );
-}
-
 /// Run the scenario × topology grid: horizon 1 500 periods (quick) or
 /// 6 000 (full).
 pub fn run(ctx: &RunCtx, quick: bool) -> Vec<MeshCell> {
@@ -298,15 +274,13 @@ pub fn run(ctx: &RunCtx, quick: bool) -> Vec<MeshCell> {
         .iter()
         .flat_map(|&s| TOPOLOGIES.iter().map(move |&t| (s, t)))
         .collect();
-    parallel_map_planned(
+    cached_map(
+        ctx,
         &grid,
-        |&(s, t)| probe_cell(ctx, s, t, horizon),
-        |&(s, t)| {
-            let cell = compute_cell(ctx, s, t, horizon);
-            store_cell(ctx, &cell, horizon);
-            cell
-        },
-        &ctx.telemetry,
+        CELL,
+        |&(s, t)| vec![cell_key(ctx, s, t, horizon)],
+        |&(_, t)| (topology_for(t, ctx.params.setpoint as f64).domains() * horizon) as u64,
+        |&(s, t)| vec![compute_cell(ctx, s, t, horizon)],
     )
 }
 

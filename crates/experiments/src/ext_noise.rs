@@ -17,8 +17,7 @@ use crate::cache::CacheKeyExt as _;
 use crate::config::PaperParams;
 use crate::render::{fmt, Table};
 use crate::results::{ExperimentResult, Series};
-use crate::runner::{adaptive_schemes, RunCtx};
-use crate::sweep::{parallel_map_planned, Plan};
+use crate::runner::{adaptive_schemes, cached_map, Codec, RunCtx};
 
 /// Build the broadband profile for a given seed: slow OU temperature drift
 /// (σ = 0.1c, τ = 400c) + occasional SSN droops (amplitude up to 0.1c,
@@ -61,22 +60,14 @@ pub fn run(ctx: &RunCtx, seeds: &[u64]) -> ExperimentResult {
             .finish()
     };
 
-    // One row of per-scheme ratios per seed.
-    let rows = parallel_map_planned(
+    // One row of per-scheme ratios per seed, rows back to back.
+    let ratios = cached_map(
+        ctx,
         seeds,
-        |&seed| {
-            // Probe every key (no short-circuit), so the cache's hit and
-            // miss counts stay per grid point.
-            let hits: Vec<Option<f64>> = schemes
-                .iter()
-                .map(|s| ctx.cache.get_f64s(point_key(s, seed), 1).map(|v| v[0]))
-                .collect();
-            match hits.into_iter().collect::<Option<Vec<f64>>>() {
-                Some(row) => Plan::Ready(row),
-                // The fixed baseline plus one run per adaptive scheme.
-                None => Plan::Compute((1 + schemes.len() as u64) * samples as u64),
-            }
-        },
+        Codec::SCALAR,
+        |&seed| schemes.iter().map(|s| point_key(s, seed)).collect(),
+        // The fixed baseline plus one run per adaptive scheme.
+        |_| (1 + schemes.len() as u64) * samples as u64,
         |&seed| {
             let profile = broadband_profile(params, seed, horizon);
             let fold = || SummarySink::with_warmup(params.warmup);
@@ -88,21 +79,17 @@ pub fn run(ctx: &RunCtx, seeds: &[u64]) -> ExperimentResult {
             schemes
                 .iter()
                 .map(|scheme| {
-                    let adaptive = SystemBuilder::new(c)
+                    SystemBuilder::new(c)
                         .cdn_delay(c as f64)
                         .scheme(scheme.clone())
                         .build()
                         .expect("valid configuration")
-                        .run_with(&profile, samples, fold());
-                    let ratio = adaptive.relative_to(&fixed);
-                    ctx.cache.put_f64s(point_key(scheme, seed), &[ratio]);
-                    ratio
+                        .run_with(&profile, samples, fold())
+                        .relative_to(&fixed)
                 })
-                .collect::<Vec<f64>>()
+                .collect()
         },
-        &ctx.telemetry,
     );
-
     let mut result = ExperimentResult::new(
         "ext-noise",
         format!(
@@ -114,8 +101,8 @@ pub fn run(ctx: &RunCtx, seeds: &[u64]) -> ExperimentResult {
     );
     let xs: Vec<f64> = seeds.iter().map(|&s| s as f64).collect();
     for (i, scheme) in schemes.iter().enumerate() {
-        let ratios = rows.iter().map(|row| row[i]).collect();
-        result = result.with_series(Series::new(scheme.label(), xs.clone(), ratios));
+        let ys = ratios.chunks(schemes.len()).map(|row| row[i]).collect();
+        result = result.with_series(Series::new(scheme.label(), xs.clone(), ys));
     }
     result
 }

@@ -27,8 +27,8 @@ use zdomain::{closedloop, Complex, TransferFunction};
 use crate::cache::CacheKeyExt as _;
 use crate::render::{fmt, Table};
 use crate::results::{ExperimentResult, Series};
-use crate::runner::RunCtx;
-use crate::sweep::{log_grid, parallel_map_planned, Plan};
+use crate::runner::{cached_map, Codec, RunCtx};
+use crate::sweep::log_grid;
 
 /// Predicted error amplitude for perturbation period `te_over_c` and CDN
 /// depth `m` (whole periods), per unit perturbation amplitude.
@@ -66,12 +66,12 @@ pub fn run(ctx: &RunCtx, points: usize) -> ExperimentResult {
             .u64("budget.warmup", params.warmup as u64)
             .finish()
     };
-    let measured = parallel_map_planned(
+    let measured = cached_map(
+        ctx,
         &tes,
-        |&te| match ctx.cache.get_f64s(te_key(te), 1) {
-            Some(v) => Plan::Ready(v[0]),
-            None => Plan::Compute(params.samples_for(te) as u64),
-        },
+        Codec::SCALAR,
+        |&te| vec![te_key(te)],
+        |&te| params.samples_for(te) as u64,
         |&te| {
             let system = SystemBuilder::new(c)
                 .cdn_delay(c as f64)
@@ -88,13 +88,10 @@ pub fn run(ctx: &RunCtx, points: usize) -> ExperimentResult {
                 params.samples_for(te),
                 SummarySink::with_warmup(params.warmup),
             );
-            let y = summary
+            vec![summary
                 .worst_negative_error
-                .max(summary.worst_positive_error);
-            ctx.cache.put_f64s(te_key(te), &[y]);
-            y
+                .max(summary.worst_positive_error)]
         },
-        &ctx.telemetry,
     );
     let predicted: Vec<f64> = tes
         .iter()

@@ -15,8 +15,7 @@ use variation::sources::Harmonic;
 use crate::cache::CacheKeyExt as _;
 use crate::render::{fmt, Table};
 use crate::results::{ExperimentResult, Series};
-use crate::runner::RunCtx;
-use crate::sweep::{parallel_map_planned, Plan};
+use crate::runner::{cached_map, Codec, RunCtx};
 
 /// The run budget of one throughput point: samples and discarded warm-up.
 const SAMPLES: usize = 7000;
@@ -46,25 +45,22 @@ pub fn throughput_curve(
             .u64("budget.warmup", WARMUP as u64)
             .finish()
     };
-    parallel_map_planned(
+    cached_map(
+        ctx,
         setpoints,
-        |&c_ctrl| match ctx.cache.get_f64s(point_key(c_ctrl), 1) {
-            Some(v) => Plan::Ready(v[0]),
-            None => Plan::Compute(SAMPLES as u64),
-        },
+        Codec::SCALAR,
+        |&c_ctrl| vec![point_key(c_ctrl)],
+        |_| SAMPLES as u64,
         |&c_ctrl| {
             let system = SystemBuilder::new(c_ctrl)
                 .cdn_delay(c_req as f64)
                 .scheme(scheme.clone())
                 .build()
                 .expect("valid configuration");
-            let y = system
+            vec![system
                 .run_with(&hodv, SAMPLES, model.sink(WARMUP))
-                .relative_throughput(c_req as f64);
-            ctx.cache.put_f64s(point_key(c_ctrl), &[y]);
-            y
+                .relative_throughput(c_req as f64)]
         },
-        &ctx.telemetry,
     )
 }
 

@@ -31,7 +31,7 @@ use variation::process::ProcessSpec;
 use crate::cache::{key, CacheKeyExt};
 use crate::montecarlo::{McPanel, McStats, Scheme, SCHEMES};
 use crate::render::{fmt, Table};
-use crate::runner::RunCtx;
+use crate::runner::{cached_map, Codec, RunCtx};
 
 /// The fixed Monte Carlo seed: every instance draw derives from it, so
 /// the whole panel is reproducible run-to-run and machine-to-machine.
@@ -118,8 +118,25 @@ fn cell_key(ctx: &RunCtx, scheme: Scheme, sigma_scale: f64, quick: bool) -> Key 
     k.finish()
 }
 
-fn cell_from_values(scheme: Scheme, sigma_scale: f64, v: &[f64]) -> YieldCell {
-    YieldCell {
+/// A cell's payload: its scalar statistics in declaration order, then the
+/// yield curve.
+const CELL: Codec<(Scheme, f64), YieldCell> = Codec {
+    arity: Some(PAYLOAD),
+    encode: |cell| {
+        let mut v = vec![
+            cell.samples as f64,
+            cell.margin_mean,
+            cell.margin_sigma,
+            cell.margin_p50,
+            cell.margin_p90,
+            cell.margin_p99,
+            cell.margin_max,
+            cell.period_mean,
+        ];
+        v.extend_from_slice(&cell.yields);
+        v
+    },
+    decode: |&(scheme, sigma_scale), v| YieldCell {
         scheme,
         sigma_scale,
         samples: v[0] as u64,
@@ -131,23 +148,8 @@ fn cell_from_values(scheme: Scheme, sigma_scale: f64, v: &[f64]) -> YieldCell {
         margin_max: v[6],
         period_mean: v[7],
         yields: v[8..].to_vec(),
-    }
-}
-
-fn cell_to_values(cell: &YieldCell) -> Vec<f64> {
-    let mut v = vec![
-        cell.samples as f64,
-        cell.margin_mean,
-        cell.margin_sigma,
-        cell.margin_p50,
-        cell.margin_p90,
-        cell.margin_p99,
-        cell.margin_max,
-        cell.period_mean,
-    ];
-    v.extend_from_slice(&cell.yields);
-    v
-}
+    },
+};
 
 fn compute_cell(ctx: &RunCtx, scheme: Scheme, sigma_scale: f64, quick: bool) -> YieldCell {
     let p = panel(ctx, sigma_scale, quick);
@@ -191,24 +193,24 @@ pub(crate) fn scales(quick: bool) -> &'static [f64] {
 }
 
 /// Run the yield sweep: every scheme at σ-scale 1.0 (quick) or
-/// {0.5, 1.0, 2.0} (full). The outer grid runs sequentially — each cell
-/// already spreads its instance panel across the worker pool.
+/// {0.5, 1.0, 2.0} (full). The cells run one after another, one
+/// `cached_map` call each, so a cell to compute runs on the calling
+/// thread: each cell already spreads its instance panel across the worker
+/// pool.
 pub fn run(ctx: &RunCtx, quick: bool) -> Vec<YieldCell> {
     let scales = scales(quick);
     let mut cells = Vec::with_capacity(SCHEMES.len() * scales.len());
     for &scale in scales {
         for scheme in SCHEMES {
-            let k = cell_key(ctx, scheme, scale, quick);
-            let cell = match ctx.cache.get_f64s(k, PAYLOAD) {
-                Some(v) => cell_from_values(scheme, scale, &v),
-                None => {
-                    let cell = compute_cell(ctx, scheme, scale, quick);
-                    ctx.cache
-                        .put_f64s(cell_key(ctx, scheme, scale, quick), &cell_to_values(&cell));
-                    cell
-                }
-            };
-            cells.push(cell);
+            cells.extend(cached_map(
+                ctx,
+                &[(scheme, scale)],
+                CELL,
+                |&(scheme, scale)| vec![cell_key(ctx, scheme, scale, quick)],
+                // A lone task: its cost orders nothing.
+                |_| 1,
+                |&(scheme, scale)| vec![compute_cell(ctx, scheme, scale, quick)],
+            ));
         }
     }
     cells

@@ -19,8 +19,7 @@ use crate::cache::CacheKeyExt as _;
 use crate::config::PaperParams;
 use crate::render::ascii_chart;
 use crate::results::{ExperimentResult, Series};
-use crate::runner::{run_scheme, OperatingPoint, RunCtx};
-use crate::sweep::{parallel_map_planned, Plan};
+use crate::runner::{cached_map, run_scheme, Codec, OperatingPoint, RunCtx};
 
 /// The paper's three perturbation periods, in multiples of `c`.
 pub const PANELS: [f64; 3] = [25.0, 37.5, 50.0];
@@ -61,20 +60,23 @@ pub fn run_panel(ctx: &RunCtx, te_over_c: f64) -> ExperimentResult {
     let params = &ctx.params;
     let point = OperatingPoint::new(1.0, te_over_c);
     let tasks = schemes();
-    let error_series = parallel_map_planned(
+    // The window's length is the record's: a trace shorter than the
+    // window stores what it has.
+    let errors_codec = Codec {
+        arity: None,
+        encode: Vec::clone,
+        decode: |_, errors| errors,
+    };
+    let error_series = cached_map(
+        ctx,
         &tasks,
-        |scheme| match ctx.cache.get_f64s_any(errors_key(params, scheme, point)) {
-            Some(errors) => Plan::Ready(errors),
-            None => Plan::Compute(params.samples_for(te_over_c) as u64),
-        },
+        errors_codec,
+        |scheme| vec![errors_key(params, scheme, point)],
+        |_| params.samples_for(te_over_c) as u64,
         |scheme| {
             let run = run_scheme(ctx, scheme.clone(), point);
-            let errors = run.window(WINDOW.0, WINDOW.1).timing_errors();
-            ctx.cache
-                .put_f64s(errors_key(params, scheme, point), &errors);
-            errors
+            vec![run.window(WINDOW.0, WINDOW.1).timing_errors()]
         },
-        &ctx.telemetry,
     );
     let series: Vec<Series> = tasks
         .iter()

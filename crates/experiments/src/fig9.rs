@@ -17,8 +17,10 @@ use clock_telemetry::Event;
 
 use crate::render::{fmt, Table};
 use crate::results::{ExperimentResult, Series};
-use crate::runner::{summaries_compute, summaries_probe, OperatingPoint, RunCtx, RunSummary};
-use crate::sweep::{linear_grid, parallel_map_planned};
+use crate::runner::{
+    cached_map, summaries_compute, summary_key, Codec, OperatingPoint, RunCtx, RunSummary,
+};
+use crate::sweep::linear_grid;
 use adaptive_clock::system::Scheme;
 
 /// The grid of CDN delays, in multiples of `c`.
@@ -28,6 +30,17 @@ pub const TE_GRID: [f64; 3] = [25.0, 37.5, 50.0];
 
 /// The number of μ points of a full (not `--quick`) run.
 pub const MU_POINTS: usize = 9;
+
+/// Cost of one step of a shared open-loop run, in steps of a per-μ run:
+/// `(SHARED_STEP_BASE + SHARED_STEP_PER_LANE · lanes) / SHARED_STEP_UNIT`.
+/// Measured on a 2-vCPU Xeon VM, release build, best of 300 interleaved
+/// runs of a free-RO Fig. 9 point (5 200 samples, `t_clk = c`,
+/// `T_e = 37.5c`): a per-μ run took 261 µs, a one-lane shared run 263 µs
+/// and a nine-lane one 650 µs: 0.81 of a step plus ~0.19 per lane (the
+/// fixed clock's lanes cost the same ~8.5 ns per sample).
+const SHARED_STEP_BASE: u64 = 81;
+const SHARED_STEP_PER_LANE: u64 = 19;
+const SHARED_STEP_UNIT: u64 = 100;
 
 /// The four schemes every panel runs at each μ, in dispatch order.
 pub(crate) fn panel_schemes() -> [Scheme; 4] {
@@ -63,8 +76,8 @@ pub fn run_panel(
 /// open-loop `(panel, scheme)` covering every μ with one shared run (the
 /// free RO's and the fixed clock's edges do not depend on what the sensor
 /// reads), and one per closed-loop `(panel, scheme, μ)`, all through a
-/// single [`parallel_map_planned`] call, so the workers never wait at a
-/// panel boundary. Each panel is then assembled from its own tasks.
+/// single [`cached_map`] call, so the workers never wait at a panel
+/// boundary. Each panel is then assembled from its own tasks.
 fn run_panels(ctx: &RunCtx, panels: &[(f64, f64)], points: usize) -> Vec<ExperimentResult> {
     let mus = linear_grid(-0.2, 0.2, points);
     let schemes = panel_schemes();
@@ -91,28 +104,40 @@ fn run_panels(ctx: &RunCtx, panels: &[(f64, f64)], points: usize) -> Vec<Experim
             }));
         }
     }
-    let summaries = parallel_map_planned(
+    let summaries = cached_map(
+        ctx,
         &tasks,
-        |t| summaries_probe(ctx, t.scheme, t.point, t.mus),
+        Codec::SUMMARY,
+        |t| {
+            t.mus
+                .iter()
+                .map(|&mu| summary_key(&ctx.params, t.scheme, t.point.with_mu(mu)))
+                .collect()
+        },
+        // The cost of `summaries_compute`, in per-μ run steps.
+        |t| {
+            let samples = ctx.params.samples_for(t.point.te_over_c) as u64;
+            let lanes = t.mus.len() as u64;
+            if t.scheme.is_open_loop() {
+                samples * (SHARED_STEP_BASE + SHARED_STEP_PER_LANE * lanes) / SHARED_STEP_UNIT
+            } else {
+                samples * lanes
+            }
+        },
         |t| summaries_compute(ctx, t.scheme, t.point, t.mus),
-        &ctx.telemetry,
     );
+    let mut runs = vec![Vec::new(); panels.len()];
+    let labels = tasks
+        .iter()
+        .flat_map(|t| t.mus.iter().map(move |&mu| (t, mu)));
+    for ((t, mu), summary) in labels.zip(summaries) {
+        runs[t.panel].push((t.scheme.label(), mu, summary));
+    }
     panels
         .iter()
-        .enumerate()
-        .map(|(p, &(t_clk_over_c, te_over_c))| {
-            let labelled: Vec<(&'static str, f64, RunSummary)> = tasks
-                .iter()
-                .zip(&summaries)
-                .filter(|(t, _)| t.panel == p)
-                .flat_map(|(t, s)| {
-                    t.mus
-                        .iter()
-                        .zip(s)
-                        .map(|(&mu, s)| (t.scheme.label(), mu, *s))
-                })
-                .collect();
-            assemble_panel(ctx, t_clk_over_c, te_over_c, &mus, &labelled)
+        .zip(&runs)
+        .map(|(&(t_clk_over_c, te_over_c), runs)| {
+            assemble_panel(ctx, t_clk_over_c, te_over_c, &mus, runs)
         })
         .collect()
 }
@@ -210,7 +235,7 @@ mod tests {
     use super::*;
     use crate::cache::SweepCache;
     use crate::config::PaperParams;
-    use crate::runner::{summary_compute, summary_key};
+    use crate::runner::summarize_scheme;
     use clock_telemetry::Telemetry;
 
     fn ctx() -> RunCtx {
@@ -377,7 +402,7 @@ mod tests {
         };
         for scheme in panel_schemes() {
             for &mu in &mus {
-                let want = summary_compute(&ctx(), &scheme, panel.with_mu(mu))
+                let want = summarize_scheme(&ctx(), scheme.clone(), panel.with_mu(mu))
                     .to_values()
                     .map(f64::to_bits)
                     .to_vec();
@@ -402,7 +427,7 @@ mod tests {
         let per_mu_ctx = ctx().with_telemetry(per_mu.clone());
         for scheme in panel_schemes() {
             for mu in linear_grid(-0.2, 0.2, 5) {
-                summary_compute(&per_mu_ctx, &scheme, panel.with_mu(mu));
+                summarize_scheme(&per_mu_ctx, scheme.clone(), panel.with_mu(mu));
             }
         }
         let (a, b) = (shared.snapshot(), per_mu.snapshot());

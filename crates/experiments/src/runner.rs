@@ -1,8 +1,9 @@
 //! Shared machinery for running scheme comparisons at one operating point:
 //! the [`RunCtx`] every experiment threads through its pipeline, the
 //! compact per-run summary the result cache stores instead of the full
-//! trace, and the declarative [`SweepSpec`] pipeline Fig.-8-style panels
-//! are built from.
+//! trace, `cached_map` (the one probe, compute and write-back protocol
+//! of every cached grid), and the declarative [`SweepSpec`] pipeline
+//! Fig.-8-style panels are built from.
 
 use adaptive_clock::event::{SummarySink, TraceSink};
 pub use adaptive_clock::system::RunSummary;
@@ -32,9 +33,10 @@ pub struct RunCtx {
     pub cache: SweepCache,
     /// Instrumentation handle (disabled by default).
     pub telemetry: Telemetry,
-    /// Cooperative cancellation token consulted once per grid point
-    /// (never fires by default). The experiment service arms this with
-    /// the job's cancel flag and wall-clock deadline.
+    /// Cooperative cancellation token (never fires by default), checked
+    /// by `cached_map` before each cached task's probe and compute. The
+    /// experiment service arms this with the job's cancel flag and
+    /// wall-clock deadline.
     pub cancel: CancelToken,
 }
 
@@ -63,9 +65,10 @@ impl RunCtx {
         self
     }
 
-    /// Attach a cancellation token. Sweeps consult it at every grid
-    /// point (probe and compute), so a fired token stops an experiment
-    /// within one point's wall time.
+    /// Attach a cancellation token. Every cached sweep goes through
+    /// `cached_map`, which checks it before each task's probe and
+    /// compute, so a fired token stops such an experiment within one
+    /// task's wall time. The uncached leaves run to their end.
     #[must_use]
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = cancel;
@@ -152,7 +155,7 @@ pub fn run_scheme(ctx: &RunCtx, scheme: Scheme, point: OperatingPoint) -> RunTra
 /// [`SummarySink`], without recording the trace: bit-identical to
 /// `RunSummary::of(&run_scheme(ctx, scheme, point))`, with the same
 /// telemetry.
-fn summarize_scheme(ctx: &RunCtx, scheme: Scheme, point: OperatingPoint) -> RunSummary {
+pub(crate) fn summarize_scheme(ctx: &RunCtx, scheme: Scheme, point: OperatingPoint) -> RunSummary {
     let (system, hodv, samples) = system_at(ctx, scheme, point);
     system.run_with(&hodv, samples, SummarySink::with_warmup(ctx.params.warmup))
 }
@@ -171,73 +174,17 @@ pub fn summary_key(params: &PaperParams, scheme: &Scheme, point: OperatingPoint)
         .finish()
 }
 
-/// A standard run's summary from `ctx.cache`, if it holds one.
-fn cached_summary(ctx: &RunCtx, scheme: &Scheme, point: OperatingPoint) -> Option<RunSummary> {
-    ctx.cache
-        .get_f64s(summary_key(&ctx.params, scheme, point), RunSummary::FIELDS)
-        .and_then(|v| RunSummary::from_values(&v))
-}
-
-/// Probe `ctx.cache` for a standard run's summary: `Ready` on a hit,
-/// `Compute` with the point's simulated-step budget (the scheduler's cost
-/// hint) on a miss.
-pub fn summary_probe(ctx: &RunCtx, scheme: &Scheme, point: OperatingPoint) -> Plan<RunSummary> {
-    match cached_summary(ctx, scheme, point) {
-        Some(summary) => Plan::Ready(summary),
-        None => Plan::Compute(ctx.params.samples_for(point.te_over_c) as u64),
-    }
-}
-
-/// Cost of one step of a shared open-loop run, in steps of a per-μ run:
-/// `(SHARED_STEP_BASE + SHARED_STEP_PER_LANE · lanes) / SHARED_STEP_UNIT`.
-/// Measured on a 2-vCPU Xeon VM, release build, best of 300 interleaved
-/// runs of a free-RO Fig. 9 point (5 200 samples, `t_clk = c`,
-/// `T_e = 37.5c`): a per-μ run took 261 µs, a one-lane shared run 263 µs
-/// and a nine-lane one 650 µs: 0.81 of a step plus ~0.19 per lane (the
-/// fixed clock's lanes cost the same ~8.5 ns per sample).
-const SHARED_STEP_BASE: u64 = 81;
-const SHARED_STEP_PER_LANE: u64 = 19;
-const SHARED_STEP_UNIT: u64 = 100;
-
-/// Probe `ctx.cache` for every `(scheme, μ)` point of a μ sweep at
-/// `point` (its own μ is ignored): `Ready` only when all of them hit,
-/// else `Compute` with the cost of [`summaries_compute`] in per-μ run
-/// steps. Every key is probed (no short-circuit), so the cache's hit and
-/// miss counts stay per grid point.
-pub fn summaries_probe(
-    ctx: &RunCtx,
-    scheme: &Scheme,
-    point: OperatingPoint,
-    mus: &[f64],
-) -> Plan<Vec<RunSummary>> {
-    let hits: Vec<Option<RunSummary>> = mus
-        .iter()
-        .map(|&mu| cached_summary(ctx, scheme, point.with_mu(mu)))
-        .collect();
-    if let Some(summaries) = hits.into_iter().collect() {
-        return Plan::Ready(summaries);
-    }
-    let samples = ctx.params.samples_for(point.te_over_c) as u64;
-    let lanes = mus.len() as u64;
-    Plan::Compute(if scheme.is_open_loop() {
-        samples * (SHARED_STEP_BASE + SHARED_STEP_PER_LANE * lanes) / SHARED_STEP_UNIT
-    } else {
-        samples * lanes
-    })
-}
-
 /// The summaries of `scheme` at `point` for every μ of `mus`, each
-/// bit-identical to [`summary_compute`] at that μ, and backfill every
-/// `(scheme, μ)` key. An open-loop scheme ([`Scheme::is_open_loop`]) makes
-/// one shared run for all of them ([`System::run_offsets`]); a closed-loop
-/// one runs each μ.
-pub fn summaries_compute(
+/// bit-identical to a run of that μ alone. An open-loop scheme
+/// ([`Scheme::is_open_loop`]) makes one shared run for all of them
+/// ([`System::run_offsets`]); a closed-loop one runs each μ.
+pub(crate) fn summaries_compute(
     ctx: &RunCtx,
     scheme: &Scheme,
     point: OperatingPoint,
     mus: &[f64],
 ) -> Vec<RunSummary> {
-    let summaries: Vec<RunSummary> = if scheme.is_open_loop() {
+    if scheme.is_open_loop() {
         let (system, hodv, samples) = system_at(ctx, scheme.clone(), point);
         let c = ctx.params.setpoint as f64;
         let offsets: Vec<f64> = mus.iter().map(|&mu| mu * c).collect();
@@ -250,24 +197,96 @@ pub fn summaries_compute(
         mus.iter()
             .map(|&mu| summarize_scheme(ctx, scheme.clone(), point.with_mu(mu)))
             .collect()
-    };
-    for (&mu, summary) in mus.iter().zip(&summaries) {
-        ctx.cache.put_f64s(
-            summary_key(&ctx.params, scheme, point.with_mu(mu)),
-            &summary.to_values(),
-        );
     }
-    summaries
 }
 
-/// Run the point for real, summarize, and backfill the cache.
-pub fn summary_compute(ctx: &RunCtx, scheme: &Scheme, point: OperatingPoint) -> RunSummary {
-    let summary = summarize_scheme(ctx, scheme.clone(), point);
-    ctx.cache.put_f64s(
-        summary_key(&ctx.params, scheme, point),
-        &summary.to_values(),
-    );
-    summary
+/// How one kind of cached record travels through [`SweepCache`] as a flat
+/// `f64` payload.
+pub(crate) struct Codec<T, R> {
+    /// The payload length, or `None` when it depends on the data. A record
+    /// of any other length is a miss, and the recompute overwrites it.
+    pub arity: Option<usize>,
+    /// The payload of a record.
+    pub encode: fn(&R) -> Vec<f64>,
+    /// The record a payload of the right length holds for a task.
+    pub decode: fn(&T, Vec<f64>) -> R,
+}
+
+impl<T> Codec<T, f64> {
+    /// One `f64` per record.
+    pub const SCALAR: Self = Codec {
+        arity: Some(1),
+        encode: |&y| vec![y],
+        decode: |_, v| v[0],
+    };
+}
+
+impl<T> Codec<T, RunSummary> {
+    /// One [`RunSummary`] per record, in its `to_values` layout.
+    pub const SUMMARY: Self = Codec {
+        arity: Some(RunSummary::FIELDS),
+        encode: |s| s.to_values().to_vec(),
+        decode: |_, v| RunSummary::from_values(&v).expect("the arity is checked"),
+    };
+}
+
+/// Map `compute` over `tasks` through `ctx.cache`: the one probe, compute
+/// and write-back protocol of every cached grid.
+///
+/// A task owns the records `keys(task)` names. The probe looks up every
+/// key (no short-circuit, so the cache's hit and miss counts stay per
+/// record) and settles the task only when all of them hit. Otherwise the
+/// task goes to [`parallel_map_planned`] with the cost hint `cost(task)`;
+/// `compute(task)` returns one record per key, and every key is written
+/// back. `ctx.cancel` is checked before each probe and each compute, so a
+/// fired token unwinds with [`SweepCancelled`](crate::sweep::SweepCancelled)
+/// within one task. A call with one task to compute runs it on the calling
+/// thread.
+///
+/// Returns the records of every task, in task order and then key order.
+pub(crate) fn cached_map<T, R>(
+    ctx: &RunCtx,
+    tasks: &[T],
+    codec: Codec<T, R>,
+    keys: impl Fn(&T) -> Vec<Key> + Sync,
+    cost: impl Fn(&T) -> u64,
+    compute: impl Fn(&T) -> Vec<R> + Sync,
+) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+{
+    let probe = |task: &T| {
+        ctx.cancel.check();
+        let hits: Vec<Option<R>> = keys(task)
+            .into_iter()
+            .map(|key| {
+                match codec.arity {
+                    Some(n) => ctx.cache.get_f64s(key, n),
+                    None => ctx.cache.get_f64s_any(key),
+                }
+                .map(|values| (codec.decode)(task, values))
+            })
+            .collect();
+        match hits.into_iter().collect() {
+            Some(records) => Plan::Ready(records),
+            None => Plan::Compute(cost(task)),
+        }
+    };
+    let run = |task: &T| {
+        ctx.cancel.check();
+        let records = compute(task);
+        let keys = keys(task);
+        assert_eq!(records.len(), keys.len(), "one record per cache key");
+        for (key, record) in keys.into_iter().zip(&records) {
+            ctx.cache.put_f64s(key, &(codec.encode)(record));
+        }
+        records
+    };
+    parallel_map_planned(tasks, probe, run, &ctx.telemetry)
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
 /// The relative adaptive period `⟨T_clk⟩/T_fixed` of `scheme` at the
@@ -331,19 +350,20 @@ where
         // real even though the baselines' engine events are dropped.
         let mut stage_scope = ctx.telemetry.scope("sweep.stage");
         stage_scope.attr("schemes", lineup.len());
-        parallel_map_planned(
+        cached_map(
+            ctx,
             &tasks,
+            Codec::SUMMARY,
+            |&(row, x)| vec![summary_key(&ctx.params, lineup[row].1, (spec.point_at)(x))],
+            |&(_, x)| ctx.params.samples_for((spec.point_at)(x).te_over_c) as u64,
             |&(row, x)| {
-                ctx.cancel.check();
                 let (run_ctx, scheme) = lineup[row];
-                summary_probe(run_ctx, scheme, (spec.point_at)(x))
+                vec![summarize_scheme(
+                    run_ctx,
+                    scheme.clone(),
+                    (spec.point_at)(x),
+                )]
             },
-            |&(row, x)| {
-                ctx.cancel.check();
-                let (run_ctx, scheme) = lineup[row];
-                summary_compute(run_ctx, scheme, (spec.point_at)(x))
-            },
-            &ctx.telemetry,
         )
     };
     let fixed = &summaries[..n];
@@ -377,6 +397,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::{CancelReason, SweepCancelled};
+    use std::panic::AssertUnwindSafe;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn operating_point_builders() {
@@ -464,15 +488,15 @@ mod tests {
         let fixed: Vec<RunSummary> = spec
             .grid
             .iter()
-            .map(|&x| summary_compute(&ctx.unobserved(), &Scheme::Fixed, (spec.point_at)(x)))
+            .map(|&x| summarize_scheme(&ctx.unobserved(), Scheme::Fixed, (spec.point_at)(x)))
             .collect();
         assert_eq!(swept.series.len(), spec.schemes.len());
         for (series, scheme) in swept.series.iter().zip(&spec.schemes) {
             assert_eq!(series.label, scheme.label());
             assert_eq!(series.x, spec.grid);
             for ((&x, &y), baseline) in series.x.iter().zip(&series.y).zip(&fixed) {
-                let direct =
-                    summary_compute(&ctx, scheme, (spec.point_at)(x)).relative_to(baseline);
+                let direct = summarize_scheme(&ctx, scheme.clone(), (spec.point_at)(x))
+                    .relative_to(baseline);
                 assert_eq!(y.to_bits(), direct.to_bits(), "{} at x = {x}", series.label);
             }
         }
@@ -494,6 +518,136 @@ mod tests {
         assert!(!dispatched.is_empty());
         for span in dispatched {
             assert_eq!(span.parent, stage[0].id, "{} outside the stage", span.name);
+        }
+    }
+
+    /// Key `k` of toy task `task`.
+    fn toy_key(task: u64, k: u64) -> Key {
+        crate::cache::key("toy")
+            .u64("task", task)
+            .u64("k", k)
+            .finish()
+    }
+
+    /// Toy task `t` owns `t + 1` keys and computes `10 t + k` for key `k`;
+    /// `calls` counts the computes.
+    fn toy_map(ctx: &RunCtx, tasks: &[u64], calls: &AtomicUsize) -> Vec<f64> {
+        cached_map(
+            ctx,
+            tasks,
+            Codec::SCALAR,
+            |&t| (0..=t).map(|k| toy_key(t, k)).collect(),
+            |&t| t + 1,
+            |&t| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                (0..=t).map(|k| (10 * t + k) as f64).collect()
+            },
+        )
+    }
+
+    /// A context on a fresh in-memory cache, and the cache's telemetry.
+    fn memory_ctx() -> (RunCtx, SweepCache, Telemetry) {
+        let telemetry = Telemetry::enabled();
+        let cache = SweepCache::in_memory(&telemetry);
+        let ctx = RunCtx::new(PaperParams::default()).with_cache(cache.clone());
+        (ctx, cache, telemetry)
+    }
+
+    /// A cache's `(cache.hits, cache.misses)` counters.
+    fn counts(telemetry: &Telemetry) -> (u64, u64) {
+        let snap = telemetry.snapshot();
+        let count = |name| snap.counter(name).unwrap_or(0);
+        (count("cache.hits"), count("cache.misses"))
+    }
+
+    #[test]
+    fn cached_map_settles_an_all_hit_task_without_computing() {
+        let (ctx, cache, telemetry) = memory_ctx();
+        for k in 0..3 {
+            cache.put_f64s(toy_key(2, k), &[-(k as f64)]);
+        }
+        let calls = AtomicUsize::new(0);
+        assert_eq!(toy_map(&ctx, &[2], &calls), [0.0, -1.0, -2.0]);
+        assert_eq!(calls.load(Ordering::Relaxed), 0);
+        assert_eq!(counts(&telemetry), (3, 0));
+    }
+
+    /// One stale key of three: the task computes, every key is rewritten,
+    /// and each of the six keys of three tasks is probed exactly once.
+    #[test]
+    fn cached_map_recomputes_a_partly_hit_task_and_rewrites_every_key() {
+        let (ctx, cache, telemetry) = memory_ctx();
+        cache.put_f64s(toy_key(2, 1), &[99.0]);
+        cache.put_f64s(toy_key(0, 0), &[7.0]);
+        let calls = AtomicUsize::new(0);
+        let records = toy_map(&ctx, &[0, 1, 2], &calls);
+        assert_eq!(records, [7.0, 10.0, 11.0, 20.0, 21.0, 22.0]);
+        assert_eq!(calls.load(Ordering::Relaxed), 2, "tasks 1 and 2 compute");
+        let (hits, misses) = counts(&telemetry);
+        assert_eq!((hits, misses), (2, 4));
+        assert_eq!(hits + misses, 6, "one probe per key");
+        for (t, k, want) in [
+            (1, 0, 10.0),
+            (1, 1, 11.0),
+            (2, 0, 20.0),
+            (2, 1, 21.0),
+            (2, 2, 22.0),
+        ] {
+            assert_eq!(cache.get_f64s(toy_key(t, k), 1), Some(vec![want]));
+        }
+    }
+
+    #[test]
+    fn cached_map_counts_a_wrong_arity_record_as_a_miss_and_overwrites_it() {
+        let (ctx, cache, telemetry) = memory_ctx();
+        cache.put_f64s(toy_key(0, 0), &[1.0, 2.0]);
+        let calls = AtomicUsize::new(0);
+        assert_eq!(toy_map(&ctx, &[0], &calls), [0.0]);
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
+        assert_eq!(counts(&telemetry), (0, 1));
+        assert_eq!(cache.get_f64s(toy_key(0, 0), 1), Some(vec![0.0]));
+    }
+
+    /// A fired token stops a task at its probe, even one the cache would
+    /// settle, and a token that fires after the probe stops the task
+    /// before its compute; nothing is computed or written either way.
+    #[test]
+    fn cached_map_checks_the_token_before_each_probe_and_compute() {
+        for fired_before_probe in [true, false] {
+            let (ctx, cache, telemetry) = memory_ctx();
+            if fired_before_probe {
+                cache.put_f64s(toy_key(0, 0), &[5.0]);
+            }
+            let written = telemetry.snapshot().counter("cache.bytes_written");
+            let flag = Arc::new(AtomicBool::new(fired_before_probe));
+            let ctx = ctx.with_cancel(CancelToken::new(Arc::clone(&flag), None));
+            let calls = AtomicUsize::new(0);
+            let payload = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                cached_map(
+                    &ctx,
+                    &[0u64],
+                    Codec::SCALAR,
+                    |&t| vec![toy_key(t, 0)],
+                    |_| {
+                        flag.store(true, Ordering::Relaxed);
+                        1
+                    },
+                    |_| {
+                        calls.fetch_add(1, Ordering::Relaxed);
+                        vec![1.0]
+                    },
+                )
+            }))
+            .expect_err("a fired token unwinds");
+            assert_eq!(
+                payload.downcast_ref::<SweepCancelled>(),
+                Some(&SweepCancelled(CancelReason::Cancelled))
+            );
+            assert_eq!(calls.load(Ordering::Relaxed), 0);
+            let probed = if fired_before_probe { (0, 0) } else { (0, 1) };
+            assert_eq!(counts(&telemetry), probed);
+            let snap = telemetry.snapshot();
+            assert_eq!(snap.counter("cache.bytes_written"), written);
         }
     }
 

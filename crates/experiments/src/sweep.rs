@@ -28,7 +28,8 @@
 //! # Cooperative cancellation
 //!
 //! A [`CancelToken`] (threaded through `RunCtx`) makes long sweeps
-//! abandonable: call sites check the token between grid points, and a
+//! abandonable: `runner::cached_map`, which every cached grid runs
+//! through, checks the token before each task's probe and compute, and a
 //! fired token unwinds with a [`SweepCancelled`] payload that the sweep
 //! propagates immediately (no further items are claimed) and the job
 //! supervisor maps to a `cancelled`/`timeout` terminal state.
