@@ -33,6 +33,7 @@
 use std::collections::VecDeque;
 
 use clock_telemetry::{Counter, Event as TelemetryEvent, Telemetry};
+use variation::rng::{SplitMix64, PHI};
 use variation::sources::Waveform;
 
 use crate::cdn::Cdn;
@@ -76,20 +77,7 @@ impl PeriodJitter {
             return 0.0;
         }
         // splitmix64 stream seeded per edge
-        let mut x = self.seed ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let mut next = || {
-            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = x;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        // Irwin–Hall with n = 12: sum of 12 uniforms − 6 ≈ N(0, 1)
-        let mut s = 0.0f64;
-        for _ in 0..12 {
-            s += (next() >> 11) as f64 / (1u64 << 53) as f64;
-        }
-        self.sigma * (s - 6.0)
+        self.sigma * SplitMix64::new(self.seed ^ k.wrapping_mul(PHI)).normal()
     }
 }
 

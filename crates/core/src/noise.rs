@@ -2,24 +2,20 @@
 //! models: pure functions of `(seed, key)`, so simulations stay exactly
 //! reproducible and waveforms may be sampled in any order.
 
-/// One splitmix64 scramble.
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use variation::rng::{SplitMix64, PHI};
 
 /// A standard-normal-ish sample (Irwin–Hall with n = 12, bounded ±6) that
-/// is a pure function of `(seed, key)`.
+/// is a pure function of `(seed, key)`: the stream starts one φ step past
+/// the per-edge jitter stream of the same seed and key.
+///
+/// Inlined into `Tdc::read`, so the read stays one out-of-line call from
+/// the event loop's worst-reading scan; left to the inliner, the read
+/// itself inlines into the scan, and `repro --no-cache fig9` and
+/// `ext-faults` ran 2–4% slower on a 2-vCPU Xeon VM with sensor noise
+/// off.
+#[inline]
 pub fn hash_gauss(seed: u64, key: u64) -> f64 {
-    let mut x = seed ^ key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let mut s = 0.0f64;
-    for _ in 0..12 {
-        x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        s += (splitmix(x) >> 11) as f64 / (1u64 << 53) as f64;
-    }
-    s - 6.0
+    SplitMix64::new((seed ^ key.wrapping_mul(PHI)).wrapping_add(PHI)).normal()
 }
 
 /// A key derived from a measurement time: quantizes `t` to 2⁻²⁰ stage

@@ -8,7 +8,7 @@
 //!   bank of Fig. 4 recurrences advanced one [`DiscreteLoop`] at a time
 //!   versus all lanes through the blocked [`BatchLoop`] engine, at
 //!   B ∈ {16 (the `loop-*` bank), 4, 16, 64, 256} lanes, plus the
-//!   multi-threaded lane-chunk dispatcher at 64+ lanes;
+//!   same bank in 16-lane ranges over the sweep worker pool at 64+ lanes;
 //! - **cold vs warm result cache** (`fig9-*`) — a Fig. 9 panel through
 //!   [`fig9::run_panel`] with a [`RunCtx`] cache attached, against an
 //!   empty and a fully-populated on-disk store;
@@ -44,14 +44,13 @@ use clock_telemetry::Telemetry;
 use variation::process::ProcessSpec;
 use variation::sources::Harmonic;
 
-use crate::batchrun::run_chunks;
 use crate::cache::SweepCache;
 use crate::config::PaperParams;
 use crate::fig9;
 use crate::montecarlo::{McPanel, Scheme as McScheme};
 use crate::render::Table;
 use crate::runner::{run_scheme, OperatingPoint, RunCtx, RunSummary};
-use crate::sweep::{parallel_map, parallel_map_planned, Plan};
+use crate::sweep::{lane_ranges, parallel_map, CancelToken};
 
 /// One timed benchmark case.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -277,6 +276,7 @@ pub fn run(params: &PaperParams, quick: bool) -> BenchReport {
     let pick = |quick_size: usize, full_size: usize| if quick { quick_size } else { full_size };
     let (c, workers) = (params.setpoint, crate::sweep::pool_size());
     let off = &Telemetry::disabled();
+    let never = &CancelToken::never();
     let (cs, zero) = (&constant(c as f64), &constant(0.0));
     let amp = params.amplitude();
     let e_fn = &move |n: i64| amp * (std::f64::consts::TAU * n as f64 / 37.5).sin();
@@ -364,15 +364,14 @@ pub fn run(params: &PaperParams, quick: bool) -> BenchReport {
         "48-item sweep, 4 heavy tail items ({heavy} vs {light} spin iterations), \
          submission-order dispatch, {workers} workers"
     );
-    // `parallel_map` gives every item a uniform cost hint, so the stable
-    // sort leaves the submission order intact: chunked FIFO.
-    let setup = move || timed(move || parallel_map(costs, spin));
+    // A uniform cost hint lets the stable sort keep the submission order
+    // intact: chunked FIFO.
+    let setup = move || timed(move || parallel_map(costs, |_| 1, spin, off, never));
     rows.push(Row::new("sweep-fifo", &detail, steps, setup));
     let detail = format!(
         "same sweep, longest-job-first dispatch from per-item cost hints, {workers} workers"
     );
-    let plan = |&it: &u64| Plan::<f64>::Compute(it);
-    let setup = move || timed(move || parallel_map_planned(costs, plan, spin, off));
+    let setup = move || timed(move || parallel_map(costs, |&it| it, spin, off, never));
     rows.push(Row::new("sweep-ljf", &detail, steps, setup).against("sweep-fifo"));
 
     // Lane-count scaling on the mixed-scheme bank, and at 64+ lanes the
@@ -393,15 +392,17 @@ pub fn run(params: &PaperParams, quick: bool) -> BenchReport {
             let detail = format!(
                 "{b} lanes x {n} periods, blocked engine in 16-lane chunks across {workers} workers"
             );
-            let chunk = move |lanes: Range<usize>| {
+            let chunk = move |lanes: &Range<usize>| {
                 let inputs: Vec<_> = lanes.clone().map(|_| shared()).collect();
                 let mut part = BatchLoop::new();
-                for (m, ctrl, q) in scaling_specs(c, lanes) {
+                for (m, ctrl, q) in scaling_specs(c, lanes.clone()) {
                     part.push(m, ctrl, q);
                 }
                 part.run(&inputs, n, TraceSink::default())
             };
-            let setup = move || timed(move || BatchTrace::concat(&run_chunks(b, 16, off, chunk)));
+            let width = |r: &Range<usize>| r.len() as u64;
+            let chunks = move || parallel_map(&lane_ranges(b, 16), width, chunk, off, never);
+            let setup = move || timed(move || BatchTrace::concat(&chunks()));
             let dispatch = format!("lanes-{b:03}-dispatch");
             rows.push(Row::new(&dispatch, &detail, steps, setup));
         }

@@ -183,14 +183,15 @@ impl SweepCache {
     }
 
     /// The one lookup body: a record that is absent, undecodable or of the
-    /// wrong arity counts as a miss.
+    /// wrong arity counts as a miss, on the store's stats and on the
+    /// telemetry counters alike.
     fn lookup(&self, key: Key, expect_len: Option<usize>) -> Option<Vec<f64>> {
         let store = self.store.as_ref()?;
         let _scope = self.telemetry.scope("cache.get");
-        let decoded = store
-            .get(key)
-            .and_then(|bytes| payload::decode_f64s(&bytes))
-            .filter(|values| expect_len.is_none_or(|n| values.len() == n));
+        let decoded = store.get_with(key, |bytes| {
+            payload::decode_f64s(&bytes)
+                .filter(|values| expect_len.is_none_or(|n| values.len() == n))
+        });
         match &decoded {
             Some(_) => self.telemetry.counter("cache.hits").inc(),
             None => self.telemetry.counter("cache.misses").inc(),

@@ -28,6 +28,7 @@ use adaptive_clock::tdc::Quantization;
 use clock_faults::FaultSchedule;
 use clock_mesh::{Mesh, Scenario, Topology};
 use clock_rescache::Key;
+use variation::rng::SplitMix64;
 
 use crate::cache::{key, CacheKeyExt};
 use crate::render::{fmt, Table};
@@ -85,14 +86,6 @@ pub struct MeshCell {
 
 const PAYLOAD: usize = 13;
 
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 fn topology_for(name: &str, c: f64) -> Topology {
     let cdn = Cdn::new(c).expect("one set-point period is a valid CDN delay");
     match name {
@@ -137,8 +130,8 @@ fn scenario_for(name: &str) -> (Scenario, Option<usize>) {
 /// carries this offset (stages), |v| ≤ 2.5 — inside the boundary
 /// tolerance, so nominal skews never quarantine.
 fn variation_for(d: usize) -> f64 {
-    let mut s = MESH_SEED ^ (d as u64).wrapping_mul(0xA076_1D64_78BD_642F);
-    ((splitmix(&mut s) % 11) as f64) / 2.0 - 2.5
+    let seed = MESH_SEED ^ (d as u64).wrapping_mul(0xA076_1D64_78BD_642F);
+    ((SplitMix64::new(seed).next() % 11) as f64) / 2.0 - 2.5
 }
 
 fn build_mesh(ctx: &RunCtx, topology: &str) -> Mesh {

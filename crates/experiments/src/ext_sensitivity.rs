@@ -15,6 +15,8 @@
 //! evidence that the whole simulation tower and the paper's Eq. (4)–(5)
 //! algebra describe the same system.
 
+use std::ops::Range;
+
 use adaptive_clock::batch::{BatchLoop, BatchTrace, TraceSink};
 use adaptive_clock::controller::{Controller, IirConfig};
 use adaptive_clock::event::SummarySink;
@@ -28,7 +30,7 @@ use crate::cache::CacheKeyExt as _;
 use crate::render::{fmt, Table};
 use crate::results::{ExperimentResult, Series};
 use crate::runner::{cached_map, Codec, RunCtx};
-use crate::sweep::log_grid;
+use crate::sweep::{lane_ranges, log_grid, parallel_map, CancelToken};
 
 /// Predicted error amplitude for perturbation period `te_over_c` and CDN
 /// depth `m` (whole periods), per unit perturbation amplitude.
@@ -114,7 +116,7 @@ pub fn run(ctx: &RunCtx, points: usize) -> ExperimentResult {
 /// The same error-amplitude sweep on the fixed-`M` discrete loop — the
 /// system the prediction is actually derived for — with every `T_e` lane
 /// advanced in lock-step by the blocked SoA batch engine and the lanes
-/// spread over the sweep worker pool by the lane-chunk dispatcher. Lane
+/// spread over the sweep worker pool in 8-lane ranges. Lane
 /// independence makes the recombined trace bit-identical to one
 /// whole-batch [`BatchLoop::run`] call for any worker count, which is
 /// what keeps the golden `everything` fixture stable across machines.
@@ -127,7 +129,7 @@ fn batched_errors(
     // Settle even the slowest lane, then measure over the second half.
     let slowest = tes.iter().copied().fold(0.0f64, f64::max);
     let steps = 2000 + (12.0 * slowest) as usize;
-    let parts = crate::batchrun::run_chunks(tes.len(), 8, telemetry, |range| {
+    let run = |range: &Range<usize>| {
         let mut batch = BatchLoop::new();
         for _ in range.clone() {
             batch.push(
@@ -140,6 +142,7 @@ fn batched_errors(
         let setpoint = constant(c as f64);
         let zero = constant(0.0);
         let e_fns: Vec<Box<dyn Fn(i64) -> f64 + Sync>> = range
+            .clone()
             .map(|lane| {
                 let te = tes[lane];
                 Box::new(move |n: i64| amp * (std::f64::consts::TAU * n as f64 / te).sin())
@@ -155,7 +158,15 @@ fn batched_errors(
             })
             .collect();
         batch.run(&inputs, steps, TraceSink::default())
-    });
+    };
+    let ranges = lane_ranges(tes.len(), 8);
+    let parts = {
+        let mut dispatch = telemetry.scope("batch.dispatch");
+        dispatch.attr("lanes", tes.len());
+        dispatch.attr("chunks", ranges.len());
+        let never = CancelToken::never();
+        parallel_map(&ranges, |r| r.len() as u64, run, telemetry, &never)
+    };
     let trace = {
         let _recombine = telemetry.scope("batch.recombine");
         BatchTrace::concat(&parts)

@@ -8,9 +8,11 @@
 //! classical phase margin of the open loop.
 
 use adaptive_clock::controller::IirConfig;
+use clock_telemetry::Telemetry;
 use zdomain::{closedloop, margins, TransferFunction};
 
 use crate::render::{fmt, Table};
+use crate::runner::RunCtx;
 use crate::sweep::parallel_map;
 
 /// One row of the stability map.
@@ -87,9 +89,16 @@ pub fn analyze(label: &str, config: &IirConfig, max_m: usize) -> StabilityRow {
 }
 
 /// Run the full map, one gain set per sweep worker (the rows are
-/// independent, so the map is the same at any worker count).
-pub fn run(max_m: usize) -> Vec<StabilityRow> {
-    parallel_map(&candidates(), |(label, cfg)| analyze(label, cfg, max_m))
+/// independent, so the map is the same at any worker count); a fired
+/// `ctx.cancel` stops it before the next gain set.
+pub fn run(ctx: &RunCtx, max_m: usize) -> Vec<StabilityRow> {
+    parallel_map(
+        &candidates(),
+        |_| 1,
+        |(label, cfg)| analyze(label, cfg, max_m),
+        &Telemetry::disabled(),
+        &ctx.cancel,
+    )
 }
 
 /// Render the map.
@@ -123,6 +132,11 @@ pub fn render(rows: &[StabilityRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PaperParams;
+
+    fn map(max_m: usize) -> Vec<StabilityRow> {
+        run(&RunCtx::new(PaperParams::default()), max_m)
+    }
 
     #[test]
     fn every_candidate_is_eq10_compliant_and_stable_at_m1() {
@@ -139,7 +153,7 @@ mod tests {
 
     #[test]
     fn slower_gains_tolerate_deeper_cdn() {
-        let rows = run(200);
+        let rows = map(200);
         let get = |needle: &str| {
             rows.iter()
                 .find(|r| r.label.contains(needle))
@@ -159,7 +173,7 @@ mod tests {
 
     #[test]
     fn phase_margin_consistent_with_radius() {
-        for row in run(60) {
+        for row in map(60) {
             if let Some(pm) = row.phase_margin_deg {
                 assert_eq!(
                     pm > 0.0,
@@ -174,7 +188,7 @@ mod tests {
 
     #[test]
     fn render_contains_all_rows() {
-        let text = render(&run(60));
+        let text = render(&map(60));
         for (label, _) in candidates() {
             let head: String = label.chars().take(12).collect();
             assert!(text.contains(&head), "missing {label}");

@@ -11,16 +11,18 @@ use variation::sources::{Harmonic, SingleEvent};
 
 use crate::render::{ascii_chart, fmt, Table};
 use crate::results::{ExperimentResult, Series};
-use crate::sweep::{parallel_map_planned, Plan};
+use crate::runner::RunCtx;
+use crate::sweep::{parallel_map, CancelToken};
 
-/// Generate the Fig. 2 curves over `x = t_clk/T_ν ∈ [0, x_max]`.
-pub fn run(x_max: f64, points: usize) -> ExperimentResult {
+/// Generate the Fig. 2 curves over `x = t_clk/T_ν ∈ [0, x_max]`; a fired
+/// `ctx.cancel` stops the empirical sweep within one delay chunk.
+pub fn run(ctx: &RunCtx, x_max: f64, points: usize) -> ExperimentResult {
     let pts = analysis::fig2_series(x_max, points);
     let x: Vec<f64> = pts.iter().map(|p| p.x).collect();
     let harmonic: Vec<f64> = pts.iter().map(|p| p.harmonic).collect();
     let single: Vec<f64> = pts.iter().map(|p| p.single_event).collect();
 
-    let (emp_h, emp_s) = empirical_curves(&x);
+    let (emp_h, emp_s) = empirical_curves(&x, &ctx.cancel);
 
     ExperimentResult::new(
         "fig2",
@@ -45,7 +47,7 @@ const DELAY_CHUNK: usize = 32;
 /// so the delay grid is cut into [`DELAY_CHUNK`]-sized pieces that run
 /// across the sweep workers; every entry is bit-identical to the one-call
 /// [`analysis::empirical_worst_case_curve`] at any worker count.
-fn empirical_curves(delays: &[f64]) -> (Vec<f64>, Vec<f64>) {
+fn empirical_curves(delays: &[f64], cancel: &CancelToken) -> (Vec<f64>, Vec<f64>) {
     let h_wave = Harmonic::new(1.0, 1.0, 0.0);
     let s_wave = SingleEvent::new(1.0, 1.0, 10.0);
     const DT: f64 = 0.002;
@@ -54,11 +56,11 @@ fn empirical_curves(delays: &[f64]) -> (Vec<f64>, Vec<f64>) {
         .into_iter()
         .flat_map(|single| delays.chunks(DELAY_CHUNK).map(move |c| (single, c)))
         .collect();
-    let parts = parallel_map_planned(
+    let parts = parallel_map(
         &tasks,
         // Cost hint: time-grid points × delays (the single event sweeps a
         // three times longer window).
-        |&(single, chunk)| Plan::Compute(if single { 3 } else { 1 } * chunk.len() as u64),
+        |&(single, chunk)| if single { 3 } else { 1 } * chunk.len() as u64,
         |&(single, chunk)| {
             if single {
                 analysis::empirical_worst_case_curve(&s_wave, chunk, 0.0, 30.0, DT)
@@ -67,6 +69,7 @@ fn empirical_curves(delays: &[f64]) -> (Vec<f64>, Vec<f64>) {
             }
         },
         &Telemetry::disabled(),
+        cancel,
     );
     let (h, s) = parts.split_at(parts.len() / 2);
     (h.concat(), s.concat())
@@ -106,9 +109,10 @@ pub fn render(result: &ExperimentResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PaperParams;
 
     fn result() -> ExperimentResult {
-        run(4.0, 401)
+        run(&RunCtx::new(PaperParams::default()), 4.0, 401)
     }
 
     #[test]
@@ -146,7 +150,7 @@ mod tests {
         let s_wave = SingleEvent::new(1.0, 1.0, 10.0);
         for n in [1, DELAY_CHUNK, 2 * DELAY_CHUNK + 5] {
             let x: Vec<f64> = (0..n).map(|k| 4.0 * k as f64 / n as f64).collect();
-            let (h, s) = empirical_curves(&x);
+            let (h, s) = empirical_curves(&x, &CancelToken::never());
             let bits = |v: &[f64]| v.iter().map(|y| y.to_bits()).collect::<Vec<_>>();
             let whole_h = analysis::empirical_worst_case_curve(&h_wave, &x, 0.0, 10.0, 0.002);
             let whole_s = analysis::empirical_worst_case_curve(&s_wave, &x, 0.0, 30.0, 0.002);

@@ -43,7 +43,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batchrun;
 pub mod bench;
 pub mod cache;
 pub mod config;

@@ -25,6 +25,8 @@
 //! **bit-identical** to the traceless path (the tests below pin this),
 //! which is what makes the two *the same computation*, faster.
 
+use std::ops::Range;
+
 use adaptive_clock::batch::{BatchInputs, BatchLoop, SummarySink};
 use adaptive_clock::controller::{Controller, IirConfig};
 use adaptive_clock::loopsim::{constant, DiscreteLoop, LoopInputs};
@@ -34,7 +36,7 @@ use clock_telemetry::{QuantileSketch, Telemetry};
 use variation::process::ProcessSpec;
 use variation::spatial::Position;
 
-use crate::batchrun::run_chunks;
+use crate::sweep::{lane_ranges, parallel_map, CancelToken};
 
 /// Control schemes a Monte Carlo panel sweeps (the closed-loop line-up
 /// of the paper plus the free-running strawman).
@@ -132,7 +134,7 @@ impl McPanel {
         let offsets = self.sensed_offsets();
         let setpoint = constant(self.setpoint as f64);
         let hodv = self.hodv();
-        let parts = run_chunks(self.instances, self.chunk.max(1), telemetry, |r| {
+        let run = |r: &Range<usize>| {
             let mut batch = BatchLoop::new().with_telemetry(telemetry.clone());
             for _ in r.clone() {
                 batch.push(
@@ -147,10 +149,18 @@ impl McPanel {
             let inputs = BatchInputs::StaticMu {
                 setpoint: &setpoint,
                 homogeneous: &hodv,
-                mu: &offsets[r],
+                mu: &offsets[r.clone()],
             };
             batch.run(inputs, self.steps, SummarySink::with_warmup(self.warmup))
-        });
+        };
+        let ranges = lane_ranges(self.instances, self.chunk.max(1));
+        let parts = {
+            let mut dispatch = telemetry.scope("batch.dispatch");
+            dispatch.attr("lanes", self.instances);
+            dispatch.attr("chunks", ranges.len());
+            let never = CancelToken::never();
+            parallel_map(&ranges, |r| r.len() as u64, run, telemetry, &never)
+        };
         let out: Vec<RunSummary> = {
             let _recombine = telemetry.scope("batch.recombine");
             parts.into_iter().flatten().collect()
@@ -394,6 +404,34 @@ mod tests {
             .count();
         assert_eq!(runs, 5, "one engine.batch.summaries span per chunk");
         assert_eq!(snap.counter("batch.controller_steps"), Some(37 * 120));
+    }
+
+    /// The panel's lane ranges dispatch under one `batch.dispatch` span
+    /// naming the lanes and chunks, with the sweep's workers inside it.
+    #[test]
+    fn summaries_record_the_dispatch_span_around_the_sweep() {
+        let t = Telemetry::enabled();
+        t.enable_tracing();
+        let _ = panel().summaries(Scheme::IntIir, &t);
+        let spans = t.trace_spans();
+        let dispatch: Vec<_> = spans
+            .iter()
+            .filter(|s| s.name == "batch.dispatch")
+            .collect();
+        assert_eq!(dispatch.len(), 1);
+        let attr = |k: &str| {
+            let found = dispatch[0].attrs.iter().find(|(n, _)| n == k);
+            found.map(|(_, v)| v.as_str())
+        };
+        assert_eq!((attr("lanes"), attr("chunks")), (Some("37"), Some("5")));
+        let workers: Vec<_> = spans.iter().filter(|s| s.name == "sweep.worker").collect();
+        assert!(!workers.is_empty());
+        for worker in workers {
+            assert_eq!(
+                worker.parent, dispatch[0].id,
+                "a worker outside the dispatch"
+            );
+        }
     }
 
     #[test]

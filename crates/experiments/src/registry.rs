@@ -266,7 +266,7 @@ fn run_table1(_inv: &Invocation<'_>) -> bool {
 }
 
 fn run_fig2(inv: &Invocation<'_>) -> bool {
-    let r = fig2::run(4.0, 401);
+    let r = fig2::run(inv.ctx, 4.0, 401);
     if inv.json {
         println!("{}", r.to_json().expect("plain data serializes"));
     } else {
@@ -409,8 +409,11 @@ fn run_ext_noise(inv: &Invocation<'_>) -> bool {
     true
 }
 
-fn run_ext_stability(_inv: &Invocation<'_>) -> bool {
-    println!("{}", ext_stability::render(&ext_stability::run(300)));
+fn run_ext_stability(inv: &Invocation<'_>) -> bool {
+    println!(
+        "{}",
+        ext_stability::render(&ext_stability::run(inv.ctx, 300))
+    );
     true
 }
 

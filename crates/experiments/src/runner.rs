@@ -5,6 +5,8 @@
 //! of every cached grid), and the declarative [`SweepSpec`] pipeline
 //! Fig.-8-style panels are built from.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+
 use adaptive_clock::event::{SummarySink, TraceSink};
 pub use adaptive_clock::system::RunSummary;
 use adaptive_clock::system::{Scheme, System, SystemBuilder};
@@ -16,7 +18,7 @@ use variation::sources::Harmonic;
 use crate::cache::{CacheKeyExt as _, SweepCache};
 use crate::config::PaperParams;
 use crate::results::{ExperimentResult, Series};
-use crate::sweep::{parallel_map_planned, CancelToken, Plan};
+use crate::sweep::{parallel_map, CancelToken, SweepPanics};
 
 /// The shared context one experiment invocation threads through the whole
 /// pipeline: the paper parameters plus the cache and telemetry handles
@@ -34,9 +36,9 @@ pub struct RunCtx {
     /// Instrumentation handle (disabled by default).
     pub telemetry: Telemetry,
     /// Cooperative cancellation token (never fires by default), checked
-    /// by `cached_map` before each cached task's probe and compute. The
-    /// experiment service arms this with the job's cancel flag and
-    /// wall-clock deadline.
+    /// by `cached_map` before each cached task's probe and by the sweep
+    /// before each item it computes. The experiment service arms this with
+    /// the job's cancel flag and wall-clock deadline.
     pub cancel: CancelToken,
 }
 
@@ -65,10 +67,11 @@ impl RunCtx {
         self
     }
 
-    /// Attach a cancellation token. Every cached sweep goes through
-    /// `cached_map`, which checks it before each task's probe and
-    /// compute, so a fired token stops such an experiment within one
-    /// task's wall time. The uncached leaves run to their end.
+    /// Attach a cancellation token. `cached_map` checks it before each
+    /// task's probe and the sweep before each item it computes, so a fired
+    /// token stops a cached grid, fig2 or ext-stability within one item's
+    /// wall time. ext-lock, worked-examples and constraints take no
+    /// context and run to their end.
     #[must_use]
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = cancel;
@@ -233,15 +236,17 @@ impl<T> Codec<T, RunSummary> {
 /// Map `compute` over `tasks` through `ctx.cache`: the one probe, compute
 /// and write-back protocol of every cached grid.
 ///
-/// A task owns the records `keys(task)` names. The probe looks up every
-/// key (no short-circuit, so the cache's hit and miss counts stay per
-/// record) and settles the task only when all of them hit. Otherwise the
-/// task goes to [`parallel_map_planned`] with the cost hint `cost(task)`;
+/// A task owns the records `keys(task)` names. The probe, on the calling
+/// thread under the `sweep.probe` span, looks up every key of every task
+/// (no short-circuit, so the cache's hit and miss counts stay per record)
+/// and settles a task only when all of its keys hit. The tasks it missed
+/// go to [`parallel_map`] with the cost hint `cost(task)`;
 /// `compute(task)` returns one record per key, and every key is written
-/// back. `ctx.cancel` is checked before each probe and each compute, so a
-/// fired token unwinds with [`SweepCancelled`](crate::sweep::SweepCancelled)
-/// within one task. A call with one task to compute runs it on the calling
-/// thread.
+/// back. `ctx.cancel` is checked before each probe and, by the sweep,
+/// before each compute, so a fired token unwinds with
+/// [`SweepCancelled`](crate::sweep::SweepCancelled) within one task. A
+/// compute that panics is contained as the sweep contains it, and the
+/// [`SweepPanics`] payload names it by its index in `tasks`.
 ///
 /// Returns the records of every task, in task order and then key order.
 pub(crate) fn cached_map<T, R>(
@@ -256,25 +261,33 @@ where
     T: Sync,
     R: Send,
 {
-    let probe = |task: &T| {
-        ctx.cancel.check();
-        let hits: Vec<Option<R>> = keys(task)
-            .into_iter()
-            .map(|key| {
-                match codec.arity {
-                    Some(n) => ctx.cache.get_f64s(key, n),
-                    None => ctx.cache.get_f64s_any(key),
-                }
-                .map(|values| (codec.decode)(task, values))
-            })
-            .collect();
-        match hits.into_iter().collect() {
-            Some(records) => Plan::Ready(records),
-            None => Plan::Compute(cost(task)),
+    let mut records: Vec<Option<Vec<R>>> = Vec::with_capacity(tasks.len());
+    let mut missed: Vec<usize> = Vec::new();
+    {
+        let mut probe_scope = ctx.telemetry.scope("sweep.probe");
+        for (i, task) in tasks.iter().enumerate() {
+            ctx.cancel.check();
+            let hits: Vec<Option<R>> = keys(task)
+                .into_iter()
+                .map(|key| {
+                    match codec.arity {
+                        Some(n) => ctx.cache.get_f64s(key, n),
+                        None => ctx.cache.get_f64s_any(key),
+                    }
+                    .map(|values| (codec.decode)(task, values))
+                })
+                .collect();
+            let settled: Option<Vec<R>> = hits.into_iter().collect();
+            if settled.is_none() {
+                missed.push(i);
+            }
+            records.push(settled);
         }
-    };
-    let run = |task: &T| {
-        ctx.cancel.check();
+        probe_scope.attr("items", tasks.len());
+        probe_scope.attr("ready", tasks.len() - missed.len());
+    }
+    let run = |&i: &usize| {
+        let task = &tasks[i];
         let records = compute(task);
         let keys = keys(task);
         assert_eq!(records.len(), keys.len(), "one record per cache key");
@@ -283,10 +296,25 @@ where
         }
         records
     };
-    parallel_map_planned(tasks, probe, run, &ctx.telemetry)
-        .into_iter()
-        .flatten()
-        .collect()
+    let cost = |&i: &usize| cost(&tasks[i]);
+    let sweep = || parallel_map(&missed, cost, run, &ctx.telemetry, &ctx.cancel);
+    // The sweep numbers a failed item among the misses; name its task.
+    let computed = match catch_unwind(AssertUnwindSafe(sweep)) {
+        Ok(computed) => computed,
+        Err(payload) => match payload.downcast::<SweepPanics>() {
+            Ok(mut panics) => {
+                for (i, _) in &mut panics.items {
+                    *i = missed[*i];
+                }
+                resume_unwind(panics)
+            }
+            Err(payload) => resume_unwind(payload),
+        },
+    };
+    for (i, task_records) in missed.into_iter().zip(computed) {
+        records[i] = Some(task_records);
+    }
+    records.into_iter().flatten().flatten().collect()
 }
 
 /// The relative adaptive period `⟨T_clk⟩/T_fixed` of `scheme` at the
@@ -398,7 +426,6 @@ where
 mod tests {
     use super::*;
     use crate::sweep::{CancelReason, SweepCancelled};
-    use std::panic::AssertUnwindSafe;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -605,7 +632,41 @@ mod tests {
         assert_eq!(toy_map(&ctx, &[0], &calls), [0.0]);
         assert_eq!(calls.load(Ordering::Relaxed), 1);
         assert_eq!(counts(&telemetry), (0, 1));
+        let stats = ctx.cache.stats().expect("an in-memory store");
+        assert_eq!(
+            (stats.hits, stats.misses),
+            (0, 1),
+            "the store counts the same miss"
+        );
         assert_eq!(cache.get_f64s(toy_key(0, 0), 1), Some(vec![0.0]));
+    }
+
+    /// A panicking compute is contained, and the payload names the task by
+    /// its index in the grid, not by its place among the probe's misses.
+    #[test]
+    fn cached_map_names_a_panicking_task_by_its_grid_index() {
+        let (ctx, cache, _) = memory_ctx();
+        cache.put_f64s(toy_key(0, 0), &[7.0]);
+        let payload = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            cached_map(
+                &ctx,
+                &[0u64, 1, 2],
+                Codec::SCALAR,
+                |&t| vec![toy_key(t, 0)],
+                |_| 1,
+                |&t| {
+                    assert_ne!(t, 2, "task 2 fails");
+                    vec![t as f64]
+                },
+            )
+        }))
+        .expect_err("a panicking task must re-panic");
+        let panics = payload
+            .downcast_ref::<SweepPanics>()
+            .expect("payload must be SweepPanics");
+        let failed: Vec<usize> = panics.items.iter().map(|&(i, _)| i).collect();
+        assert_eq!(failed, [2]);
+        assert_eq!(cache.get_f64s(toy_key(1, 0), 1), Some(vec![1.0]));
     }
 
     /// A fired token stops a task at its probe, even one the cache would

@@ -1,40 +1,46 @@
-//! Parallel parameter sweeps over std scoped threads: a cost-modelled
-//! longest-job-first scheduler with cache short-circuiting, an optional
-//! live progress line on stderr, and a worker-count override.
+//! Parallel parameter sweeps over std scoped threads: one cost-modelled
+//! longest-job-first map, an optional live progress line on stderr, and a
+//! worker-count override.
 //!
 //! # Scheduling
 //!
-//! [`parallel_map`] hands items out in small index chunks claimed off a
-//! shared atomic cursor — fine when per-item cost is roughly uniform.
-//! [`parallel_map_planned`] generalizes it: a *probe* runs first,
-//! sequentially, over every item and either short-circuits it with a ready
-//! result (a cache hit — no worker is ever occupied by it) or returns a
-//! cost hint (the point's simulated-step budget). Pending items are then
-//! dispatched **longest-job-first**, so the heavy points start while the
-//! cheap ones fill the tail and no worker is left holding a giant job at
-//! the end of the sweep. Output order is always the input order, whatever
-//! order items complete in, and completions (ready or computed) drive the
-//! same progress line.
+//! [`parallel_map`] is the one entry point. Each item carries a cost hint
+//! (a grid point's simulated-step budget, a lane range's width; a uniform
+//! hint when the items cost alike), and items are dispatched
+//! **longest-job-first**, so the heavy points start while the cheap ones
+//! fill the tail and no worker is left holding a giant job at the end of
+//! the sweep. Workers claim items in small index chunks off a shared
+//! atomic cursor; the calling thread is worker 0 and runs the same claim
+//! loop as the helpers it spawns, so a one-worker sweep is the same loop
+//! with no helper. Output order is always the input order, whatever order
+//! items complete in, and every completion ticks the progress line.
+//!
+//! A sweep never sees a cache: `runner::cached_map`, which every cached
+//! grid runs through, probes its keys first (under the `sweep.probe` span)
+//! and hands only the tasks it missed to [`parallel_map`]. The progress
+//! line therefore counts dispatched items only; a cache hit took no time,
+//! and counting it would inflate the rate and shorten the ETA.
 //!
 //! # Panic containment
 //!
-//! A panic inside one grid point's compute no longer aborts the whole
-//! sweep: each item runs under `catch_unwind`, every *other* pending item
-//! still completes (and backfills the cache), and only then does the sweep
-//! re-panic with a [`SweepPanics`] payload naming every failed item. The
+//! A panic inside one item's compute does not abort the whole sweep: each
+//! item runs under `catch_unwind`, every *other* item still completes (and
+//! writes its cache records back), and only then does the sweep re-panic
+//! with a [`SweepPanics`] payload naming every failed item. The
 //! `repro serve` job supervisor catches that payload and marks the one job
 //! failed while the server keeps serving.
 //!
 //! # Cooperative cancellation
 //!
 //! A [`CancelToken`] (threaded through `RunCtx`) makes long sweeps
-//! abandonable: `runner::cached_map`, which every cached grid runs
-//! through, checks the token before each task's probe and compute, and a
-//! fired token unwinds with a [`SweepCancelled`] payload that the sweep
-//! propagates immediately (no further items are claimed) and the job
-//! supervisor maps to a `cancelled`/`timeout` terminal state.
+//! abandonable: [`parallel_map`] checks it before each item (and
+//! `runner::cached_map` before each task's probe), and a fired token
+//! unwinds with a [`SweepCancelled`] payload that the sweep propagates
+//! immediately (no further items are claimed) and the job supervisor maps
+//! to a `cancelled`/`timeout` terminal state.
 
 use std::io::{IsTerminal as _, Write as _};
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -188,7 +194,7 @@ struct CancelInner {
 /// every run context at zero cost. A live token fires when its shared flag
 /// is raised (client cancellation) or its wall-clock deadline passes
 /// (per-job timeout); [`CancelToken::check`] then unwinds with a
-/// [`SweepCancelled`] payload that `parallel_map_planned` propagates
+/// [`SweepCancelled`] payload that [`parallel_map`] propagates
 /// immediately and a job supervisor downcasts back to the reason.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
@@ -248,11 +254,12 @@ impl std::fmt::Display for SweepCancelled {
 
 /// The panic payload a contained sweep re-raises after every surviving
 /// item has completed: one `(input index, panic message)` pair per failed
-/// item, input-ordered.
+/// item, input-ordered. The index is into the items the sweep was given
+/// (`runner::cached_map` maps it back to the grid's task index).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepPanics {
-    /// `(item index, panic message)` for every item whose probe or
-    /// compute panicked.
+    /// `(item index, panic message)` for every item whose compute
+    /// panicked.
     pub items: Vec<(usize, String)>,
 }
 
@@ -282,10 +289,6 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn is_cancel(payload: &(dyn std::any::Any + Send)) -> bool {
-    payload.is::<SweepCancelled>()
-}
-
 /// Silence the default panic hook for cooperative [`SweepCancelled`]
 /// unwinds. Cancellation is routine control flow for long-lived hosts
 /// (the experiment service cancels jobs on request and on deadline);
@@ -305,108 +308,52 @@ pub fn install_quiet_cancel_hook() {
     });
 }
 
-/// The probe's verdict on one sweep item, before any worker is involved.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Plan<R> {
-    /// The result is already known (a cache hit): short-circuit it into
-    /// the output without occupying a worker.
-    Ready(R),
-    /// The item must be computed; the payload is a relative cost hint
-    /// (typically the point's simulated-step budget) driving
-    /// longest-job-first dispatch. The absolute scale is irrelevant.
-    Compute(u64),
-}
-
-/// Map `f` over `items` in parallel, preserving order, with a probe pass
-/// and cost-modelled longest-job-first dispatch (see the module docs).
+/// Map `f` over `items` on the sweep worker pool, preserving order, with
+/// longest-job-first dispatch by `cost(item)` (see the module docs).
 ///
-/// When the sweep runs multi-worker and `telemetry` is enabled, the drain
-/// tail — wall time between the moment the last pending item is claimed
-/// and the moment every result has arrived — is accumulated onto the
-/// `sweep.tail_ms` counter. A scheduler that balances well keeps the tail
-/// close to one average item; one that strands a heavy job at the end
-/// shows it here.
+/// `cancel` is checked before each item. When the sweep runs multi-worker
+/// and `telemetry` is enabled, the drain tail — wall time between the
+/// moment the last item is claimed and the moment every result has
+/// arrived — is accumulated onto the `sweep.tail_ms` counter. A scheduler
+/// that balances well keeps the tail close to one average item; one that
+/// strands a heavy job at the end shows it here.
 ///
 /// # Panics
 ///
-/// A panic inside `probe` or `f` is contained per item: every other
-/// pending item still runs to completion (so cache backfills survive),
-/// and the sweep then re-panics with a [`SweepPanics`] payload listing
-/// `(index, message)` for each failed item. A [`SweepCancelled`] payload
-/// (a fired [`CancelToken`]) is special: it aborts the dispatch promptly —
+/// A panic inside `f` is contained per item: every other item still runs
+/// to completion (so cache write-backs survive), and the sweep then
+/// re-panics with a [`SweepPanics`] payload listing `(index, message)` for
+/// each failed item. A [`SweepCancelled`] payload (a fired `cancel`, or a
+/// token `f` checks itself) is special: it aborts the dispatch promptly —
 /// no further items are claimed — and propagates unchanged.
-pub fn parallel_map_planned<T, R, F, P>(
+pub fn parallel_map<T, R>(
     items: &[T],
-    probe: P,
-    f: F,
+    cost: impl Fn(&T) -> u64,
+    f: impl Fn(&T) -> R + Sync,
     telemetry: &Telemetry,
+    cancel: &CancelToken,
 ) -> Vec<R>
 where
     T: Sync,
     R: Send,
-    F: Fn(&T) -> R + Sync,
-    P: FnMut(&T) -> Plan<R>,
 {
     let n = items.len();
     if n == 0 {
         return Vec::new();
     }
-    let mut probe = probe;
-    let mut meter = ProgressMeter::new(n);
-    let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    // Per-item panics collected across the probe pass and the dispatch.
-    let mut errors: Vec<(usize, String)> = Vec::new();
-    // Probe pass: ready results land immediately, misses queue with costs.
-    let mut pending: Vec<(usize, u64)> = Vec::new();
-    {
-        let mut probe_scope = telemetry.scope("sweep.probe");
-        for (i, item) in items.iter().enumerate() {
-            match catch_unwind(AssertUnwindSafe(|| probe(item))) {
-                Ok(Plan::Ready(r)) => {
-                    out[i] = Some(r);
-                    if let Some(m) = meter.as_mut() {
-                        m.tick();
-                    }
-                }
-                Ok(Plan::Compute(cost)) => pending.push((i, cost)),
-                Err(payload) if is_cancel(&*payload) => resume_unwind(payload),
-                Err(payload) => errors.push((i, panic_message(&*payload))),
-            }
-        }
-        probe_scope.attr("items", n);
-        probe_scope.attr("ready", n - pending.len());
-    }
     // Longest job first; the sort is stable, so equal costs keep sweep
-    // order and a uniform-cost sweep dispatches exactly like the classic
-    // chunked FIFO.
+    // order and a uniform-cost sweep dispatches as a chunked FIFO.
     let order: Vec<usize> = {
         let _schedule_scope = telemetry.scope("sweep.schedule");
-        pending.sort_by_key(|&(_, cost)| std::cmp::Reverse(cost));
-        pending.iter().map(|&(i, _)| i).collect()
+        let mut costed: Vec<(usize, u64)> = items.iter().map(&cost).enumerate().collect();
+        costed.sort_by_key(|&(_, cost)| std::cmp::Reverse(cost));
+        costed.into_iter().map(|(i, _)| i).collect()
     };
-    let p = order.len();
-    if p == 0 {
-        return finish_sweep(out, errors, None);
-    }
-    let workers = worker_count(p);
-    if workers <= 1 {
-        let mut cancel_payload = None;
-        for &i in &order {
-            match catch_unwind(AssertUnwindSafe(|| f(&items[i]))) {
-                Ok(r) => out[i] = Some(r),
-                Err(payload) if is_cancel(&*payload) => {
-                    cancel_payload = Some(payload);
-                    break;
-                }
-                Err(payload) => errors.push((i, panic_message(&*payload))),
-            }
-            if let Some(m) = meter.as_mut() {
-                m.tick();
-            }
-        }
-        return finish_sweep(out, errors, cancel_payload);
-    }
-    let chunk = dispatch_chunk(p, workers);
+    let mut meter = ProgressMeter::new(n);
+    let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    let mut errors: Vec<(usize, String)> = Vec::new();
+    let workers = worker_count(n);
+    let chunk = dispatch_chunk(n, workers);
     let cursor = AtomicUsize::new(0);
     let started = Instant::now();
     // Micros from `started` at which the queue drained (every item
@@ -424,7 +371,8 @@ where
     // One claim loop, run by `workers − 1` spawned threads and by the
     // calling thread as worker 0, so a sweep adds one thread fewer than it
     // has workers (every thread that allocates can cost the process a
-    // malloc arena). `between` runs after each of the worker's items.
+    // malloc arena) and a one-worker sweep adds none. `between` runs after
+    // each of the worker's items.
     let claim =
         |w: usize, tx: &mpsc::Sender<(usize, Result<R, String>)>, between: &mut dyn FnMut()| {
             let mut worker_scope = telemetry.scope_under(dispatch_parent, "sweep.worker");
@@ -435,7 +383,7 @@ where
                     break;
                 }
                 let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                if start >= p {
+                if start >= n {
                     let _ = drained_at_us.compare_exchange(
                         u64::MAX,
                         started.elapsed().as_micros() as u64,
@@ -444,12 +392,16 @@ where
                     );
                     break;
                 }
-                let end = (start + chunk).min(p);
+                let end = (start + chunk).min(n);
                 claimed += end - start;
                 for &i in &order[start..end] {
-                    let result = match catch_unwind(AssertUnwindSafe(|| f(&items[i]))) {
+                    let run = || {
+                        cancel.check();
+                        f(&items[i])
+                    };
+                    let result = match catch_unwind(AssertUnwindSafe(run)) {
                         Ok(r) => Ok(r),
-                        Err(payload) if is_cancel(&*payload) => {
+                        Err(payload) if payload.is::<SweepCancelled>() => {
                             let mut slot = cancel_slot.lock().expect("cancel slot lock");
                             slot.get_or_insert(payload);
                             abort.store(true, Ordering::Relaxed);
@@ -491,7 +443,7 @@ where
             collect(done);
         }
     });
-    if telemetry.is_enabled() {
+    if workers > 1 && telemetry.is_enabled() {
         let drained = drained_at_us.load(Ordering::Relaxed);
         if drained != u64::MAX {
             let total = started.elapsed().as_micros() as u64;
@@ -499,47 +451,34 @@ where
             telemetry.counter("sweep.tail_ms").add(tail_ms);
         }
     }
-    finish_sweep(
-        out,
-        errors,
-        cancel_slot.into_inner().expect("cancel slot lock"),
-    )
-}
-
-/// Resolve a contained sweep: propagate a pending cancellation payload
-/// first, then aggregated per-item panics, and only collect results when
-/// everything actually completed.
-fn finish_sweep<R>(
-    out: Vec<Option<R>>,
-    mut errors: Vec<(usize, String)>,
-    cancel_payload: Option<Box<dyn std::any::Any + Send>>,
-) -> Vec<R> {
-    if let Some(payload) = cancel_payload {
+    // A cancellation propagates first, then the aggregated per-item
+    // panics; results are collected only when every item completed.
+    if let Some(payload) = cancel_slot.into_inner().expect("cancel slot lock") {
         resume_unwind(payload);
     }
     if !errors.is_empty() {
         errors.sort_by_key(|&(i, _)| i);
         std::panic::panic_any(SweepPanics { items: errors });
     }
-    collect_all(out)
-}
-
-fn collect_all<R>(out: Vec<Option<R>>) -> Vec<R> {
     out.into_iter()
         .map(|r| r.expect("every index visited exactly once"))
         .collect()
 }
 
-/// Map `f` over `items` in parallel, preserving order — the uniform-cost
-/// special case of [`parallel_map_planned`] (no cache probe, chunked
-/// dispatch in sweep order).
-pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    parallel_map_planned(items, |_| Plan::Compute(1), f, &Telemetry::disabled())
+/// Split `lanes` lanes into contiguous `chunk`-wide ranges (the last may
+/// be shorter), for a lane-parallel [`parallel_map`] costed by range width.
+/// Lanes never interact, so the parts recombined in lane order equal one
+/// run over every lane, for any chunk width and worker count.
+///
+/// # Panics
+///
+/// Panics when `chunk == 0`.
+pub fn lane_ranges(lanes: usize, chunk: usize) -> Vec<Range<usize>> {
+    assert!(chunk > 0, "chunk width must be positive");
+    (0..lanes)
+        .step_by(chunk)
+        .map(|start| start..(start + chunk).min(lanes))
+        .collect()
 }
 
 /// A logarithmically spaced grid of `n` points from `lo` to `hi`
@@ -573,13 +512,29 @@ pub fn linear_grid(lo: f64, hi: f64, n: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adaptive_clock::batch::{BatchLoop, BatchTrace, Sink, SummarySink, TraceSink};
+    use adaptive_clock::controller::{Controller, IirConfig};
+    use adaptive_clock::loopsim::{constant, step_at, LoopInputs};
+    use adaptive_clock::system::RunSummary;
+    use adaptive_clock::tdc::Quantization;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Mutex;
+
+    /// `f` over `items` at a uniform cost, untraced and uncancellable.
+    fn uniform<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+        parallel_map(
+            items,
+            |_| 1,
+            f,
+            &Telemetry::disabled(),
+            &CancelToken::never(),
+        )
+    }
 
     #[test]
     fn parallel_map_preserves_order() {
         let items: Vec<u64> = (0..97).collect();
-        let out = parallel_map(&items, |&x| x * x);
+        let out = uniform(&items, |&x| x * x);
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, (i * i) as u64);
         }
@@ -588,14 +543,14 @@ mod tests {
     #[test]
     fn parallel_map_empty_and_single() {
         let empty: Vec<u32> = Vec::new();
-        assert!(parallel_map(&empty, |&x| x).is_empty());
-        assert_eq!(parallel_map(&[5u32], |&x| x + 1), vec![6]);
+        assert!(uniform(&empty, |&x| x).is_empty());
+        assert_eq!(uniform(&[5u32], |&x| x + 1), vec![6]);
     }
 
     #[test]
     fn parallel_map_uneven_work() {
         let items: Vec<u64> = (0..40).collect();
-        let out = parallel_map(&items, |&x| {
+        let out = uniform(&items, |&x| {
             // make later items much cheaper than early ones
             let spins = if x < 4 { 200_000 } else { 10 };
             let mut acc = x;
@@ -629,7 +584,7 @@ mod tests {
         let n = 513usize;
         let items: Vec<u64> = (0..n as u64).collect();
         let heavy = [0u64, 1, 255, 256, 511, 512];
-        let out = parallel_map(&items, |&x| {
+        let out = uniform(&items, |&x| {
             let spins = if heavy.contains(&x) {
                 400_000
             } else {
@@ -661,9 +616,9 @@ mod tests {
                 50 + x % 7
             }
         };
-        let out = parallel_map_planned(
+        let out = parallel_map(
             &items,
-            |&x| Plan::Compute(cost_of(x)),
+            |&x| cost_of(x),
             |&x| {
                 let mut acc = x;
                 for _ in 0..cost_of(x) {
@@ -672,6 +627,7 @@ mod tests {
                 (x, acc)
             },
             &Telemetry::disabled(),
+            &CancelToken::never(),
         );
         assert_eq!(out.len(), n);
         for (i, (x, _)) in out.iter().enumerate() {
@@ -680,59 +636,17 @@ mod tests {
     }
 
     #[test]
-    fn planned_ready_items_never_reach_a_worker() {
-        let items: Vec<u64> = (0..100).collect();
-        let computed = AtomicUsize::new(0);
-        let out = parallel_map_planned(
-            &items,
-            |&x| {
-                if x % 2 == 0 {
-                    Plan::Ready(x * 10) // "cache hit"
-                } else {
-                    Plan::Compute(1)
-                }
-            },
-            |&x| {
-                computed.fetch_add(1, Ordering::Relaxed);
-                x * 10
-            },
-            &Telemetry::disabled(),
-        );
-        assert_eq!(computed.load(Ordering::Relaxed), 50);
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, i as u64 * 10);
-        }
-    }
-
-    #[test]
-    fn planned_all_ready_completes_without_workers() {
-        let items: Vec<u64> = (0..10).collect();
-        let out = parallel_map_planned(
-            &items,
-            |&x| Plan::Ready(x + 1),
-            |_| unreachable!("no pending items"),
-            &Telemetry::disabled(),
-        );
-        assert_eq!(out, (1..=10).collect::<Vec<u64>>());
-    }
-
-    #[test]
     fn panicking_item_is_contained_and_other_items_complete() {
         let items: Vec<u64> = (0..64).collect();
         let completed = AtomicUsize::new(0);
         let payload = catch_unwind(AssertUnwindSafe(|| {
-            parallel_map_planned(
-                &items,
-                |_| Plan::Compute(1),
-                |&x| {
-                    if x == 13 || x == 40 {
-                        panic!("item {x} exploded");
-                    }
-                    completed.fetch_add(1, Ordering::Relaxed);
-                    x
-                },
-                &Telemetry::disabled(),
-            )
+            uniform(&items, |&x| {
+                if x == 13 || x == 40 {
+                    panic!("item {x} exploded");
+                }
+                completed.fetch_add(1, Ordering::Relaxed);
+                x
+            })
         }))
         .expect_err("a sweep with panicking items must re-panic");
         let panics = payload
@@ -749,48 +663,23 @@ mod tests {
     }
 
     #[test]
-    fn probe_panic_is_contained_too() {
-        let items: Vec<u64> = (0..8).collect();
-        let payload = catch_unwind(AssertUnwindSafe(|| {
-            parallel_map_planned(
-                &items,
-                |&x| {
-                    if x == 3 {
-                        panic!("bad probe");
-                    }
-                    Plan::Ready(x)
-                },
-                |&x| x,
-                &Telemetry::disabled(),
-            )
-        }))
-        .expect_err("probe panic must surface");
-        let panics = payload
-            .downcast_ref::<SweepPanics>()
-            .expect("payload must be SweepPanics");
-        assert_eq!(panics.items.len(), 1);
-        assert_eq!(panics.items[0].0, 3);
-    }
-
-    #[test]
     fn fired_cancel_token_propagates_and_stops_claiming() {
         let flag = Arc::new(AtomicBool::new(false));
         let token = CancelToken::new(Arc::clone(&flag), None);
         let items: Vec<u64> = (0..256).collect();
         let started = AtomicUsize::new(0);
         let payload = catch_unwind(AssertUnwindSafe(|| {
-            parallel_map_planned(
+            parallel_map(
                 &items,
-                |_| Plan::Compute(1),
+                |_| 1,
                 |&x| {
-                    let n = started.fetch_add(1, Ordering::Relaxed);
-                    if n == 5 {
+                    if started.fetch_add(1, Ordering::Relaxed) == 5 {
                         flag.store(true, Ordering::Relaxed);
                     }
-                    token.check();
                     x
                 },
                 &Telemetry::disabled(),
+                &token,
             )
         }))
         .expect_err("a fired token must unwind the sweep");
@@ -802,6 +691,19 @@ mod tests {
             started.load(Ordering::Relaxed) < items.len(),
             "cancellation must abort the dispatch before the tail"
         );
+        // A token that fired before the sweep stops it before its first item.
+        let before = started.load(Ordering::Relaxed);
+        let rerun = catch_unwind(AssertUnwindSafe(|| {
+            parallel_map(
+                &items,
+                |_| 1,
+                |&x| started.fetch_add(1, Ordering::Relaxed) + x as usize,
+                &Telemetry::disabled(),
+                &token,
+            )
+        }));
+        assert!(rerun.is_err(), "a fired token must unwind the sweep");
+        assert_eq!(started.load(Ordering::Relaxed), before, "no item may run");
     }
 
     #[test]
@@ -852,14 +754,15 @@ mod tests {
         set_threads(Some(1));
         let items: Vec<u64> = (0..8).collect();
         let log = Mutex::new(Vec::new());
-        let _ = parallel_map_planned(
+        let _ = parallel_map(
             &items,
-            |&x| Plan::Compute(x + 1),
+            |&x| x + 1,
             |&x| {
                 log.lock().unwrap().push(x);
                 x
             },
             &Telemetry::disabled(),
+            &CancelToken::never(),
         );
         set_threads(None);
         let ran = log.into_inner().unwrap();
@@ -874,7 +777,7 @@ mod tests {
         set_threads(Some(2));
         assert_eq!(thread_override(), Some(2));
         let items: Vec<u64> = (0..50).collect();
-        let out = parallel_map(&items, |&x| x + 7);
+        let out = uniform(&items, |&x| x + 7);
         set_threads(None);
         assert_eq!(thread_override(), None);
         for (i, v) in out.iter().enumerate() {
@@ -894,7 +797,7 @@ mod tests {
         // size), so two distinct threads each hold one of them.
         let barrier = std::sync::Barrier::new(2);
         let items: Vec<u64> = (0..16).collect();
-        let ran_on = parallel_map(&items, |&x| {
+        let ran_on = uniform(&items, |&x| {
             if x < 2 {
                 barrier.wait();
             }
@@ -906,6 +809,37 @@ mod tests {
         assert!(threads.contains(&caller), "the calling thread is a worker");
     }
 
+    /// A one-worker sweep is the same claim loop, run by the calling
+    /// thread alone: one `sweep.worker` span holding every item, no helper
+    /// thread, and no drain tail to record.
+    #[test]
+    fn one_worker_sweep_is_the_claim_loop_on_the_calling_thread() {
+        let _guard = THREAD_OVERRIDE_LOCK.lock().unwrap();
+        set_threads(Some(1));
+        let telemetry = Telemetry::enabled();
+        telemetry.enable_tracing();
+        let items: Vec<u64> = (0..40).collect();
+        let ran_on = parallel_map(
+            &items,
+            |_| 1,
+            |_| std::thread::current().id(),
+            &telemetry,
+            &CancelToken::never(),
+        );
+        set_threads(None);
+        let caller = std::thread::current().id();
+        assert!(ran_on.iter().all(|&id| id == caller));
+        let spans = telemetry.trace_spans();
+        let workers: Vec<_> = spans.iter().filter(|s| s.name == "sweep.worker").collect();
+        assert_eq!(workers.len(), 1);
+        let attr = |k: &str| {
+            let found = workers[0].attrs.iter().find(|(n, _)| n == k);
+            found.map(|(_, v)| v.as_str())
+        };
+        assert_eq!((attr("worker"), attr("items")), (Some("0"), Some("40")));
+        assert_eq!(telemetry.snapshot().counter("sweep.tail_ms"), None);
+    }
+
     #[test]
     fn tail_telemetry_recorded_on_parallel_sweeps() {
         let _guard = THREAD_OVERRIDE_LOCK.lock().unwrap();
@@ -913,9 +847,9 @@ mod tests {
         set_threads(Some(2));
         let telemetry = Telemetry::enabled();
         let items: Vec<u64> = (0..64).collect();
-        let _ = parallel_map_planned(
+        let _ = parallel_map(
             &items,
-            |_| Plan::Compute(1),
+            |_| 1,
             |&x| {
                 let mut acc = x;
                 for _ in 0..10_000 {
@@ -924,6 +858,7 @@ mod tests {
                 acc
             },
             &telemetry,
+            &CancelToken::never(),
         );
         set_threads(None);
         // The counter exists (possibly 0 ms on a fast machine).
@@ -978,6 +913,136 @@ mod tests {
         // Test harnesses pipe stderr, so the carriage-return line must be
         // off here — exactly the CI situation the suppression targets.
         assert!(!live_line_allowed());
+    }
+
+    /// Run lanes `r` of a reference 23-lane mixed-scheme workload into
+    /// `sink`.
+    fn run_range<S: Sink>(r: Range<usize>, steps: usize, sink: S) -> S::Output {
+        let cfg = IirConfig::paper();
+        let c = constant(64.0);
+        let e = |n: i64| 6.0 * (std::f64::consts::TAU * n as f64 / 80.0).sin();
+        let mut batch = BatchLoop::new();
+        let mus: Vec<Box<dyn Fn(i64) -> f64>> = r
+            .clone()
+            .map(|k| Box::new(step_at(12, k as f64 - 5.0)) as Box<dyn Fn(i64) -> f64>)
+            .collect();
+        for k in r {
+            match k % 3 {
+                0 => batch.push(
+                    k % 2,
+                    Controller::int_iir(&cfg, 64).unwrap(),
+                    Quantization::Floor,
+                ),
+                1 => batch.push(
+                    1,
+                    Controller::float_iir(&cfg, 64.0).unwrap(),
+                    Quantization::None,
+                ),
+                _ => batch.push(0, Controller::teatime(64, 1.0), Quantization::Floor),
+            };
+        }
+        let inputs: Vec<LoopInputs<'_>> = mus
+            .iter()
+            .map(|mu| LoopInputs {
+                setpoint: &c,
+                homogeneous: &e,
+                heterogeneous: mu.as_ref(),
+            })
+            .collect();
+        batch.run(&inputs, steps, sink)
+    }
+
+    /// Lanes `0..lanes` in `chunk`-wide ranges on the sweep pool, costed
+    /// by range width, as the lane-parallel callers dispatch them.
+    fn map_lanes<S: Sink>(
+        lanes: usize,
+        chunk: usize,
+        steps: usize,
+        sink: fn() -> S,
+    ) -> Vec<S::Output>
+    where
+        S::Output: Send,
+    {
+        let ranges = lane_ranges(lanes, chunk);
+        parallel_map(
+            &ranges,
+            |r| r.len() as u64,
+            |r| run_range(r.clone(), steps, sink()),
+            &Telemetry::disabled(),
+            &CancelToken::never(),
+        )
+    }
+
+    #[test]
+    fn dispatch_is_bit_identical_for_any_chunking_and_worker_count() {
+        let _guard = THREAD_OVERRIDE_LOCK.lock().unwrap();
+        let (lanes, steps) = (23usize, 250usize);
+        let whole = run_range(0..lanes, steps, TraceSink::default());
+        for chunk in [1, 4, 7, 23, 64] {
+            for workers in [None, Some(1), Some(3)] {
+                set_threads(workers);
+                let parts = map_lanes(lanes, chunk, steps, TraceSink::default);
+                set_threads(None);
+                assert_eq!(parts.len(), lanes.div_ceil(chunk));
+                assert_eq!(
+                    BatchTrace::concat(&parts),
+                    whole,
+                    "chunk={chunk} workers={workers:?} diverged from the single run"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn summary_dispatch_is_bit_identical_for_any_chunking_and_worker_count() {
+        let _guard = THREAD_OVERRIDE_LOCK.lock().unwrap();
+        let (lanes, steps) = (23usize, 250usize);
+        let whole = run_range(0..lanes, steps, SummarySink::default());
+        let c = constant(64.0);
+        let inputs = vec![
+            LoopInputs {
+                setpoint: &c,
+                ..LoopInputs::zero()
+            };
+            lanes
+        ];
+        assert_eq!(
+            whole,
+            run_range(0..lanes, steps, TraceSink::default()).summarize(&inputs)
+        );
+        for chunk in [1, 4, 7, 23, 64] {
+            for workers in [None, Some(1), Some(3)] {
+                set_threads(workers);
+                let parts = map_lanes(lanes, chunk, steps, SummarySink::default);
+                set_threads(None);
+                let got: Vec<RunSummary> = parts.into_iter().flatten().collect();
+                assert_eq!(
+                    got, whole,
+                    "chunk={chunk} workers={workers:?} diverged from the single run"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn zero_lanes_is_an_empty_trace() {
+        assert!(lane_ranges(0, 8).is_empty());
+        let parts = map_lanes(0, 8, 10, TraceSink::default);
+        assert!(parts.is_empty());
+        assert_eq!(BatchTrace::concat(&parts).lanes(), 0);
+    }
+
+    #[test]
+    fn lane_ranges_cover_every_lane_once_in_order() {
+        assert_eq!(lane_ranges(9, 4), [0..4, 4..8, 8..9]);
+        assert_eq!(lane_ranges(8, 4), [0..4, 4..8]);
+        assert_eq!(lane_ranges(3, 64), [Range { start: 0, end: 3 }]);
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk width must be positive")]
+    fn lane_ranges_reject_a_zero_chunk() {
+        let _ = lane_ranges(4, 0);
     }
 
     #[test]

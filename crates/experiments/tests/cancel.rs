@@ -1,10 +1,12 @@
-//! Cooperative cancellation of every cached leaf.
+//! Cooperative cancellation of every leaf that sweeps.
 //!
 //! A served job whose client cancels it, or whose deadline passes, must
 //! stop computing. Every cached grid runs through `runner::cached_map`,
-//! which checks the job's token before each task's probe and compute, so
-//! with a token that has already fired each leaf must unwind with a
-//! `SweepCancelled` payload before it computes or stores anything.
+//! which checks the job's token before each task's probe, and every sweep
+//! checks it before each item it computes, so with a token that has
+//! already fired each leaf must unwind with a `SweepCancelled` payload
+//! before it computes or stores anything. The uncached sweeps (fig2,
+//! ext-stability) take the token through their `RunCtx` too.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicBool;
@@ -16,8 +18,8 @@ use experiments::config::PaperParams;
 use experiments::runner::RunCtx;
 use experiments::sweep::{install_quiet_cancel_hook, CancelReason, CancelToken, SweepCancelled};
 use experiments::{
-    ext_coupling, ext_faults, ext_mesh, ext_noise, ext_sensitivity, ext_throughput, ext_yield,
-    fig7, fig8, fig9,
+    ext_coupling, ext_faults, ext_mesh, ext_noise, ext_sensitivity, ext_stability, ext_throughput,
+    ext_yield, fig2, fig7, fig8, fig9,
 };
 
 /// One leaf run, its output dropped.
@@ -36,6 +38,12 @@ const LEAVES: [(&str, Leaf); 11] = [
     ("ext-faults", |ctx| drop(ext_faults::run(ctx, true))),
     ("ext-mesh", |ctx| drop(ext_mesh::run(ctx, true))),
     ("ext-yield", |ctx| drop(ext_yield::run(ctx, true))),
+];
+
+/// Every uncached leaf that sweeps, at its registry budget.
+const UNCACHED: [(&str, Leaf); 2] = [
+    ("fig2", |ctx| drop(fig2::run(ctx, 4.0, 401))),
+    ("ext-stability", |ctx| drop(ext_stability::run(ctx, 300))),
 ];
 
 /// How `leaf` ends under a fired token, if not as it should.
@@ -59,12 +67,23 @@ fn cancel_fault(leaf: Leaf) -> Option<String> {
         .or_else(|| ran.map(|samples| format!("ran {samples} engine samples")))
 }
 
-#[test]
-fn every_cached_leaf_unwinds_on_a_fired_token_and_writes_nothing() {
+/// The faults of `leaves` under a fired token, one line per leaf.
+fn cancel_faults(leaves: &[(&str, Leaf)]) -> Vec<String> {
     install_quiet_cancel_hook();
-    let faults: Vec<String> = LEAVES
+    leaves
         .iter()
         .filter_map(|&(id, leaf)| cancel_fault(leaf).map(|fault| format!("{id}: {fault}")))
-        .collect();
+        .collect()
+}
+
+#[test]
+fn every_cached_leaf_unwinds_on_a_fired_token_and_writes_nothing() {
+    let faults = cancel_faults(&LEAVES);
+    assert!(faults.is_empty(), "{faults:#?}");
+}
+
+#[test]
+fn uncached_sweep_leaves_unwind_on_a_fired_token() {
+    let faults = cancel_faults(&UNCACHED);
     assert!(faults.is_empty(), "{faults:#?}");
 }

@@ -365,42 +365,50 @@ fn metrics_mode_appends_prometheus_exposition() {
     );
 }
 
-/// The whole regression gate end to end, with deterministic verdicts:
-/// one bench run seeds a report, which is then doctored two ways — every
-/// speedup quartered (the current run clears any such baseline by a wide
-/// margin, so the compare must pass) and one speedup inflated ×50
-/// (equivalent to this revision having synthetically slowed that case,
-/// so the compare must fail with a non-zero exit). Doctoring, rather
-/// than comparing two live timings, keeps the test immune to load swings
-/// on a busy test host; the committed `BENCH_8.json` is covered by CI's
-/// release-mode `bench-compare` job and by the compare unit tests.
+/// The whole regression gate end to end, with deterministic verdicts, in
+/// two timed runs. Run 1 compares against an easy baseline made from the
+/// committed `BENCH_8.json` (its row names are those of a quick run) marked
+/// as a quick two-worker report, with every speedup cut to a twentieth: in
+/// a debug build the blocked lanes' speedups fall to about a sixth of the
+/// release ones, and the current run must still clear every row by a wide
+/// margin, so the compare must pass. Run 2 compares against run 1's own
+/// report with one speedup inflated ×50 (equivalent to this revision
+/// having synthetically slowed that case), so the compare must fail with a
+/// non-zero exit. Doctoring, rather than comparing two live timings, keeps
+/// the test immune to load swings on a busy test host; the committed
+/// `BENCH_8.json` itself is covered by CI's release-mode `bench-compare`
+/// job and by the compare unit tests.
 #[test]
 fn bench_compare_gates_on_speedup_regressions() {
-    let fresh = std::env::temp_dir().join(format!("repro-cli-bench-{}.json", std::process::id()));
-    let fresh_s = fresh.to_str().unwrap();
-
-    let seed = repro(&["bench", "--quick", "--json", fresh_s]);
-    assert!(seed.status.success(), "stderr: {}", stderr(&seed));
-
-    // The written report is self-describing.
-    let report = experiments::bench::BenchReport::load(&fresh).expect("fresh report loads");
-    std::fs::remove_file(&fresh).ok();
-    assert!(report.workers >= 1);
-    assert!(report.engine_rev.contains("core-r"));
-
-    let tmp_baseline = |tag: &str, doctored: &experiments::bench::BenchReport| {
-        let path =
-            std::env::temp_dir().join(format!("repro-cli-{tag}-{}.json", std::process::id()));
-        std::fs::write(&path, doctored.to_json().expect("serializes")).expect("written");
+    let tmp = |tag: &str| {
+        std::env::temp_dir().join(format!("repro-cli-{tag}-{}.json", std::process::id()))
+    };
+    let write = |tag: &str, report: &experiments::bench::BenchReport| {
+        let path = tmp(tag);
+        std::fs::write(&path, report.to_json().expect("serializes")).expect("written");
         path
     };
 
-    let mut easy = report.clone();
+    let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_8.json");
+    let mut easy = experiments::bench::BenchReport::load(committed).expect("BENCH_8.json loads");
+    easy.quick = true;
+    easy.workers = 2;
     for e in &mut easy.entries {
-        e.speedup = e.speedup.map(|s| s * 0.25);
+        e.speedup = e.speedup.map(|s| s * 0.05);
     }
-    let easy_path = tmp_baseline("easy", &easy);
-    let ok = repro(&["bench", "--quick", "--compare", easy_path.to_str().unwrap()]);
+    let easy_path = write("easy", &easy);
+    let fresh = tmp("bench");
+    let fresh_s = fresh.to_str().unwrap();
+    let ok = repro(&[
+        "--threads",
+        "2",
+        "bench",
+        "--quick",
+        "--json",
+        fresh_s,
+        "--compare",
+        easy_path.to_str().unwrap(),
+    ]);
     std::fs::remove_file(&easy_path).ok();
     assert!(
         ok.status.success(),
@@ -410,6 +418,12 @@ fn bench_compare_gates_on_speedup_regressions() {
     );
     assert!(stdout(&ok).contains("verdict: no regression"));
 
+    // The written report is self-describing.
+    let report = experiments::bench::BenchReport::load(&fresh).expect("fresh report loads");
+    std::fs::remove_file(&fresh).ok();
+    assert_eq!(report.workers, 2);
+    assert!(report.engine_rev.contains("core-r"));
+
     let mut bad_baseline = report;
     let entry = bad_baseline
         .entries
@@ -417,8 +431,15 @@ fn bench_compare_gates_on_speedup_regressions() {
         .find(|e| e.name == "loop-batched")
         .expect("batched entry present");
     entry.speedup = Some(entry.speedup.unwrap_or(1.0) * 50.0);
-    let bad_path = tmp_baseline("doctored", &bad_baseline);
-    let bad = repro(&["bench", "--quick", "--compare", bad_path.to_str().unwrap()]);
+    let bad_path = write("doctored", &bad_baseline);
+    let bad = repro(&[
+        "--threads",
+        "2",
+        "bench",
+        "--quick",
+        "--compare",
+        bad_path.to_str().unwrap(),
+    ]);
     std::fs::remove_file(&bad_path).ok();
     assert!(
         !bad.status.success(),

@@ -11,20 +11,23 @@
 //!
 //! * **Determinism** — a [`FaultSchedule`] is plain data. Randomized
 //!   schedules ([`FaultSchedule::random`]) are a pure function of
-//!   `(seed, class, rate, horizon)` built on splitmix64 streams, the same
-//!   idiom the engines use for jitter and TDC noise, so every chaos run is
-//!   bit-reproducible and cacheable.
+//!   `(seed, class, rate, horizon)` built on `variation::rng`'s splitmix64
+//!   stream, the one the engines use for jitter and TDC noise, so every
+//!   chaos run is bit-reproducible and cacheable.
 //! * **Addressability** — [`FaultSchedule::canonical_id`] gives a stable
 //!   textual encoding of the whole schedule, which result caches hash so a
 //!   faulted run can never collide with a clean one (or with a different
 //!   schedule).
 //!
-//! The crate is dependency-free and engine-agnostic: it answers point
-//! queries ("what strikes sensor 2 at period 417?") and leaves the physics
-//! of applying a fault to the engines (`adaptive_clock`).
+//! The crate is engine-agnostic (it depends only on `variation`, for the
+//! random stream): it answers point queries ("what strikes sensor 2 at
+//! period 417?") and leaves the physics of applying a fault to the engines
+//! (`adaptive_clock`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+use variation::rng::{SplitMix64, PHI};
 
 /// Where and how a fault strikes. All magnitudes are in stage units (one
 /// unit = one nominal gate delay), matching the engines' signal convention.
@@ -381,11 +384,12 @@ impl FaultSchedule {
         if rate_per_kperiod <= 0.0 || horizon == 0 {
             return schedule;
         }
-        let mut rng = SplitMix64::new(seed ^ 0xFA01_7000 ^ (class.label().len() as u64) << 32);
         // hash the label bytes in, so classes with equal label length differ
-        for b in class.label().bytes() {
-            rng.mix(b as u64);
-        }
+        let seed = class.label().bytes().fold(
+            seed ^ 0xFA01_7000 ^ (class.label().len() as u64) << 32,
+            |x, b| x ^ (b as u64).wrapping_mul(PHI),
+        );
+        let mut rng = SplitMix64::new(seed);
         let threshold = (rate_per_kperiod / 1000.0).min(1.0);
         // refractory spacing: long enough for the loop to re-lock between
         // events of the class
@@ -398,7 +402,7 @@ impl FaultSchedule {
         let mut n = spacing.min(64); // never strike before the loop settles
         let mut ro_loss_budget = 16.0f64;
         while n < horizon {
-            if rng.f64() < threshold {
+            if rng.unit() < threshold {
                 let sensor = (rng.next() % sensors as u64) as usize;
                 let (kind, duration) = match class {
                     FaultClass::TdcStuckAt => (
@@ -474,34 +478,6 @@ impl FaultSchedule {
             }
         }
         schedule
-    }
-}
-
-/// A splitmix64 generator — the workspace's standard reproducible stream.
-#[derive(Debug, Clone)]
-struct SplitMix64 {
-    x: u64,
-}
-
-impl SplitMix64 {
-    fn new(seed: u64) -> Self {
-        SplitMix64 { x: seed }
-    }
-
-    fn mix(&mut self, v: u64) {
-        self.x ^= v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    fn next(&mut self) -> u64 {
-        self.x = self.x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.x;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn f64(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
     }
 }
 

@@ -2,6 +2,7 @@
 //! seeds (the broadband-noise experiments report these).
 
 use serde::{Deserialize, Serialize};
+use variation::rng::SplitMix64;
 
 /// A bootstrap percentile confidence interval for the mean.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -28,24 +29,6 @@ impl ConfidenceInterval {
     }
 }
 
-/// A tiny deterministic PRNG (splitmix64) so the bootstrap itself is
-/// reproducible without external crates in this crate's dependency set.
-struct SplitMix(u64);
-
-impl SplitMix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
-
 /// Percentile-bootstrap confidence interval for the mean of `values`.
 ///
 /// # Panics
@@ -63,10 +46,12 @@ pub fn bootstrap_mean_ci(
     assert!((0.0..1.0).contains(&level) && level > 0.0, "level in (0,1)");
     let n = values.len();
     let mean = values.iter().sum::<f64>() / n as f64;
-    let mut rng = SplitMix(seed.wrapping_add(0x1234_5678));
+    let mut rng = SplitMix64::new(seed.wrapping_add(0x1234_5678));
     let mut means = Vec::with_capacity(resamples);
     for _ in 0..resamples {
-        let s: f64 = (0..n).map(|_| values[rng.below(n)]).sum();
+        let s: f64 = (0..n)
+            .map(|_| values[(rng.next() % n as u64) as usize])
+            .sum();
         means.push(s / n as f64);
     }
     means.sort_by(|a, b| a.partial_cmp(b).expect("finite means"));
@@ -132,16 +117,14 @@ mod tests {
         // For normal-ish data the 95% CI for the mean should contain the
         // true mean in most of repeated trials. Build trials from disjoint
         // slices of a deterministic pseudo-random stream.
-        let mut rng = SplitMix(99);
+        let mut rng = SplitMix64::new(99);
         let mut hits = 0;
         let trials = 60;
         for t in 0..trials {
             let values: Vec<f64> = (0..30)
                 .map(|_| {
                     // Irwin-Hall(4) centered: mean 0
-                    let s: f64 = (0..4)
-                        .map(|_| (rng.next() >> 11) as f64 / (1u64 << 53) as f64)
-                        .sum();
+                    let s: f64 = (0..4).map(|_| rng.unit()).sum();
                     s - 2.0
                 })
                 .collect();

@@ -114,21 +114,31 @@ impl Store {
     /// Look up a payload. Consults the in-memory layer first, then disk;
     /// every outcome is counted.
     pub fn get(&self, key: Key) -> Option<Arc<[u8]>> {
+        self.get_with(key, Some)
+    }
+
+    /// Look up a payload and let `accept` judge it: the lookup counts as a
+    /// hit only when the payload is found *and* `accept` turns it into a
+    /// value, so a payload the caller cannot use (a stale schema, the
+    /// wrong length) counts as the miss the caller treats it as.
+    pub fn get_with<T>(&self, key: Key, accept: impl FnOnce(Arc<[u8]>) -> Option<T>) -> Option<T> {
+        let found = self.fetch(key).and_then(accept);
+        let counter = match found {
+            Some(_) => &self.counters.hits,
+            None => &self.counters.misses,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
+    }
+
+    /// The payload under `key`, from memory or else from disk (a bad
+    /// record is counted, deleted and reported as absent).
+    fn fetch(&self, key: Key) -> Option<Arc<[u8]>> {
         if let Some(hit) = self.mem.lock().expect("cache map lock").get(&key) {
-            self.counters.hits.fetch_add(1, Ordering::Relaxed);
             return Some(Arc::clone(hit));
         }
-        let Some(path) = self.record_path(key) else {
-            self.counters.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        };
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(_) => {
-                self.counters.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-        };
+        let path = self.record_path(key)?;
+        let bytes = std::fs::read(&path).ok()?;
         match record::decode(key, &bytes) {
             Ok(payload) => {
                 let payload: Arc<[u8]> = payload.into();
@@ -136,7 +146,6 @@ impl Store {
                     .lock()
                     .expect("cache map lock")
                     .insert(key, Arc::clone(&payload));
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
                 Some(payload)
             }
             Err(_) => {
@@ -146,7 +155,6 @@ impl Store {
                 self.counters
                     .corrupt_skipped
                     .fetch_add(1, Ordering::Relaxed);
-                self.counters.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
         }
@@ -318,6 +326,19 @@ mod tests {
             }
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_payload_the_caller_refuses_counts_as_a_miss() {
+        let store = Store::in_memory();
+        store.put(key(7), b"abc");
+        assert_eq!(
+            store.get_with(key(7), |p| (p.len() == 2).then_some(())),
+            None
+        );
+        assert_eq!(store.get_with(key(7), |p| Some(p.len())), Some(3));
+        let s = store.stats();
+        assert_eq!((s.hits, s.misses), (1, 1));
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //!   hotspots, seeded within-die randomness);
 //! * [`process`] — per-instance Gaussian process distributions
 //!   (die-to-die, spatially-correlated, local) sampled by a pure seeded
-//!   function for Monte Carlo statistical timing.
+//!   function for Monte Carlo statistical timing;
+//! * [`rng`] — the workspace's one reproducible random stream
+//!   (splitmix64 and its Irwin–Hall normal).
 //!
 //! All delays and amplitudes follow the paper's convention of being
 //! expressed in *number of stages* (one unit = one nominal gate delay).
@@ -43,6 +45,7 @@
 pub mod analysis;
 pub mod process;
 pub mod recorded;
+pub mod rng;
 pub mod sources;
 pub mod spatial;
 pub mod stochastic;

@@ -27,6 +27,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::rng::SplitMix64;
 use crate::spatial::Position;
 
 /// The three-component Gaussian process model sampled per instance.
@@ -99,24 +100,9 @@ pub struct ProcessSampler {
     seed: u64,
 }
 
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// A standard-normal deviate keyed by a hash state: Irwin–Hall with
-/// n = 12 (sum of 12 uniform draws minus 6 has zero mean and unit
-/// variance).
-fn standard_normal(mut state: u64) -> f64 {
-    let mut sum = 0.0;
-    for _ in 0..12 {
-        // 53 top bits → uniform in [0, 1).
-        sum += (splitmix(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
-    }
-    sum - 6.0
+/// A standard-normal deviate keyed by a hash state.
+fn standard_normal(state: u64) -> f64 {
+    SplitMix64::new(state).normal()
 }
 
 impl ProcessSampler {

@@ -135,7 +135,7 @@ fn stability_bound_matches_documentation() {
 /// EXPERIMENTS.md ext-stability table values.
 #[test]
 fn stability_map_matches_documentation() {
-    let rows = experiments::ext_stability::run(300);
+    let rows = experiments::ext_stability::run(&ctx(), 300);
     let get = |needle: &str| {
         rows.iter()
             .find(|r| r.label.contains(needle))
@@ -293,5 +293,33 @@ fn documented_cargo_targets_exist() {
     assert!(
         stale.is_empty(),
         "documented cargo targets that do not exist: {stale:?}"
+    );
+}
+
+/// Every `experiments::<module>` path quoted in the README, DESIGN.md and
+/// EXPERIMENTS.md names a module file under `crates/experiments/src/`, so
+/// deleting or renaming a module cannot leave a documented path behind.
+#[test]
+fn documented_experiments_modules_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let src = root.join("crates/experiments/src");
+    let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let mut stale = Vec::new();
+    for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
+        let text = fs::read_to_string(root.join(doc)).unwrap_or_else(|e| panic!("{doc}: {e}"));
+        for (i, prefix) in text.match_indices("experiments::") {
+            if text[..i].ends_with(is_ident) {
+                continue;
+            }
+            let rest = &text[i + prefix.len()..];
+            let module = &rest[..rest.find(|c| !is_ident(c)).unwrap_or(rest.len())];
+            if !module.is_empty() && !src.join(format!("{module}.rs")).is_file() {
+                stale.push(format!("{doc}: experiments::{module}"));
+            }
+        }
+    }
+    assert!(
+        stale.is_empty(),
+        "documented experiments modules that do not exist: {stale:?}"
     );
 }
